@@ -30,7 +30,6 @@ func main() {
 	baseline := flag.String("baseline", "", "compare against an archived report and fail on MIPS regression (the CI perf guard)")
 	regress := flag.Float64("regress", 0.10, "allowed fractional MIPS drop vs -baseline before failing")
 	reps := flag.Int("reps", 1, "run each flavour this many times and keep the fastest (denoises shared runners; the guard uses 3)")
-	decoupled := flag.Bool("decoupled", false, "also measure the VP+ with the decoupled taint monitor and fail unless its average overhead beats the inline VP+")
 	flightGuard := flag.Bool("flight", false, "also re-measure the table with the flight recorder disabled and fail unless the recorder-on average overhead stays within 5% of recorder-off")
 	profileSmoke := flag.Bool("profile", false, "also run one workload with the trace layer attached and print its hot-path top table (trace smoke test)")
 	coverSmoke := flag.Bool("cover", false, "also run one workload with the coverage subsystem attached and check it stays within the Table II band of -baseline (coverage smoke test)")
@@ -49,7 +48,7 @@ func main() {
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %s...\n", w.Name)
-		row, err := perf.RunRowBestOpts(w, *tlmMem, *reps, *decoupled)
+		row, err := perf.RunRowBest(w, *tlmMem, *reps)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -92,25 +91,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "perf guard: all workloads within %.0f%% of %s\n",
 			*regress*100, *baseline)
-	}
-	if *decoupled {
-		// The decoupled-monitor guard: running propagation on a parallel core
-		// must lower the average Table II overhead below the inline VP+.
-		var sumOv, sumOvDec float64
-		for _, r := range rows {
-			sumOv += r.Overhead()
-			sumOvDec += r.OverheadDecoupled()
-		}
-		n := float64(len(rows))
-		avgOv, avgOvDec := sumOv/n, sumOvDec/n
-		if avgOvDec <= 0 || avgOvDec >= avgOv {
-			fmt.Fprintf(os.Stderr,
-				"decoupled guard FAILED: decoupled average overhead %.2fx does not improve on inline %.2fx\n",
-				avgOvDec, avgOv)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "decoupled guard: average overhead %.2fx vs inline %.2fx\n",
-			avgOvDec, avgOv)
 	}
 	if *flightGuard {
 		// The flight-recorder guard: the always-on recorder must not distort

@@ -15,9 +15,7 @@
 //	            clearance, all input LI
 //
 // Console input is supplied with -stdin and classified as the policy's
-// default (untrusted/public) class. -decoupled runs the policy's taint
-// monitor on a parallel goroutine (DESIGN.md §5.11); verdicts and
-// provenance are identical to the inline VP+.
+// default (untrusted/public) class.
 package main
 
 import (
@@ -64,7 +62,6 @@ func main() {
 	heatOut := flag.String("heatmap", "", "write the taint heatmap report (requires a policy) to this file ('-' for stderr)")
 	auditOut := flag.String("policy-audit", "", "write the policy-audit report (requires a policy) to this file ('-' for stderr)")
 	auditJSONOut := flag.String("policy-audit-json", "", "write the policy-audit counters as JSON to this file")
-	decoupled := flag.Bool("decoupled", false, "run the taint monitor decoupled on a parallel goroutine (requires a policy)")
 	sampleEvery := flag.Duration("sample-every", 0, "simulated-time metrics sampling period (e.g. 1ms; 0 disables telemetry)")
 	timeseriesOut := flag.String("timeseries", "", "write the sampled metrics timeseries as JSONL to this file (.csv extension selects CSV)")
 	forensicsDir := flag.String("forensics", "", "write the flight-recorder forensic bundle (JSON + report) into this directory on violation, fault, or horizon expiry")
@@ -189,11 +186,7 @@ func main() {
 			Every: kernel.Time((*sampleEvery).Nanoseconds()),
 		})
 	}
-	if *decoupled && pol == nil {
-		fmt.Fprintln(os.Stderr, "-decoupled needs a policy (see -policy)")
-		os.Exit(2)
-	}
-	pl, err := soc.New(soc.Config{Policy: pol, DecoupledTaint: *decoupled, Obs: observer, Trace: tr, Cover: cov, Telemetry: smp, FlightOff: *noFlight})
+	pl, err := soc.New(soc.Config{Policy: pol, Obs: observer, Trace: tr, Cover: cov, Telemetry: smp, FlightOff: *noFlight})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

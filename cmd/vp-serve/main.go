@@ -25,8 +25,8 @@
 //	GET    /api/v1/trace                  fleet lifecycle as a Chrome trace
 //	GET    /healthz, /readyz, /metrics    liveness, readiness, Prometheus exposition
 //
-// The pre-v1 routes (/api/sessions...) still work and answer with a
-// Deprecation header pointing at their successors.
+// Request bodies are capped at 1 MiB; a larger spec is refused with an
+// enveloped 413 body_too_large.
 //
 // Results are deduplicated by (image, policy, stimulus) content hash;
 // -store persists them to a directory so repeat submissions across restarts

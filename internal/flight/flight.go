@@ -2,10 +2,9 @@
 // fixed-cost, overwrite-oldest ring of compressed per-retire records plus
 // interleaved platform marks (IRQ lines rising, traps taken, MMIO bus
 // transactions, kernel events). The recorder is fed from the hot loop of
-// whichever core the platform built — the baseline VP, the inline VP+, or
-// the decoupled front end — so the captured window is identical across
-// modes, and it allocates nothing in steady state (proven by an alloc guard
-// in flight_test.go, like the telemetry sampler's).
+// whichever core the platform built — the baseline VP or the VP+ — and it
+// allocates nothing in steady state (proven by an alloc guard in
+// flight_test.go, like the telemetry sampler's).
 //
 // On a violation, a guest fault, or an explicit Platform.Snapshot, the
 // ring's window is frozen into a forensic Bundle (bundle.go): one
@@ -65,8 +64,7 @@ type Rec struct {
 // Recorder is the overwrite-oldest flight ring. It is owned by the
 // simulation thread: every producer (core retire path, platform mark sites)
 // and every reader (Window, the bundle builder, the metrics snapshot) runs
-// on the kernel's cooperative scheduler, so no synchronization is needed —
-// in decoupled-taint mode the monitor goroutine never touches the recorder.
+// on the kernel's cooperative scheduler, so no synchronization is needed.
 type Recorder struct {
 	recs []Rec
 	mask uint64

@@ -25,11 +25,10 @@ var flightFlags = func() [numOps]uint8 {
 	return t
 }()
 
-// The capture itself is hand-inlined at the end of Core.step,
-// TaintCore.step and TaintCore.stepDec behind the `c.FR != nil` guard: it
-// must cost a handful of instructions per retire, not a function call, and
-// as a helper it exceeds the compiler's inlining budget. All three copies
-// follow the same shape —
+// The capture itself is hand-inlined at the end of Core.step and
+// TaintCore.step behind the `c.FR != nil` guard: it must cost a handful of
+// instructions per retire, not a function call, and as a helper it exceeds
+// the compiler's inlining budget. Both copies follow the same shape —
 //
 //	fl := flightFlags[i.Op]
 //	if next != pc+4 { fl |= flight.FlagTaken }
@@ -38,11 +37,10 @@ var flightFlags = func() [numOps]uint8 {
 //	fill c.FR.Slot() with {Instret, pc, w, addr, 0, KindRetire, fl}
 //
 // where c.frAddr was stashed by the load/store helpers (recomputing the
-// effective address post-switch would be wrong when rd aliases rs1). The
-// VP+ copies run on both the inline step and the decoupled front end's
-// stepDec — register tags are exact at every instruction boundary in both
-// modes (see decoupled.go's ownership protocol), so the captured window is
-// bit-identical across inline and decoupled runs.
+// effective address post-switch would be wrong when rd aliases rs1). Register
+// tags are exact at every instruction boundary whether or not the flag
+// caches are pinned (see flagcache.go), so the captured window does not
+// depend on them.
 
 // RegName returns the ABI name of architectural register r (0..31).
 func RegName(r int) string {

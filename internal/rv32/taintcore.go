@@ -82,6 +82,7 @@ type TaintCore struct {
 	checkMemAddr bool
 	memAddrClear core.Tag
 	hasRegions   bool
+	checkStores  bool // some region enforces a store clearance
 
 	mstatus  core.Word
 	mie      core.Word
@@ -110,49 +111,55 @@ type TaintCore struct {
 	// counts (internal/cover). One predictable branch per retire when nil.
 	Cov *cover.Cover
 
-	// dec, when non-nil, decouples tag propagation onto the parallel
-	// monitor goroutine (see decoupled.go). Nil in inline mode: the classic
-	// hot loop pays only predictable not-taken branches, like Tracer/Obs.
-	dec *decState
-
 	// FR, when non-nil, is the always-on flight recorder: one compressed
-	// record per retire, captured post-switch on both the inline step and
-	// the decoupled front end (see flightcap.go) — never from the monitor
-	// goroutine, so the ring stays single-threaded. frAddr is the last
-	// load/store effective address, stashed by the memory helpers.
+	// record per retire, captured post-switch (see flightcap.go). frAddr is
+	// the last load/store effective address, stashed by the memory helpers.
 	FR     *flight.Recorder
 	frAddr uint32
+
+	// Flag caches (see flagcache.go), armed at the first Run. mask bit r
+	// set means register r may carry a non-default tag; bstate, btag and
+	// nonDef summarize 64-byte RAM blocks. defBranchOK/defMemOK record
+	// whether the default tag passes the branch and memory-address
+	// clearances, so checks on all-default operands can be skipped. pinned
+	// keeps every flag at "maybe tainted" (observer or policy audit
+	// attached, or set by the parity test before the first Run).
+	mask        uint32
+	bstate      []uint8
+	btag        []core.Tag
+	nonDef      []uint16
+	defBranchOK bool
+	defMemOK    bool
+	pinned      bool
 }
 
 // NewTaintCore builds a DIFT core over tainted RAM, enforcing the policy.
 // The policy must have been validated against its lattice.
 func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Policy) *TaintCore {
-	// The propagation engine (internal/core's Prop) is the single source of
-	// the flattened policy switches; the inline core copies them into its own
-	// fields to keep the hot-loop layout, and the decoupled monitor shares
-	// the same Prop value directly.
-	p := core.NewProp(pol)
 	c := &TaintCore{
 		ram:     ram.Data(),
 		ramBase: ramBase,
 		ramSize: ram.Size(),
 		bus:     bus,
-		lat:     p.L,
-		pol:     p.Pol,
-		def:     p.Def,
+		lat:     pol.L,
+		pol:     pol,
+		def:     pol.Default,
 
-		checkFetch:   p.CheckFetch,
-		fetchClear:   p.FetchClear,
-		checkBranch:  p.CheckBranch,
-		branchClear:  p.BranchClear,
-		checkMemAddr: p.CheckMemAddr,
-		memAddrClear: p.MemAddrClear,
-		hasRegions:   p.HasRegions,
+		checkFetch:   pol.Exec.CheckFetch,
+		fetchClear:   pol.Exec.Fetch,
+		checkBranch:  pol.Exec.CheckBranch,
+		branchClear:  pol.Exec.Branch,
+		checkMemAddr: pol.Exec.CheckMemAddr,
+		memAddrClear: pol.Exec.MemAddr,
+		hasRegions:   len(pol.Regions) > 0,
 
 		ic:      newICache(ram.Size()),
 		irqPoll: true,
 	}
-	ram.AddWriteHook(c.InvalidateDecodeCache)
+	for _, r := range pol.Regions {
+		c.checkStores = c.checkStores || r.CheckStore
+	}
+	ram.AddWriteHook(c.InvalidateCaches)
 	for i := range c.Regs {
 		c.Regs[i] = core.W(0, c.def)
 	}
@@ -181,10 +188,14 @@ func (c *TaintCore) DecodeCacheStats() (fills, uncached uint64) {
 	return c.ic.fills, c.uncachedFetch
 }
 
-// InvalidateDecodeCache drops predecoded entries (and their fetch-tag
-// summaries) covering RAM byte offsets [start, end). Registered as the
-// tainted RAM's write hook.
-func (c *TaintCore) InvalidateDecodeCache(start, end uint32) { c.ic.invalidate(start, end) }
+// InvalidateCaches drops the predecoded entries (and their fetch-tag
+// summaries) and the flag-cache block summaries covering RAM byte offsets
+// [start, end). Registered as the tainted RAM's write hook; callers that
+// write RAM through the raw Data() slice call it themselves.
+func (c *TaintCore) InvalidateCaches(start, end uint32) {
+	c.ic.invalidate(start, end)
+	c.markLazy(start, end)
+}
 
 // SetIRQ drives the machine interrupt-pending lines.
 func (c *TaintCore) SetIRQ(line uint32, level bool) {
@@ -199,18 +210,11 @@ func (c *TaintCore) SetIRQ(line uint32, level bool) {
 // PendingIRQ reports whether any enabled interrupt is pending.
 func (c *TaintCore) PendingIRQ() bool { return c.mie.V&c.mip != 0 }
 
-// Run executes up to max instructions; see Core.Run. In decoupled mode
-// every return is a sync point: the ring is drained so callers observe
-// final tag state.
+// Run executes up to max instructions; see Core.Run. The first call arms
+// the flag caches.
 func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
-	if d := c.dec; d != nil {
-		if !d.started {
-			c.startDecoupled()
-		}
-		if !d.fullEmit {
-			return c.runDecoupled(max, delay)
-		}
-		defer c.drainDec()
+	if c.bstate == nil {
+		c.armFlagCaches()
 	}
 	for n < max {
 		if c.Halted {
@@ -266,7 +270,6 @@ func (c *TaintCore) trap(cause, tval, epc uint32) error {
 			v := core.NewViolation(c.lat, core.KindBranchClearance, c.mtvec.T, c.branchClear).
 				WithPC(epc).WithValue(c.mtvec.V)
 			if c.Obs != nil {
-				c.drainDec()
 				c.Obs.OnViolation(v, 0, 0)
 			}
 			return v
@@ -311,9 +314,6 @@ func (c *TaintCore) branchTagOK(t core.Tag) bool {
 func (c *TaintCore) branchViolation(t core.Tag, pc uint32, rs1, rs2 uint8) *core.Violation {
 	v := core.NewViolation(c.lat, core.KindBranchClearance, t, c.branchClear).WithPC(pc)
 	if c.Obs != nil {
-		// Decoupled mode: the monitor must finish replaying earlier events
-		// before the violation is recorded, or seq numbers would diverge.
-		c.drainDec()
 		c.Obs.SetInsn(pc, c.insnWord(pc))
 		var p1, p2 uint64
 		if rs1 != obs.RegNone {
@@ -346,7 +346,6 @@ func (c *TaintCore) addrViolation(t core.Tag, addr, pc uint32, base uint8) *core
 	v := core.NewViolation(c.lat, core.KindMemAddrClearance, t, c.memAddrClear).
 		WithPC(pc).WithAddr(addr)
 	if c.Obs != nil {
-		c.drainDec()
 		c.Obs.SetInsn(pc, c.insnWord(pc))
 		c.Obs.OnViolation(v, c.Obs.RegSource(base), 0)
 	}
@@ -450,11 +449,12 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 
 	next := pc + 4
 	r := &c.Regs
-	if c.Obs != nil || c.dec != nil {
-		// The decoupled fullEmit mode needs the same pre-execution operand
-		// snapshot the observer does (retire records carry source tags).
+	if c.Obs != nil {
 		c.obsS1, c.obsS2 = r[i.Rs1], r[i.Rs2]
 	}
+	// Tag handling gates on the flag caches (see flagcache.go): a clear
+	// register flag proves the operand carries the default tag, so the
+	// check or the tag write it would feed is skipped.
 	switch i.Op {
 	case OpLUI:
 		c.set(i.Rd, core.W(uint32(i.Imm), c.def))
@@ -466,16 +466,20 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 	case OpJALR:
 		// Indirect jump: the target register steers control flow, so it is
 		// subject to the branch clearance.
-		if !c.branchTagOK(r[i.Rs1].T) {
-			return RunOK, c.branchViolation(r[i.Rs1].T, pc, i.Rs1, obs.RegNone)
+		if !c.defBranchOK || c.mask>>i.Rs1&1 != 0 {
+			if !c.branchTagOK(r[i.Rs1].T) {
+				return RunOK, c.branchViolation(r[i.Rs1].T, pc, i.Rs1, obs.RegNone)
+			}
 		}
 		t := (r[i.Rs1].V + uint32(i.Imm)) &^ 1
 		c.set(i.Rd, core.W(next, c.def))
 		next = t
 	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
-		if !c.branchTagOK(condTag) {
-			return RunOK, c.branchViolation(condTag, pc, i.Rs1, i.Rs2)
+		if !c.defBranchOK || (c.mask>>i.Rs1|c.mask>>i.Rs2)&1 != 0 {
+			condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
+			if !c.branchTagOK(condTag) {
+				return RunOK, c.branchViolation(condTag, pc, i.Rs1, i.Rs2)
+			}
 		}
 		a, b := r[i.Rs1].V, r[i.Rs2].V
 		var taken bool
@@ -496,36 +500,10 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		if taken {
 			next = pc + uint32(i.Imm)
 		}
-	case OpLB:
-		v, err := c.load(i, 1, delay, pc)
-		if err != nil {
+	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
+		if err := c.load(i, delay, pc); err != nil {
 			return RunOK, err
 		}
-		c.set(i.Rd, core.W(uint32(int32(v.V<<24)>>24), v.T))
-	case OpLH:
-		v, err := c.load(i, 2, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, core.W(uint32(int32(v.V<<16)>>16), v.T))
-	case OpLW:
-		v, err := c.load(i, 4, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpLBU:
-		v, err := c.load(i, 1, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpLHU:
-		v, err := c.load(i, 2, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
 	case OpSB:
 		if err := c.store(i, 1, delay, pc); err != nil {
 			return RunOK, err
@@ -538,60 +516,84 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		if err := c.store(i, 4, delay, pc); err != nil {
 			return RunOK, err
 		}
-	case OpADDI:
-		c.aluImm(i, r[i.Rs1].V+uint32(i.Imm))
-	case OpSLTI:
-		c.aluImm(i, b2u(int32(r[i.Rs1].V) < i.Imm))
-	case OpSLTIU:
-		c.aluImm(i, b2u(r[i.Rs1].V < uint32(i.Imm)))
-	case OpXORI:
-		c.aluImm(i, r[i.Rs1].V^uint32(i.Imm))
-	case OpORI:
-		c.aluImm(i, r[i.Rs1].V|uint32(i.Imm))
-	case OpANDI:
-		c.aluImm(i, r[i.Rs1].V&uint32(i.Imm))
-	case OpSLLI:
-		c.aluImm(i, r[i.Rs1].V<<uint(i.Imm))
-	case OpSRLI:
-		c.aluImm(i, r[i.Rs1].V>>uint(i.Imm))
-	case OpSRAI:
-		c.aluImm(i, uint32(int32(r[i.Rs1].V)>>uint(i.Imm)))
-	case OpADD:
-		c.alu(i, r[i.Rs1].V+r[i.Rs2].V)
-	case OpSUB:
-		c.alu(i, r[i.Rs1].V-r[i.Rs2].V)
-	case OpSLL:
-		c.alu(i, r[i.Rs1].V<<(r[i.Rs2].V&31))
-	case OpSLT:
-		c.alu(i, b2u(int32(r[i.Rs1].V) < int32(r[i.Rs2].V)))
-	case OpSLTU:
-		c.alu(i, b2u(r[i.Rs1].V < r[i.Rs2].V))
-	case OpXOR:
-		c.alu(i, r[i.Rs1].V^r[i.Rs2].V)
-	case OpSRL:
-		c.alu(i, r[i.Rs1].V>>(r[i.Rs2].V&31))
-	case OpSRA:
-		c.alu(i, uint32(int32(r[i.Rs1].V)>>(r[i.Rs2].V&31)))
-	case OpOR:
-		c.alu(i, r[i.Rs1].V|r[i.Rs2].V)
-	case OpAND:
-		c.alu(i, r[i.Rs1].V&r[i.Rs2].V)
-	case OpMUL:
-		c.alu(i, r[i.Rs1].V*r[i.Rs2].V)
-	case OpMULH:
-		c.alu(i, uint32(uint64(int64(int32(r[i.Rs1].V))*int64(int32(r[i.Rs2].V)))>>32))
-	case OpMULHSU:
-		c.alu(i, uint32(uint64(int64(int32(r[i.Rs1].V))*int64(r[i.Rs2].V))>>32))
-	case OpMULHU:
-		c.alu(i, uint32(uint64(r[i.Rs1].V)*uint64(r[i.Rs2].V)>>32))
-	case OpDIV:
-		c.alu(i, divS(r[i.Rs1].V, r[i.Rs2].V))
-	case OpDIVU:
-		c.alu(i, divU(r[i.Rs1].V, r[i.Rs2].V))
-	case OpREM:
-		c.alu(i, remS(r[i.Rs1].V, r[i.Rs2].V))
-	case OpREMU:
-		c.alu(i, remU(r[i.Rs1].V, r[i.Rs2].V))
+	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI, OpSLLI, OpSRLI, OpSRAI:
+		var v uint32
+		switch i.Op {
+		case OpADDI:
+			v = r[i.Rs1].V + uint32(i.Imm)
+		case OpSLTI:
+			v = b2u(int32(r[i.Rs1].V) < i.Imm)
+		case OpSLTIU:
+			v = b2u(r[i.Rs1].V < uint32(i.Imm))
+		case OpXORI:
+			v = r[i.Rs1].V ^ uint32(i.Imm)
+		case OpORI:
+			v = r[i.Rs1].V | uint32(i.Imm)
+		case OpANDI:
+			v = r[i.Rs1].V & uint32(i.Imm)
+		case OpSLLI:
+			v = r[i.Rs1].V << uint(i.Imm)
+		case OpSRLI:
+			v = r[i.Rs1].V >> uint(i.Imm)
+		default:
+			v = uint32(int32(r[i.Rs1].V) >> uint(i.Imm))
+		}
+		// All-clear source and destination: no tag state changes.
+		if (c.mask>>i.Rs1|c.mask>>i.Rd)&1 == 0 {
+			if i.Rd != 0 {
+				r[i.Rd].V = v
+			}
+		} else {
+			c.aluImm(i, v)
+		}
+	case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
+		OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU:
+		var v uint32
+		switch i.Op {
+		case OpADD:
+			v = r[i.Rs1].V + r[i.Rs2].V
+		case OpSUB:
+			v = r[i.Rs1].V - r[i.Rs2].V
+		case OpSLL:
+			v = r[i.Rs1].V << (r[i.Rs2].V & 31)
+		case OpSLT:
+			v = b2u(int32(r[i.Rs1].V) < int32(r[i.Rs2].V))
+		case OpSLTU:
+			v = b2u(r[i.Rs1].V < r[i.Rs2].V)
+		case OpXOR:
+			v = r[i.Rs1].V ^ r[i.Rs2].V
+		case OpSRL:
+			v = r[i.Rs1].V >> (r[i.Rs2].V & 31)
+		case OpSRA:
+			v = uint32(int32(r[i.Rs1].V) >> (r[i.Rs2].V & 31))
+		case OpOR:
+			v = r[i.Rs1].V | r[i.Rs2].V
+		case OpAND:
+			v = r[i.Rs1].V & r[i.Rs2].V
+		case OpMUL:
+			v = r[i.Rs1].V * r[i.Rs2].V
+		case OpMULH:
+			v = uint32(uint64(int64(int32(r[i.Rs1].V))*int64(int32(r[i.Rs2].V))) >> 32)
+		case OpMULHSU:
+			v = uint32(uint64(int64(int32(r[i.Rs1].V))*int64(r[i.Rs2].V)) >> 32)
+		case OpMULHU:
+			v = uint32(uint64(r[i.Rs1].V) * uint64(r[i.Rs2].V) >> 32)
+		case OpDIV:
+			v = divS(r[i.Rs1].V, r[i.Rs2].V)
+		case OpDIVU:
+			v = divU(r[i.Rs1].V, r[i.Rs2].V)
+		case OpREM:
+			v = remS(r[i.Rs1].V, r[i.Rs2].V)
+		default:
+			v = remU(r[i.Rs1].V, r[i.Rs2].V)
+		}
+		if (c.mask>>i.Rs1|c.mask>>i.Rs2|c.mask>>i.Rd)&1 == 0 {
+			if i.Rd != 0 {
+				r[i.Rd].V = v
+			}
+		} else {
+			c.alu(i, v)
+		}
 	case OpFENCE:
 		// No-op: the memory model is sequentially consistent.
 	case OpFENCEI:
@@ -633,17 +635,11 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 	default:
 		return RunOK, c.trap(CauseIllegalInstr, c.fetchWord(off), pc)
 	}
-	if c.dec != nil && c.dec.fullEmit {
-		// Decoupled observability: hooks are replayed by the monitor from
-		// the retire record instead of running inline.
-		c.emitRetire(i, pc, off, next)
-	} else {
-		if c.Obs != nil {
-			c.observeStep(i, pc, next)
-		}
-		if c.Cov != nil {
-			c.coverStep(i, pc, off, next)
-		}
+	if c.Obs != nil {
+		c.observeStep(i, pc, next)
+	}
+	if c.Cov != nil {
+		c.coverStep(i, pc, off, next)
 	}
 	if c.FR != nil {
 		// Flight capture, hand-inlined (see flightcap.go).
@@ -725,8 +721,8 @@ func (c *TaintCore) coverStep(i Inst, pc, off, next uint32) {
 
 // alu writes an R-type result: value computed by the caller, tag joined from
 // both sources — the paper's overloaded-operator semantics (Fig. 3 line 35).
-// Provenance recording happens post-retire in observeStep so these helpers
-// stay inlinable in the interpreter switch.
+// step calls it only when a flag cache bit is set; provenance recording
+// happens post-retire in observeStep.
 func (c *TaintCore) alu(i Inst, v uint32) {
 	c.set(i.Rd, core.W(v, c.lat.LUB(c.Regs[i.Rs1].T, c.Regs[i.Rs2].T)))
 }
@@ -737,10 +733,11 @@ func (c *TaintCore) aluImm(i Inst, v uint32) {
 }
 
 // set writes a destination register, keeping x0 hardwired to zero with the
-// policy default class.
+// policy default class and rd's register flag exact.
 func (c *TaintCore) set(rd uint8, w core.Word) {
 	if rd != 0 {
 		c.Regs[rd] = w
+		c.noteTag(rd, w.T)
 	}
 }
 
@@ -808,112 +805,148 @@ func (c *TaintCore) fetchViolation(pc, w uint32, t core.Tag) *core.Violation {
 	v := core.NewViolation(c.lat, core.KindFetchClearance, t, c.fetchClear).
 		WithPC(pc).WithValue(w)
 	if c.Obs != nil {
-		c.drainDec()
 		c.Obs.SetInsn(pc, w)
 		c.Obs.OnViolation(v, c.Obs.MemSource(pc), c.Obs.PCSource())
 	}
 	return v
 }
 
-// load reads size bytes little-endian, zero-extended, folding byte tags.
-func (c *TaintCore) load(i Inst, size uint32, delay *kernel.Time, pc uint32) (core.Word, error) {
+// load executes a load instruction: address check, memory read, sign
+// extension and writeback in one call. Clean blocks skip the tag fold,
+// Uniform blocks take the block tag, other blocks fold the byte tags.
+func (c *TaintCore) load(i Inst, delay *kernel.Time, pc uint32) error {
+	size := uint32(4)
+	switch i.Op {
+	case OpLB, OpLBU:
+		size = 1
+	case OpLH, OpLHU:
+		size = 2
+	}
 	base := c.Regs[i.Rs1]
 	addr := base.V + uint32(i.Imm)
 	c.frAddr = addr
-	if !c.addrTagOK(base.T) {
-		return core.Word{}, c.addrViolation(base.T, addr, pc, i.Rs1)
-	}
-	off := addr - c.ramBase
-	if !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize {
-		// Tag folding short-circuits when all accessed bytes carry the same
-		// tag (the overwhelmingly common case — whole words written by sw
-		// carry one tag), avoiding the per-byte LUB chain.
-		var w core.Word
-		switch size {
-		case 1:
-			b := c.ram[off]
-			w = core.W(uint32(b.V), b.T)
-		case 2:
-			b0, b1 := c.ram[off], c.ram[off+1]
-			w = core.W(uint32(b0.V)|uint32(b1.V)<<8, core.Fold2(c.lat, b0, b1))
-		default:
-			b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
-			w = core.W(
-				uint32(b0.V)|uint32(b1.V)<<8|uint32(b2.V)<<16|uint32(b3.V)<<24,
-				core.Fold4(c.lat, b0, b1, b2, b3),
-			)
+	if c.checkMemAddr && (!c.defMemOK || c.mask>>i.Rs1&1 != 0) {
+		if !c.addrTagOK(base.T) {
+			return c.addrViolation(base.T, addr, pc, i.Rs1)
 		}
-		return w, nil
-	}
-	if c.dec != nil {
-		// A peripheral may record input-classification events during the
-		// transaction; drain so they interleave with replayed events in
-		// program order.
-		c.drainDec()
-	}
-	p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
-	if p.Resp != tlm.OK {
-		return core.Word{}, &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
 	}
 	var v uint32
-	t := c.mmioBuf[0].T
-	for j := uint32(0); j < size; j++ {
-		v |= uint32(c.mmioBuf[j].V) << (8 * j)
-		t = c.lat.LUB(t, c.mmioBuf[j].T)
+	t := c.def
+	off := addr - c.ramBase
+	if !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize {
+		b0, b1 := off>>blockShift, (off+size-1)>>blockShift
+		s := c.bstate[b0] | c.bstate[b1]
+		if s == bsClean || (s == bsUniform && c.bstate[b0] == c.bstate[b1] && c.btag[b0] == c.btag[b1]) {
+			if s != bsClean {
+				t = c.btag[b0]
+			}
+			switch size {
+			case 1:
+				v = uint32(c.ram[off].V)
+			case 2:
+				v = uint32(c.ram[off].V) | uint32(c.ram[off+1].V)<<8
+			default:
+				v = uint32(c.ram[off].V) | uint32(c.ram[off+1].V)<<8 |
+					uint32(c.ram[off+2].V)<<16 | uint32(c.ram[off+3].V)<<24
+			}
+		} else {
+			if s == bsLazy { // a Lazy block, or Uniform next to Exact
+				c.scanLazy(b0, b1)
+			}
+			// Fold2/Fold4 short-circuit when all accessed bytes carry the
+			// same tag, avoiding the per-byte LUB chain.
+			switch size {
+			case 1:
+				b := c.ram[off]
+				v, t = uint32(b.V), b.T
+			case 2:
+				b0, b1 := c.ram[off], c.ram[off+1]
+				v, t = uint32(b0.V)|uint32(b1.V)<<8, core.Fold2(c.lat, b0, b1)
+			default:
+				b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
+				v = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
+				t = core.Fold4(c.lat, b0, b1, b2, b3)
+			}
+		}
+	} else {
+		p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+		c.bus.Transport(&p, delay)
+		if p.Resp != tlm.OK {
+			return &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
+		}
+		t = c.mmioBuf[0].T
+		for j := uint32(0); j < size; j++ {
+			v |= uint32(c.mmioBuf[j].V) << (8 * j)
+			t = c.lat.LUB(t, c.mmioBuf[j].T)
+		}
 	}
-	return core.W(v, t), nil
+	switch i.Op {
+	case OpLB:
+		v = uint32(int32(v<<24) >> 24)
+	case OpLH:
+		v = uint32(int32(v<<16) >> 16)
+	}
+	c.set(i.Rd, core.W(v, t))
+	return nil
 }
 
 // store writes size bytes little-endian, each carrying the value's tag,
-// after the memory-address and region store-clearance checks.
+// after the memory-address and region store-clearance checks. Clean blocks
+// take default-tagged data and Uniform blocks matching-tagged data with no
+// tag writes at all; everything else takes the per-byte spread.
 func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) error {
 	base, val := c.Regs[i.Rs1], c.Regs[i.Rs2]
 	addr := base.V + uint32(i.Imm)
 	c.frAddr = addr
-	if !c.addrTagOK(base.T) {
-		return c.addrViolation(base.T, addr, pc, i.Rs1)
+	if c.checkMemAddr && (!c.defMemOK || c.mask>>i.Rs1&1 != 0) {
+		if !c.addrTagOK(base.T) {
+			return c.addrViolation(base.T, addr, pc, i.Rs1)
+		}
 	}
 	if c.hasRegions {
 		if c.Obs != nil {
 			c.Obs.Checks.Store++
 		}
-		if err := c.pol.CheckStore(addr, val.T); err != nil {
-			if v, ok := err.(*core.Violation); ok {
-				v.PC = pc
-				if c.Obs != nil {
-					c.drainDec()
-					c.Obs.SetInsn(pc, c.insnWord(pc))
-					c.Obs.OnViolation(v, c.Obs.RegSource(i.Rs2), 0)
+		if c.checkStores {
+			if err := c.pol.CheckStore(addr, val.T); err != nil {
+				if v, ok := err.(*core.Violation); ok {
+					v.PC = pc
+					if c.Obs != nil {
+						c.Obs.SetInsn(pc, c.insnWord(pc))
+						c.Obs.OnViolation(v, c.Obs.RegSource(i.Rs2), 0)
+					}
 				}
+				return err
 			}
-			return err
 		}
 	}
-	off := addr - c.ramBase
-	ramOK := !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize
-	if c.Obs != nil && (c.dec == nil || !ramOK) {
+	if c.Obs != nil {
 		// Emitted here, not in observeStep: the bus write below may trigger a
 		// peripheral's output-clearance check, which links to this event via
-		// LastStore. In decoupled mode RAM-store events replay on the monitor
-		// instead; only MMIO stores fire inline, after a drain keeps the
-		// event order identical.
-		c.drainDec()
+		// LastStore.
 		c.Obs.SetInsn(pc, c.insnWord(pc))
 		c.Obs.OnStore(addr, size, i.Rs2, val)
 	}
-	if ramOK {
-		switch size {
-		case 1:
-			c.ram[off] = core.TByte{V: byte(val.V), T: val.T}
-		case 2:
-			c.ram[off] = core.TByte{V: byte(val.V), T: val.T}
-			c.ram[off+1] = core.TByte{V: byte(val.V >> 8), T: val.T}
-		default:
-			c.ram[off] = core.TByte{V: byte(val.V), T: val.T}
-			c.ram[off+1] = core.TByte{V: byte(val.V >> 8), T: val.T}
-			c.ram[off+2] = core.TByte{V: byte(val.V >> 16), T: val.T}
-			c.ram[off+3] = core.TByte{V: byte(val.V >> 24), T: val.T}
+	off := addr - c.ramBase
+	if !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize {
+		b0, b1 := off>>blockShift, (off+size-1)>>blockShift
+		s := c.bstate[b0] | c.bstate[b1]
+		if (s == bsClean && val.T == c.def) ||
+			(s == bsUniform && c.bstate[b0] == c.bstate[b1] && c.btag[b0] == val.T && c.btag[b1] == val.T) {
+			switch size {
+			case 1:
+				c.ram[off].V = byte(val.V)
+			case 2:
+				c.ram[off].V = byte(val.V)
+				c.ram[off+1].V = byte(val.V >> 8)
+			default:
+				c.ram[off].V = byte(val.V)
+				c.ram[off+1].V = byte(val.V >> 8)
+				c.ram[off+2].V = byte(val.V >> 16)
+				c.ram[off+3].V = byte(val.V >> 24)
+			}
+		} else {
+			c.storeTags(off, size, val.V, val.T)
 		}
 		// Keep the decode cache (and its fetch-tag summaries) coherent with
 		// self-modifying or freshly injected code.

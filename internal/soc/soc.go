@@ -78,12 +78,9 @@ type Config struct {
 	// memory-interface organization the paper describes for its DIFT
 	// platform. Ignored on the baseline VP.
 	TaintMemViaTLM bool
-	// DecoupledTaint splits the VP+ into a fast ISS front end and a
-	// parallel taint-monitor goroutine fed through a lock-free ring
-	// (internal/dift): tag propagation runs off the critical path, and the
-	// ISS stalls only at clearance points and explicit sync points.
-	// Verdicts, violations and final tag state are identical to the inline
-	// VP+. Ignored on the baseline VP.
+	// DecoupledTaint is ignored. It named a VP+ organization that has been
+	// removed (the flag caches it introduced are now always on); the field
+	// stays only so existing callers keep compiling.
 	DecoupledTaint bool
 	// NoDecodeCache disables the predecoded-instruction cache on whichever
 	// core the platform builds — every fetch decodes (and, on the VP+,
@@ -243,14 +240,6 @@ func New(cfg Config) (*Platform, error) {
 		pl.TaintCore.ForceBusMem = cfg.TaintMemViaTLM
 		if cfg.NoDecodeCache {
 			pl.TaintCore.DisableDecodeCache()
-		}
-		if cfg.DecoupledTaint {
-			pl.TaintCore.EnableDecoupledTaint()
-			// Bus-initiated writes (DMA, TLM targets) mutate byte tags
-			// behind the front end's memory flag cache; rescan the blocks
-			// they touch. They only run between CPU quanta, after Run's
-			// mandatory drain, so the monitor is quiescent.
-			pl.ram.AddWriteHook(pl.TaintCore.DecoupledMemWrite)
 		}
 		setIRQ = func(line uint32, level bool) {
 			pl.TaintCore.SetIRQ(line, level)
@@ -629,9 +618,9 @@ func (pl *Platform) Load(img *asm.Image) error {
 		cv.Taint.InitFromRAM(data)
 	}
 	// The image and classification rules were written through the raw Data()
-	// slice, which bypasses the RAM write hooks; drop any predecoded
-	// entries explicitly.
-	pl.TaintCore.InvalidateDecodeCache(0, pl.ram.Size())
+	// slice, which bypasses the RAM write hooks; drop the core's caches
+	// explicitly.
+	pl.TaintCore.InvalidateCaches(0, pl.ram.Size())
 	pl.TaintCore.PC = img.Entry
 	pl.loaded = true
 	return nil
@@ -666,13 +655,9 @@ func (pl *Platform) Run(horizon kernel.Time) error {
 	return err
 }
 
-// Shutdown releases the platform's kernel processes (and, in decoupled-taint
-// mode, drains and stops the monitor goroutine). The platform must not be
-// used afterwards.
+// Shutdown releases the platform's kernel processes. The platform must not
+// be used afterwards.
 func (pl *Platform) Shutdown() {
-	if pl.TaintCore != nil {
-		pl.TaintCore.StopDecoupled()
-	}
 	pl.Sim.Shutdown()
 }
 
@@ -735,24 +720,6 @@ func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 	m["sim.decode_cache_fills"] = fills
 	m["sim.decode_cache_hits"] = hits
 	m["sim.decode_cache_misses"] = misses
-
-	// Decoupled taint-monitor statistics. The sampler runs between CPU
-	// quanta, after Run's mandatory drain, so the counters are exact and the
-	// ring occupancy it reports is the post-drain value (zero unless sampled
-	// mid-violation).
-	if pl.TaintCore != nil {
-		if s, ok := pl.TaintCore.DecoupledStats(); ok {
-			m["dift.ring_occupancy"] = uint64(s.RingOccupancy)
-			m["dift.stall_ns_total"] = s.StallNs
-			m["dift.suppressed_total"] = s.Suppressed
-			m["dift.emitted_total"] = s.Emitted
-			m["dift.drains_total"] = s.Drains
-			m["dift.backpressure_total"] = s.Backpressure
-			m["dift.cleaned_blocks_total"] = s.CleanedBlocks
-			m["dift.live_regs"] = uint64(s.LiveRegs)
-			m["dift.dirty_blocks"] = uint64(s.DirtyBlocks)
-		}
-	}
 
 	// Flight-recorder statistics. The capture cost is calibrated once per
 	// process (a timed loop over a throwaway ring), not measured in the hot

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vpdift/internal/asm"
 	"vpdift/internal/core"
 	"vpdift/internal/guest"
 	"vpdift/internal/kernel"
@@ -188,25 +189,36 @@ func (g *gen) program(emitSecret bool) string {
 	return g.b.String()
 }
 
-// runOne executes one generated program under the IFP-1 leak policy and
-// classifies the outcome.
-func runOne(seed uint32, cfg Config, emitSecret bool) *Failure {
+// Program returns the guest source of the program generated from seed;
+// emitSecret picks which chain reaches the console.
+func Program(seed uint32, cfg Config, emitSecret bool) string {
 	g := &gen{seed: seed, cfg: cfg}
-	src := g.program(emitSecret)
-	img, err := guest.Program(src)
-	if err != nil {
-		return &Failure{Seed: seed, EmitSecret: emitSecret, Problem: "generator", Detail: err.Error(), Source: src}
-	}
+	return g.program(emitSecret)
+}
+
+// LeakPolicy is the IFP-1 policy a generated program runs under: its secret
+// word is HC and the UART transmitter requires LC.
+func LeakPolicy(img *asm.Image) *core.Policy {
 	l := core.IFP1()
 	lc, hc := l.MustTag(core.ClassLC), l.MustTag(core.ClassHC)
 	secret := img.MustSymbol("st_secret")
-	pol := core.NewPolicy(l, lc).
+	return core.NewPolicy(l, lc).
 		WithOutput("uart0.tx", lc).
 		WithRegion(core.RegionRule{
 			Name: "secret", Start: secret, End: secret + 4,
 			Classify: true, Class: hc,
 		})
-	pl, err := soc.New(soc.Config{Policy: pol})
+}
+
+// runOne executes one generated program under the leak policy and
+// classifies the outcome.
+func runOne(seed uint32, cfg Config, emitSecret bool) *Failure {
+	src := Program(seed, cfg, emitSecret)
+	img, err := guest.Program(src)
+	if err != nil {
+		return &Failure{Seed: seed, EmitSecret: emitSecret, Problem: "generator", Detail: err.Error(), Source: src}
+	}
+	pl, err := soc.New(soc.Config{Policy: LeakPolicy(img)})
 	if err != nil {
 		return &Failure{Seed: seed, EmitSecret: emitSecret, Problem: "platform", Detail: err.Error(), Source: src}
 	}

@@ -97,6 +97,29 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, envelope{Error: &apiError{Code: code, Message: msg}})
 }
 
+// maxBodyBytes caps request bodies. Session and campaign specs are a few
+// hundred bytes; the cap keeps one oversized request from holding memory.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers the request itself — an enveloped 413
+// body_too_large past the cap, 400 bad_request otherwise — and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("%s exceeds %d bytes", what, maxBodyBytes))
+	} else {
+		writeError(w, http.StatusBadRequest, "bad_request", "invalid "+what+": "+err.Error())
+	}
+	return false
+}
+
 // allow dispatches on the request method, answering anything outside the
 // allowed set with an enveloped 405 and an Allow header. Returns false when
 // it already answered.
@@ -139,8 +162,7 @@ func (sv *Server) v1Sessions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec SessionSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "invalid session spec: "+err.Error())
+	if !decodeBody(w, r, "session spec", &spec) {
 		return
 	}
 	out, status, aerr := sv.createSession(r.Context(), spec)

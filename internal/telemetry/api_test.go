@@ -375,27 +375,6 @@ func TestV1NoFactoryIs501(t *testing.T) {
 	}
 }
 
-func TestLegacyAliasesCarryDeprecation(t *testing.T) {
-	sv := NewServer()
-	defer sv.Close()
-	ts := httptest.NewServer(sv.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/api/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /api/sessions: status = %d", resp.StatusCode)
-	}
-	if d := resp.Header.Get("Deprecation"); d == "" {
-		t.Error("legacy /api/sessions has no Deprecation header")
-	}
-	if l := resp.Header.Get("Link"); !strings.Contains(l, "/api/v1/sessions") {
-		t.Errorf("legacy Link header = %q, want successor-version pointer", l)
-	}
-}
-
 func TestServeMetricsExposed(t *testing.T) {
 	f := newGateFactory()
 	sv := NewServer(WithFactory(f), WithWorkers(2))

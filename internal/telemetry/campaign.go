@@ -189,8 +189,7 @@ func (sv *Server) v1Campaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec CampaignSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "invalid campaign spec: "+err.Error())
+	if !decodeBody(w, r, "campaign spec", &spec) {
 		return
 	}
 	c, status, aerr := sv.createCampaign(r.Context(), spec)

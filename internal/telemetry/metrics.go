@@ -13,32 +13,6 @@ import (
 // pattern — typos, scanners, and anything answered by the mux's built-in 404.
 const routeOther = "other"
 
-// servedRoutes lists every route pattern the handler registers,
-// method-stripped — the fixed label universe of the per-route RED metrics.
-// Bounding the set at construction keeps the middleware allocation-free (no
-// label strings are built per request) and keeps scrape cardinality immune
-// to request-path garbage.
-var servedRoutes = []string{
-	"/healthz",
-	"/readyz",
-	"/metrics",
-	"/api/v1/sessions",
-	"/api/v1/sessions/{id}",
-	"/api/v1/sessions/{id}/result",
-	"/api/v1/sessions/{id}/timeseries",
-	"/api/v1/sessions/{id}/events",
-	"/api/v1/campaigns",
-	"/api/v1/campaigns/{id}",
-	"/api/v1/campaigns/{id}/results",
-	"/api/v1/results/{key}",
-	"/api/v1/trace",
-	"/api/v1/", // the enveloped 404 catch-all
-	"/api/sessions",
-	"/api/sessions/{id}/timeseries",
-	"/api/sessions/{id}/events",
-	routeOther,
-}
-
 // statusClasses are the response-code label values of http.requests_total:
 // exact codes would multiply series per route for no alerting value.
 var statusClasses = [6]string{"other", "1xx", "2xx", "3xx", "4xx", "5xx"}
@@ -68,7 +42,13 @@ func (rs *routeStats) record(status int, d time.Duration) {
 // metrics plus the pool latency histograms. It is always on — every path is
 // a handful of atomic adds — so there is no enabled flag to get wrong.
 type serverMetrics struct {
-	routes map[string]*routeStats // keyed by method-stripped pattern
+	// labels is the fixed label universe of the per-route RED metrics:
+	// every route-table pattern, method-stripped, then routeOther. Bounding
+	// the set at construction keeps the middleware allocation-free (no label
+	// strings are built per request) and keeps scrape cardinality immune to
+	// request-path garbage.
+	labels []string
+	routes map[string]*routeStats // keyed by label
 
 	// queueWait measures submit->dequeue (observed when a worker picks the
 	// session up, so an endless session still contributes its wait).
@@ -77,14 +57,18 @@ type serverMetrics struct {
 	serviceTime *Histogram
 }
 
-func newServerMetrics() *serverMetrics {
+func newServerMetrics(table []route) *serverMetrics {
 	m := &serverMetrics{
-		routes:      make(map[string]*routeStats, len(servedRoutes)),
+		routes:      make(map[string]*routeStats, len(table)+1),
 		queueWait:   NewHistogram(),
 		serviceTime: NewHistogram(),
 	}
-	for _, r := range servedRoutes {
-		m.routes[r] = &routeStats{duration: NewHistogram()}
+	for _, rt := range table {
+		m.labels = append(m.labels, routeOf(rt.pattern))
+	}
+	m.labels = append(m.labels, routeOther)
+	for _, l := range m.labels {
+		m.routes[l] = &routeStats{duration: NewHistogram()}
 	}
 	return m
 }
@@ -101,8 +85,8 @@ func (m *serverMetrics) record(route string, status int, d time.Duration) {
 // requestSets renders the RED counters as labeled metric sets for /metrics.
 // Routes that never served a request are skipped.
 func (m *serverMetrics) requestSets() []MetricSet {
-	sets := make([]MetricSet, 0, len(servedRoutes))
-	for _, route := range servedRoutes {
+	sets := make([]MetricSet, 0, len(m.labels))
+	for _, route := range m.labels {
 		rs := m.routes[route]
 		for class, name := range statusClasses {
 			if n := rs.requests[class].Load(); n > 0 {
@@ -128,7 +112,7 @@ func (m *serverMetrics) histogramFamilies() []HistogramFamily {
 		Name: "http.request_duration_seconds",
 		Help: "HTTP request duration by route, seconds.",
 	}
-	for _, route := range servedRoutes {
+	for _, route := range m.labels {
 		durations.Series = append(durations.Series, LabeledHistogram{
 			Labels: map[string]string{"route": route},
 			Hist:   m.routes[route].duration,

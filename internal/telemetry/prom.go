@@ -30,7 +30,6 @@ var promHelp = []struct{ prefix, help string }{
 	{"violations.", "Policy violations detected, by violation kind."},
 	{"bus.monitor", "TLM bus-monitor transaction accounting."},
 	{"bus.", "TLM bus traffic counter."},
-	{"dift.", "Decoupled taint-monitor statistic."},
 	{"flight.", "Flight-recorder statistic."},
 	{"io.", "Peripheral I/O counter."},
 	{"obs.", "Observer provenance-ring counter."},
@@ -48,13 +47,12 @@ var promHelp = []struct{ prefix, help string }{
 // only grow here, but conceptually they measure state, not a flow), and the
 // audit dead-rule count genuinely shrinks as rules fire — the campaign
 // rollups share both traits (dead_rules shrinks as cells land, edges_total
-// measures merged state). The decoupled monitor's instantaneous statistics
-// (ring occupancy, live registers, dirty blocks) rise and fall with live
-// taint; its *_total siblings are monotone. Everything else the platform
-// emits is a monotone counter.
+// measures merged state). The scheduler's and the flight recorder's
+// instantaneous statistics (queue depth, ring occupancy) rise and fall; their
+// *_total siblings are monotone. Everything else the platform emits is a
+// monotone counter.
 func promIsGauge(name string) bool {
-	if strings.HasPrefix(name, "dift.") || strings.HasPrefix(name, "serve.") ||
-		strings.HasPrefix(name, "flight.") {
+	if strings.HasPrefix(name, "serve.") || strings.HasPrefix(name, "flight.") {
 		return !strings.HasSuffix(name, "_total")
 	}
 	return strings.HasPrefix(name, "cover.") || strings.HasPrefix(name, "campaign.") ||

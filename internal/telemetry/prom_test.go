@@ -97,15 +97,14 @@ func TestWritePrometheusValid(t *testing.T) {
 	}
 }
 
-// The decoupled taint monitor's statistics follow the _total convention:
-// monotone flows export as counters, instantaneous levels as gauges.
-func TestWritePrometheusDecoupledMetrics(t *testing.T) {
+// Level statistics export as gauges and their monotone *_total siblings as
+// counters.
+func TestWritePrometheusGaugeTotalConvention(t *testing.T) {
 	metrics := map[string]uint64{
-		"dift.ring_occupancy":   3,
-		"dift.stall_ns_total":   12345,
-		"dift.suppressed_total": 999,
-		"dift.live_regs":        2,
-		"dift.emitted_total":    500,
+		"flight.ring_occupancy": 3,
+		"flight.captured_total": 12345,
+		"flight.dropped_total":  999,
+		"flight.ring_size":      4096,
 	}
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, metrics); err != nil {
@@ -116,15 +115,14 @@ func TestWritePrometheusDecoupledMetrics(t *testing.T) {
 		t.Fatalf("invalid exposition: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"# HELP vpdift_dift_ring_occupancy Decoupled taint-monitor statistic.",
-		"# TYPE vpdift_dift_ring_occupancy gauge",
-		"vpdift_dift_ring_occupancy 3",
-		"# TYPE vpdift_dift_live_regs gauge",
-		"# TYPE vpdift_dift_stall_ns_total counter",
-		"vpdift_dift_stall_ns_total 12345",
-		"# TYPE vpdift_dift_suppressed_total counter",
-		"vpdift_dift_suppressed_total 999",
-		"# TYPE vpdift_dift_emitted_total counter",
+		"# HELP vpdift_flight_ring_occupancy Flight-recorder statistic.",
+		"# TYPE vpdift_flight_ring_occupancy gauge",
+		"vpdift_flight_ring_occupancy 3",
+		"# TYPE vpdift_flight_ring_size gauge",
+		"# TYPE vpdift_flight_captured_total counter",
+		"vpdift_flight_captured_total 12345",
+		"# TYPE vpdift_flight_dropped_total counter",
+		"vpdift_flight_dropped_total 999",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

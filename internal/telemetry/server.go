@@ -293,13 +293,13 @@ func NewServer(opts ...ServerOption) *Server {
 	sv := &Server{
 		opts:      o,
 		log:       o.log,
-		metrics:   newServerMetrics(),
 		reqIDs:    newRequestIDs(),
 		startedAt: time.Now(),
 		sessions:  make(map[string]*session),
 		byKey:     make(map[string]*session),
 		campaigns: make(map[string]*campaign),
 	}
+	sv.metrics = newServerMetrics(sv.routes())
 	sv.ready.Store(true)
 	sv.pool = newPool(o.workers, o.queueDepth, sv.runSession)
 	return sv
@@ -386,13 +386,6 @@ func (sv *Server) Submit(cfg SessionConfig) error {
 	}
 	return nil
 }
-
-// Add registers a session and queues it for execution.
-//
-// Deprecated: Add is the PR 5 name; new code uses Submit (identical
-// behavior on today's Server — sessions now run on the bounded worker pool
-// rather than a goroutine each).
-func (sv *Server) Add(cfg SessionConfig) error { return sv.Submit(cfg) }
 
 // unregister removes a session from the registries (failed submit, DELETE).
 func (sv *Server) unregister(s *session) {
@@ -701,8 +694,8 @@ func (sv *Server) finalize(s *session) {
 	}
 }
 
-// sessionInfo is the session JSON shape (legacy /api/sessions and the
-// "data" payload of the v1 session endpoints).
+// sessionInfo is the session JSON shape (the "data" payload of the v1
+// session endpoints).
 type sessionInfo struct {
 	ID       string `json:"id"`
 	State    string `json:"state"`
@@ -802,58 +795,23 @@ func (s *session) metrics() map[string]uint64 {
 //	GET    /api/v1/results/{key}                 result-store lookup by content hash
 //	GET    /api/v1/trace                         session lifecycles as a Chrome trace timeline
 //
-// Deprecated aliases of the PR 5 surface (raw shapes, Deprecation header):
-//
-//	GET /api/sessions                            session list as a bare JSON array
-//	GET /api/sessions/{id}/timeseries            sampler ring as JSONL (?format=csv)
-//	GET /api/sessions/{id}/events                SSE tail of the observer event ring
-//
 // Unknown v1 paths return an enveloped 404; known paths with a wrong method
 // return an enveloped 405 with an Allow header.
 func (sv *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// handle registers a pattern with route capture: inside the mux dispatch
-	// the cloned request carries http.Request.Pattern, which the wrapper
-	// stashes on the pooled statusWriter so the instrument middleware can
-	// book the request under its route without re-matching (a wildcard match
-	// would allocate). The type assertion on a concrete pointer is free.
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+	for _, rt := range sv.routes() {
+		// Route capture: inside the mux dispatch the cloned request carries
+		// http.Request.Pattern, which the wrapper stashes on the pooled
+		// statusWriter so the instrument middleware can book the request
+		// under its route without re-matching (a wildcard match would
+		// allocate). The type assertion on a concrete pointer is free.
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
 			if sw, ok := w.(*statusWriter); ok {
 				sw.pattern = r.Pattern
 			}
-			h(w, r)
+			rt.handler(w, r)
 		})
 	}
-	handle("GET /healthz", sv.handleHealthz)
-	handle("GET /readyz", sv.handleReadyz)
-	handle("GET /metrics", sv.handleMetrics)
-
-	// Versioned surface. Patterns carry no method so the handlers can
-	// answer wrong-method requests with an enveloped 405 + Allow.
-	handle("/api/v1/sessions", sv.v1Sessions)
-	handle("/api/v1/sessions/{id}", sv.v1Session)
-	handle("/api/v1/sessions/{id}/result", sv.v1SessionResult)
-	handle("/api/v1/sessions/{id}/forensics", sv.v1Forensics)
-	handle("/api/v1/sessions/{id}/timeseries", sv.v1Timeseries)
-	handle("/api/v1/sessions/{id}/events", sv.v1Events)
-	handle("/api/v1/campaigns", sv.v1Campaigns)
-	handle("/api/v1/campaigns/{id}", sv.v1Campaign)
-	handle("/api/v1/campaigns/{id}/results", sv.v1CampaignResults)
-	handle("/api/v1/campaigns/{id}/coverage", sv.v1CampaignCoverage)
-	handle("/api/v1/campaigns/{id}/coverage/diff", sv.v1CampaignCoverageDiff)
-	handle("/api/v1/results/{key}", sv.v1StoredResult)
-	handle("/api/v1/trace", sv.handleTrace)
-	handle("/api/v1/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "not_found", "no such v1 route: "+r.URL.Path)
-	})
-
-	// Deprecated PR 5 aliases: same raw response shapes, plus headers
-	// pointing migrators at the v1 successor.
-	handle("GET /api/sessions", deprecated("/api/v1/sessions", sv.handleSessions))
-	handle("GET /api/sessions/{id}/timeseries", deprecated("/api/v1/sessions/{id}/timeseries", sv.handleTimeseries))
-	handle("GET /api/sessions/{id}/events", deprecated("/api/v1/sessions/{id}/events", sv.handleEvents))
-
 	// Observability middleware: withRequestID (outer) mints/propagates the
 	// request ID — the only per-request allocation the server adds — and
 	// instrument (inner) does timing, status capture, RED counters and the
@@ -861,14 +819,41 @@ func (sv *Server) Handler() http.Handler {
 	return sv.withRequestID(sv.instrument(mux))
 }
 
-// deprecated wraps a legacy handler with the Deprecation header (RFC 9745
-// shape) and a successor-version link.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "@1767225600") // 2026-01-01, the PR 7 API cut
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
+// route is one registered mux pattern and its handler.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
+}
+
+// routes is the route table: Handler registers exactly these patterns, and
+// their method-stripped forms (plus routeOther) are the label universe of
+// the per-route RED metrics. The v1 patterns carry no method so the
+// handlers can answer wrong-method requests with an enveloped 405 + Allow.
+func (sv *Server) routes() []route {
+	return []route{
+		{"GET /healthz", sv.handleHealthz},
+		{"GET /readyz", sv.handleReadyz},
+		{"GET /metrics", sv.handleMetrics},
+		{"/api/v1/sessions", sv.v1Sessions},
+		{"/api/v1/sessions/{id}", sv.v1Session},
+		{"/api/v1/sessions/{id}/result", sv.v1SessionResult},
+		{"/api/v1/sessions/{id}/forensics", sv.v1Forensics},
+		{"/api/v1/sessions/{id}/timeseries", sv.v1Timeseries},
+		{"/api/v1/sessions/{id}/events", sv.v1Events},
+		{"/api/v1/campaigns", sv.v1Campaigns},
+		{"/api/v1/campaigns/{id}", sv.v1Campaign},
+		{"/api/v1/campaigns/{id}/results", sv.v1CampaignResults},
+		{"/api/v1/campaigns/{id}/coverage", sv.v1CampaignCoverage},
+		{"/api/v1/campaigns/{id}/coverage/diff", sv.v1CampaignCoverageDiff},
+		{"/api/v1/results/{key}", sv.v1StoredResult},
+		{"/api/v1/trace", sv.handleTrace},
+		{"/api/v1/", sv.v1NotFound}, // the enveloped 404 catch-all
 	}
+}
+
+// v1NotFound answers v1 paths no route matched with an enveloped 404.
+func (sv *Server) v1NotFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, http.StatusNotFound, "not_found", "no such v1 route: "+r.URL.Path)
 }
 
 // handleReadyz answers readiness probes. Liveness (/healthz) stays 200 for
@@ -953,14 +938,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteHistogramFamilies(w, sv.metrics.histogramFamilies())
 }
 
-func (sv *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	infos := sv.sessionInfos()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(infos)
-}
-
 func (sv *Server) sessionInfos() []sessionInfo {
 	infos := make([]sessionInfo, 0, 4)
 	for _, s := range sv.all() {
@@ -970,44 +947,10 @@ func (sv *Server) sessionInfos() []sessionInfo {
 	return infos
 }
 
-func (sv *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	s := sv.get(r.PathValue("id"))
-	if s == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if s.cfg.Sampler == nil {
-		http.Error(w, "session has no sampler", http.StatusNotFound)
-		return
-	}
-	// The sampler has its own lock; the session lock is not needed because
-	// the daemon thread only appends between kernel events.
-	if r.URL.Query().Get("format") == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-		s.cfg.Sampler.WriteCSV(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.cfg.Sampler.WriteJSONL(w)
-}
-
-// handleEvents tails the observer's provenance ring as server-sent events:
+// streamEvents tails the observer's provenance ring as server-sent events:
 // each taint event newer than the last delivered sequence number becomes one
 // `data:` frame of the event's JSON. The handler polls the ring — the
 // simulation cannot push without perturbing determinism.
-func (sv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s := sv.get(r.PathValue("id"))
-	if s == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if s.cfg.Platform.Observer() == nil {
-		http.Error(w, "session has no observer", http.StatusNotFound)
-		return
-	}
-	sv.streamEvents(w, r, s)
-}
-
 func (sv *Server) streamEvents(w http.ResponseWriter, r *http.Request, s *session) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

@@ -51,17 +51,11 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/api/sessions")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var infos []sessionInfo
-		json.NewDecoder(resp.Body).Decode(&infos)
-		resp.Body.Close()
-		for _, in := range infos {
-			if in.ID == id && in.Done {
-				return
-			}
+		r := doJSON(t, http.MethodGet, ts.URL+"/api/v1/sessions/"+id, nil)
+		var info sessionInfo
+		json.Unmarshal(r.Data, &info)
+		if r.status == http.StatusOK && info.Done {
+			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -77,7 +71,7 @@ func TestServerEndpoints(t *testing.T) {
 	s.TakeSample(1000, fc.snapshot)
 	fc.instret = 9
 	s.TakeSample(2000, fc.snapshot)
-	if err := sv.Add(SessionConfig{
+	if err := sv.Submit(SessionConfig{
 		ID:       "alpha",
 		Platform: &stubPlatform{},
 		Sampler:  s,
@@ -85,7 +79,7 @@ func TestServerEndpoints(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Add(SessionConfig{ID: "alpha", Platform: &stubPlatform{}}); err == nil {
+	if err := sv.Submit(SessionConfig{ID: "alpha", Platform: &stubPlatform{}}); err == nil {
 		t.Fatal("duplicate session ID accepted")
 	}
 	ts := httptest.NewServer(sv.Handler())
@@ -118,21 +112,20 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics invalid: %v\n%s", err, text)
 	}
 
-	// /api/sessions
-	resp, err = http.Get(ts.URL + "/api/sessions")
-	if err != nil {
-		t.Fatal(err)
+	// /api/v1/sessions
+	r := doJSON(t, http.MethodGet, ts.URL+"/api/v1/sessions", nil)
+	var list struct {
+		Sessions []sessionInfo `json:"sessions"`
 	}
-	var infos []sessionInfo
-	json.NewDecoder(resp.Body).Decode(&infos)
-	resp.Body.Close()
-	if len(infos) != 1 || infos[0].ID != "alpha" || !infos[0].Done ||
+	json.Unmarshal(r.Data, &list)
+	infos := list.Sessions
+	if r.status != http.StatusOK || len(infos) != 1 || infos[0].ID != "alpha" || !infos[0].Done ||
 		infos[0].SimNs != 5_000_000 || infos[0].Samples != 2 {
-		t.Errorf("/api/sessions = %+v", infos)
+		t.Errorf("/api/v1/sessions = %d %+v", r.status, infos)
 	}
 
-	// /api/sessions/{id}/timeseries
-	resp, err = http.Get(ts.URL + "/api/sessions/alpha/timeseries")
+	// /api/v1/sessions/{id}/timeseries
+	resp, err = http.Get(ts.URL + "/api/v1/sessions/alpha/timeseries?format=jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +135,7 @@ func TestServerEndpoints(t *testing.T) {
 	if len(lines) != 2 || !strings.Contains(lines[0], `"t_ns":1000`) {
 		t.Errorf("timeseries = %q", body)
 	}
-	resp, err = http.Get(ts.URL + "/api/sessions/alpha/timeseries?format=csv")
+	resp, err = http.Get(ts.URL + "/api/v1/sessions/alpha/timeseries?format=csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +147,8 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Unknown session and sampler-less session 404.
 	for _, path := range []string{
-		"/api/sessions/nope/timeseries",
-		"/api/sessions/nope/events",
+		"/api/v1/sessions/nope/timeseries",
+		"/api/v1/sessions/nope/events",
 	} {
 		resp, err = http.Get(ts.URL + path)
 		if err != nil {
@@ -171,7 +164,7 @@ func TestServerEndpoints(t *testing.T) {
 func TestServerMetricsMonotone(t *testing.T) {
 	sv := NewServer()
 	defer sv.Close()
-	if err := sv.Add(SessionConfig{ID: "run", Platform: &stubPlatform{}}); err != nil {
+	if err := sv.Submit(SessionConfig{ID: "run", Platform: &stubPlatform{}}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(sv.Handler())
@@ -223,7 +216,7 @@ func TestServerEventsSSE(t *testing.T) {
 
 	sv := NewServer()
 	defer sv.Close()
-	if err := sv.Add(SessionConfig{
+	if err := sv.Submit(SessionConfig{
 		ID:       "sse",
 		Platform: &stubPlatform{o: o, exitAt: 1},
 		Horizon:  1_000_000,
@@ -234,7 +227,7 @@ func TestServerEventsSSE(t *testing.T) {
 	defer ts.Close()
 	waitDone(t, ts, "sse")
 
-	resp, err := http.Get(ts.URL + "/api/sessions/sse/events")
+	resp, err := http.Get(ts.URL + "/api/v1/sessions/sse/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,5 +259,60 @@ func TestServerEventsSSE(t *testing.T) {
 	}
 	if doneEvents != 1 {
 		t.Errorf("got %d done events, want 1", doneEvents)
+	}
+}
+
+// TestRouteLabels requests every route of the table once and requires each
+// request to be booked under the route's own RED label, never "other".
+func TestRouteLabels(t *testing.T) {
+	sv := NewServer()
+	defer sv.Close()
+	booked := func(label string) uint64 {
+		var n uint64
+		if rs := sv.metrics.routes[label]; rs != nil {
+			for i := range rs.requests {
+				n += rs.requests[i].Load()
+			}
+		}
+		return n
+	}
+	h := sv.Handler()
+	for _, rt := range sv.routes() {
+		label := routeOf(rt.pattern)
+		path := strings.NewReplacer("{id}", "x", "{key}", "k").Replace(label)
+		if strings.HasSuffix(path, "/") {
+			path += "nope"
+		}
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+		if n := booked(label); n != 1 {
+			t.Errorf("GET %s: %d requests booked under %q, want 1", path, n, label)
+		}
+	}
+	if n := booked(routeOther); n != 0 {
+		t.Errorf("%d requests booked under %q, want 0", n, routeOther)
+	}
+}
+
+// TestBodyTooLarge posts a spec past the body cap to each POST route and
+// expects an enveloped 413.
+func TestBodyTooLarge(t *testing.T) {
+	sv := NewServer(WithFactory(newGateFactory()))
+	defer sv.Close()
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	big := strings.Repeat("a", maxBodyBytes)
+	for _, tc := range []struct {
+		route string
+		body  any
+	}{
+		{"/api/v1/sessions", SessionSpec{Workload: big}},
+		{"/api/v1/campaigns", CampaignSpec{ID: big}},
+	} {
+		t.Run(strings.TrimPrefix(tc.route, "/api/v1/"), func(t *testing.T) {
+			r := doJSON(t, http.MethodPost, ts.URL+tc.route, tc.body)
+			if r.status != http.StatusRequestEntityTooLarge || r.Error == nil || r.Error.Code != "body_too_large" {
+				t.Errorf("status=%d error=%+v, want 413 body_too_large", r.status, r.Error)
+			}
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"vpdift/internal/flight"
@@ -52,70 +51,9 @@ func TestForensicBundleEndsAtViolation(t *testing.T) {
 	}
 }
 
-// TestForensicParityInlineDecoupled holds the inline and decoupled-monitor
-// platforms to bit-identical forensics: the same attack must freeze the same
-// trace window, the same register/tag file, the same memory hexdumps and the
-// same violation headline, regardless of which core organization ran it.
-// (Host-volatile metrics are the one excluded field.)
-func TestForensicParityInlineDecoupled(t *testing.T) {
-	for _, a := range Suite() {
-		a := a
-		if !a.Applicable() {
-			continue
-		}
-		t.Run(fmt.Sprintf("attack-%d", a.Num), func(t *testing.T) {
-			resI, vI, bI, err := RunForensic(&a, true, RunMode{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resD, vD, bD, err := RunForensic(&a, true, RunMode{Decoupled: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resI != Detected || resD != Detected {
-				t.Fatalf("verdicts diverge: inline=%v decoupled=%v", resI, resD)
-			}
-			if vI.PC != vD.PC || vI.Kind != vD.Kind {
-				t.Fatalf("violations diverge: inline=%v decoupled=%v", vI, vD)
-			}
-			if bI == nil || bD == nil {
-				t.Fatalf("missing bundle: inline=%v decoupled=%v", bI != nil, bD != nil)
-			}
-			if bI.Reason != bD.Reason || bI.PC != bD.PC ||
-				bI.Instret != bD.Instret || bI.SimNs != bD.SimNs ||
-				bI.Captured != bD.Captured || bI.Dropped != bD.Dropped {
-				t.Errorf("bundle headers diverge:\ninline:    reason=%s pc=%s instret=%d sim=%d cap=%d drop=%d\ndecoupled: reason=%s pc=%s instret=%d sim=%d cap=%d drop=%d",
-					bI.Reason, bI.PC, bI.Instret, bI.SimNs, bI.Captured, bI.Dropped,
-					bD.Reason, bD.PC, bD.Instret, bD.SimNs, bD.Captured, bD.Dropped)
-			}
-			if !reflect.DeepEqual(bI.Regs, bD.Regs) {
-				t.Errorf("register/tag files diverge:\ninline:    %+v\ndecoupled: %+v", bI.Regs, bD.Regs)
-			}
-			if !reflect.DeepEqual(bI.Trace, bD.Trace) {
-				for k := range bI.Trace {
-					if k < len(bD.Trace) && !reflect.DeepEqual(bI.Trace[k], bD.Trace[k]) {
-						t.Errorf("trace record %d diverges:\ninline:    %+v\ndecoupled: %+v",
-							k, bI.Trace[k], bD.Trace[k])
-						break
-					}
-				}
-				t.Fatalf("trace windows diverge (inline %d records, decoupled %d)",
-					len(bI.Trace), len(bD.Trace))
-			}
-			if !reflect.DeepEqual(bI.Mem, bD.Mem) {
-				t.Errorf("memory windows diverge")
-			}
-			if !reflect.DeepEqual(bI.Violation, bD.Violation) {
-				t.Errorf("violation headlines diverge:\ninline:    %+v\ndecoupled: %+v",
-					bI.Violation, bD.Violation)
-			}
-		})
-	}
-}
-
 // TestForensicRecorderInvariance proves the always-on recorder is a pure
 // observer: with the recorder disabled, every attack must reach the exact
-// same verdict, violating PC and violation kind in both core organizations.
+// same verdict, violating PC and violation kind.
 func TestForensicRecorderInvariance(t *testing.T) {
 	for _, a := range Suite() {
 		a := a
@@ -123,27 +61,25 @@ func TestForensicRecorderInvariance(t *testing.T) {
 			continue
 		}
 		t.Run(fmt.Sprintf("attack-%d", a.Num), func(t *testing.T) {
-			for _, decoupled := range []bool{false, true} {
-				resOn, vOn, bOn, err := RunForensic(&a, true, RunMode{Decoupled: decoupled})
-				if err != nil {
-					t.Fatal(err)
-				}
-				resOff, vOff, bOff, err := RunForensic(&a, true, RunMode{Decoupled: decoupled, FlightOff: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resOn != resOff {
-					t.Fatalf("decoupled=%v: verdict diverges: on=%v off=%v", decoupled, resOn, resOff)
-				}
-				if vOn.PC != vOff.PC || vOn.Kind != vOff.Kind || vOn.Addr != vOff.Addr {
-					t.Fatalf("decoupled=%v: violation diverges: on=%v off=%v", decoupled, vOn, vOff)
-				}
-				if bOn == nil {
-					t.Fatalf("decoupled=%v: recorder on produced no bundle", decoupled)
-				}
-				if bOff != nil {
-					t.Fatalf("decoupled=%v: recorder off produced a bundle", decoupled)
-				}
+			resOn, vOn, bOn, err := RunForensic(&a, true, RunMode{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resOff, vOff, bOff, err := RunForensic(&a, true, RunMode{FlightOff: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resOn != resOff {
+				t.Fatalf("verdict diverges: on=%v off=%v", resOn, resOff)
+			}
+			if vOn.PC != vOff.PC || vOn.Kind != vOff.Kind || vOn.Addr != vOff.Addr {
+				t.Fatalf("violation diverges: on=%v off=%v", vOn, vOff)
+			}
+			if bOn == nil {
+				t.Fatal("recorder on produced no bundle")
+			}
+			if bOff != nil {
+				t.Fatal("recorder off produced a bundle")
 			}
 		})
 	}

@@ -380,7 +380,7 @@ type Platform struct {
 }
 
 // Option configures NewPlatform. Options are applied in order; later options
-// override earlier ones. The deprecated Config struct also satisfies Option.
+// override earlier ones.
 type Option interface {
 	applyOption(*soc.Config)
 }
@@ -483,16 +483,6 @@ func WithoutDecodeCache() Option {
 	return optionFunc(func(c *soc.Config) { c.NoDecodeCache = true })
 }
 
-// WithDecoupledTaint runs the VP+ taint monitor decoupled: the ISS front end
-// retires instructions at near-VP speed and a parallel monitor goroutine
-// replays tag propagation from a lock-free retire-record ring, stalling the
-// ISS only at clearance and sync points. Detection verdicts, violations and
-// final tag state are identical to the (default) inline mode. No effect on
-// the baseline VP.
-func WithDecoupledTaint() Option {
-	return optionFunc(func(c *soc.Config) { c.DecoupledTaint = true })
-}
-
 // WithFlightRecorder attaches a specific flight recorder — typically to
 // pick a non-default window size:
 //
@@ -523,53 +513,6 @@ func WithoutFlightRecorder() Option {
 //	smp.WriteJSONL(f)
 func WithTelemetry(s *Sampler) Option {
 	return optionFunc(func(c *soc.Config) { c.Telemetry = s })
-}
-
-// Config parameterizes platform construction as one struct literal.
-//
-// Deprecated: pass functional options to NewPlatform instead —
-// NewPlatform(WithPolicy(pol), WithObserver(o)). Config implements Option,
-// so existing NewPlatform(Config{...}) calls keep compiling; note that it
-// assigns every field and therefore overrides any option applied before it.
-type Config struct {
-	// Policy enables DIFT (VP+) when non-nil.
-	Policy *Policy
-	// RAMSize in bytes; 0 means the default (8 MiB).
-	RAMSize uint32
-	// Quantum in instructions; 0 means the default (4096).
-	Quantum uint64
-	// InstrTime per instruction; 0 means the default (10 ns).
-	InstrTime Time
-	// TaintMemViaTLM routes VP+ data accesses through full TLM transactions.
-	TaintMemViaTLM bool
-	// DecoupledTaint runs the VP+ taint monitor on a parallel goroutine.
-	DecoupledTaint bool
-	// NoDecodeCache disables the predecoded-instruction cache.
-	NoDecodeCache bool
-	// Obs attaches an observability recorder.
-	Obs *Observer
-	// Trace attaches the simulation-side observability layer.
-	Trace *Trace
-	// Cover attaches the coverage-observability layer.
-	Cover *Cover
-	// Telemetry attaches a live-metrics sampler.
-	Telemetry *Sampler
-}
-
-func (cfg Config) applyOption(c *soc.Config) {
-	*c = soc.Config{
-		Policy:         cfg.Policy,
-		RAMSize:        cfg.RAMSize,
-		Quantum:        cfg.Quantum,
-		InstrTime:      cfg.InstrTime,
-		TaintMemViaTLM: cfg.TaintMemViaTLM,
-		DecoupledTaint: cfg.DecoupledTaint,
-		NoDecodeCache:  cfg.NoDecodeCache,
-		Obs:            cfg.Obs,
-		Trace:          cfg.Trace,
-		Cover:          cfg.Cover,
-		Telemetry:      cfg.Telemetry,
-	}
 }
 
 // NewPlatform builds a virtual prototype. With no WithPolicy option it is

@@ -81,9 +81,7 @@ msg:	.asciz "public api"
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deliberately uses the deprecated Config shim: it must keep compiling
-	// and behaving until the transition finishes.
-	pl, err := vpdift.NewPlatform(vpdift.Config{})
+	pl, err := vpdift.NewPlatform()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +197,7 @@ blob:
 		Name: "text", Start: img.Base, End: img.Base + uint32(len(img.Text)),
 		Classify: true, Class: l.MustTag(vpdift.ClassHI),
 	})
-	pl, err := vpdift.NewPlatform(vpdift.Config{Policy: pol})
+	pl, err := vpdift.NewPlatform(vpdift.WithPolicy(pol))
 	if err != nil {
 		t.Fatal(err)
 	}
