@@ -186,7 +186,34 @@ func main() {
 			Every: kernel.Time((*sampleEvery).Nanoseconds()),
 		})
 	}
-	pl, err := soc.New(soc.Config{Policy: pol, Obs: observer, Trace: tr, Cover: cov, Telemetry: smp, FlightOff: *noFlight})
+	// -trace subscribes to the flight recorder's stream: it disassembles the
+	// first N retired instructions, plus the instruction that stopped the
+	// run (a terminal violation or fault record naming one).
+	var fr *flight.Recorder
+	if *disasN > 0 {
+		fr = flight.New(0)
+		remaining := *disasN
+		fr.Subscribe(func(recs []flight.Rec) {
+			for i := range recs {
+				r := &recs[i]
+				switch {
+				case remaining == 0:
+					return
+				case r.Kind == flight.KindRetire:
+				case (r.Kind == flight.KindViolation || r.Kind == flight.KindFault) && r.Insn != 0:
+				default:
+					continue
+				}
+				remaining--
+				loc := ""
+				if name, off, ok := img.SymbolAt(r.PC); ok {
+					loc = fmt.Sprintf(" <%s+0x%x>", name, off)
+				}
+				fmt.Fprintf(os.Stderr, "%08x:  %08x  %-32s%s\n", r.PC, r.Insn, rv32.Disassemble(r.Insn, r.PC), loc)
+			}
+		})
+	}
+	pl, err := soc.New(soc.Config{Policy: pol, Obs: observer, Trace: tr, Cover: cov, Telemetry: smp, Flight: fr, FlightOff: *noFlight})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -221,25 +248,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-		}
-	}
-	if *disasN > 0 {
-		remaining := *disasN
-		tracer := func(pc, insn uint32) {
-			if remaining == 0 {
-				return
-			}
-			remaining--
-			loc := ""
-			if name, off, ok := img.SymbolAt(pc); ok {
-				loc = fmt.Sprintf(" <%s+0x%x>", name, off)
-			}
-			fmt.Fprintf(os.Stderr, "%08x:  %08x  %-32s%s\n", pc, insn, rv32.Disassemble(insn, pc), loc)
-		}
-		if pl.Core != nil {
-			pl.Core.Tracer = tracer
-		} else {
-			pl.TaintCore.Tracer = tracer
 		}
 	}
 	if *stdin != "" {

@@ -40,10 +40,10 @@ const (
 	// EvCheck: a clearance check failed; the terminal event of a violation's
 	// provenance chain.
 	EvCheck
-	// EvExec: an instruction retired (full-trace mode only).
-	EvExec
-	// EvBusRead / EvBusWrite: a monitored TLM transaction completed.
-	EvBusRead
+	// EvBusRead / EvBusWrite: a monitored TLM transaction completed. Value 11
+	// belonged to a removed per-retire kind; the gap keeps these kinds'
+	// numbers, which Chrome-trace exports use as thread ids, stable.
+	EvBusRead TaintEventKind = iota + 2
 	EvBusWrite
 )
 
@@ -70,8 +70,6 @@ func (k TaintEventKind) String() string {
 		return "output"
 	case EvCheck:
 		return "check"
-	case EvExec:
-		return "exec"
 	case EvBusRead:
 		return "bus-read"
 	case EvBusWrite:

@@ -5,9 +5,9 @@
 // views:
 //
 //   - GuestCov: basic-block and edge coverage of the guest program built on
-//     the cores' retire hook, with per-function percentages from the image
-//     symbol table, an lcov-style .info export, and an annotated-disassembly
-//     text report.
+//     the flight recorder's retire stream, with per-function percentages
+//     from the image symbol table, an lcov-style .info export, and an
+//     annotated-disassembly text report.
 //   - TaintCov: per-byte memory taint heatmaps (ever-tainted bitmap, taint
 //     churn counters, per-class residency) and per-register taint-occupancy
 //     statistics, rendered as a compact address-range heat report.
@@ -15,10 +15,10 @@
 //     per-clearance-point check/violation counts, and a dead-rule report
 //     flagging IFP classes and clearance rules a run never exercised.
 //
-// All three follow the nil-hook discipline of internal/obs and
-// internal/trace: a platform built without a Cover (or with unused views
-// left nil) pays one predictable branch per retired instruction and nothing
-// else — the contract the CI perf guard pins.
+// A platform built without a Cover (or with unused views left nil) pays
+// nothing for it: GuestCov is a stream subscriber the platform only adds
+// when requested, and TaintCov and PolicyAudit share the VP+ core's one
+// nil-guarded post-retire hook — the contract the CI perf guard pins.
 package cover
 
 // Cover bundles the enabled views. Leave a field nil to disable that view;

@@ -7,14 +7,15 @@ import (
 	"strings"
 
 	"vpdift/internal/asm"
+	"vpdift/internal/flight"
 )
 
-// GuestCov records guest code coverage from the cores' retire hook: a
-// per-word execution count over the RAM window (like the trace profiler's
-// histogram) plus a dynamic control-flow edge set. Basic blocks and their
-// totals are derived at report time by a static scan of the image text, so
-// the hot hook stays two array operations and a map update on control
-// transfers.
+// GuestCov records guest code coverage from the flight recorder's retire
+// stream (OnRecords): a per-word execution count over the RAM window (like
+// the trace profiler's histogram) plus a dynamic control-flow edge set.
+// Basic blocks and their totals are derived at report time by a static scan
+// of the image text, so each record costs two array operations and a map
+// update on control transfers.
 type GuestCov struct {
 	base   uint32
 	counts []uint64
@@ -50,6 +51,16 @@ func (g *GuestCov) staticCFG() *staticCFG {
 		g.cfg = buildCFG(g.img)
 	}
 	return g.cfg
+}
+
+// OnRecords is the flight-stream subscriber: it records the batch's retire
+// records and skips the platform marks.
+func (g *GuestCov) OnRecords(recs []flight.Rec) {
+	for i := range recs {
+		if r := &recs[i]; r.Kind == flight.KindRetire {
+			g.OnRetire(r.PC, r.Insn, r.Next())
+		}
+	}
 }
 
 // OnRetire records one retired instruction and, when the successor is not

@@ -6,6 +6,10 @@
 // allocates nothing in steady state (proven by an alloc guard in
 // flight_test.go, like the telemetry sampler's).
 //
+// The ring is also the platform's one per-retire stream: consumers (the
+// guest profiler, guest coverage, vp-run -trace) Subscribe and receive every
+// record exactly once, in capture order, in batches handed over by Flush.
+//
 // On a violation, a guest fault, or an explicit Platform.Snapshot, the
 // ring's window is frozen into a forensic Bundle (bundle.go): one
 // self-contained JSON document — disassembled trace window, register + tag
@@ -19,6 +23,7 @@
 package flight
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -52,23 +57,43 @@ const (
 // Rec is one compressed flight record: 24 bytes, fixed layout, no pointers,
 // so the ring is a single flat allocation the GC never scans.
 type Rec struct {
-	Time  uint64 // instruction index (Instret) at capture
-	PC    uint32
-	Insn  uint32 // raw instruction word (retires); cause (traps); size (bus)
-	Addr  uint32 // effective address (loads/stores, bus, faults); tval (traps)
+	Time uint64 // instruction index (Instret) at capture
+	PC   uint32
+	Insn uint32 // raw instruction word (retires); cause (traps); size (bus)
+	// Addr is the effective address of a load or store, the successor PC of
+	// any other retire, the bus address of a bus mark, tval for traps and
+	// the faulting address for faults.
+	Addr  uint32
 	Aux   uint16 // IRQ line mask; interned name id for bus/kernel marks
 	Kind  uint8
 	Flags uint8
 }
 
+// Next returns the successor PC of a retire record. Loads and stores never
+// redirect control, so their Addr is free to hold the effective address.
+func (r *Rec) Next() uint32 {
+	if r.Flags&(FlagLoad|FlagStore) != 0 {
+		return r.PC + 4
+	}
+	return r.Addr
+}
+
 // Recorder is the overwrite-oldest flight ring. It is owned by the
 // simulation thread: every producer (core retire path, platform mark sites)
-// and every reader (Window, the bundle builder, the metrics snapshot) runs
+// and every reader (Window, Bundle, the metrics snapshot, subscribers) runs
 // on the kernel's cooperative scheduler, so no synchronization is needed.
 type Recorder struct {
 	recs []Rec
 	mask uint64
 	n    uint64 // monotonic count of records ever captured
+
+	// Subscribers have seen every record before seen. limit is the capture
+	// count at which the next record would overwrite one they have not
+	// seen: seen plus the ring size, or never without a subscriber. It sits
+	// next to n because every capture compares the two.
+	limit uint64
+	seen  uint64
+	subs  []func([]Rec)
 
 	bundles uint64
 
@@ -92,33 +117,62 @@ func New(size int) *Recorder {
 	return &Recorder{
 		recs:   make([]Rec, n),
 		mask:   uint64(n - 1),
+		limit:  math.MaxUint64,
 		nameID: make(map[string]uint16),
 	}
+}
+
+// Subscribe adds a consumer of the record stream. It receives every record
+// captured from now on exactly once, in capture order, as one or more
+// batches per Flush. A batch aliases the ring: the consumer must not keep
+// it past the call.
+func (r *Recorder) Subscribe(f func([]Rec)) {
+	r.Flush()
+	r.subs = append(r.subs, f)
+	r.seen = r.n
+	r.limit = r.n + uint64(len(r.recs))
+}
+
+// Subscribed reports whether any consumer reads the stream.
+func (r *Recorder) Subscribed() bool { return len(r.subs) != 0 }
+
+// Full reports whether every slot holds a record the subscribers have not
+// seen, so the next capture would overwrite one; every capture site checks
+// it right after capturing and flushes. Never true without a subscriber.
+// Like Slot it must stay inlinable (CI checks both with -gcflags=-m).
+func (r *Recorder) Full() bool { return r.n >= r.limit }
+
+// Flush hands every record captured since the last flush to each
+// subscriber, oldest first, in at most two batches (the ring may wrap).
+// Allocation-free; a no-op without subscribers or pending records.
+func (r *Recorder) Flush() {
+	if len(r.subs) == 0 || r.seen == r.n {
+		return
+	}
+	size := uint64(len(r.recs))
+	from := r.seen & r.mask
+	head := r.recs[from:min(from+r.n-r.seen, size)]
+	tail := r.recs[:r.n-r.seen-uint64(len(head))]
+	for _, f := range r.subs {
+		f(head)
+		if len(tail) > 0 {
+			f(tail)
+		}
+	}
+	r.seen = r.n
+	r.limit = r.n + size
 }
 
 // Slot claims the next overwrite-oldest slot and advances the ring. It is
 // deliberately tiny so it inlines into the interpreter hot loops (the alloc
 // guard and the perf -flight guard both depend on the capture staying a
-// handful of instructions). Slots are recycled: the caller must overwrite
-// every field.
+// handful of instructions); a flush call would push it over the inlining
+// budget, so callers check Full and Flush after filling the slot. Slots are
+// recycled: the caller must overwrite every field.
 func (r *Recorder) Slot() *Rec {
 	rec := &r.recs[r.n&r.mask]
 	r.n++
 	return rec
-}
-
-// Retire captures one retired instruction. addr is only meaningful when
-// flags carries FlagLoad or FlagStore. Zero-alloc; called once per retire
-// from the interpreter hot loop.
-func (r *Recorder) Retire(pc, insn, addr uint32, time uint64, flags uint8) {
-	rec := r.Slot()
-	rec.Time = time
-	rec.PC = pc
-	rec.Insn = insn
-	rec.Addr = addr
-	rec.Aux = 0
-	rec.Kind = KindRetire
-	rec.Flags = flags
 }
 
 // mark appends a non-retire record.
@@ -131,6 +185,9 @@ func (r *Recorder) mark(kind uint8, time uint64, pc, insn, addr uint32, aux uint
 	rec.Aux = aux
 	rec.Kind = kind
 	rec.Flags = flags
+	if r.Full() {
+		r.Flush()
+	}
 }
 
 // MarkIRQ records an interrupt line rising.
@@ -238,7 +295,7 @@ var (
 	captureCostNs   uint64
 )
 
-// CaptureCostNs reports the measured cost of one Retire capture in
+// CaptureCostNs reports the measured cost of one retire capture in
 // nanoseconds, calibrated once per process against a throwaway ring (so the
 // exporter can publish a real number instead of a guess). Typically 1-5 ns;
 // the value is volatile across hosts and excluded from golden reports.
@@ -248,7 +305,18 @@ func CaptureCostNs() uint64 {
 		const reps = 1 << 16
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			r.Retire(0x80000000, 0x00000013, 0, uint64(i), 0)
+			// The cores' hand-inlined capture (see rv32/flightcap.go).
+			rec := r.Slot()
+			rec.Time = uint64(i)
+			rec.PC = 0x80000000
+			rec.Insn = 0x00000013
+			rec.Addr = 0x80000004
+			rec.Aux = 0
+			rec.Kind = KindRetire
+			rec.Flags = 0
+			if r.Full() {
+				r.Flush()
+			}
 		}
 		captureCostNs = uint64(time.Since(start).Nanoseconds() / reps)
 	})

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// retire captures one retired instruction the way the cores' hand-inlined
+// capture does (see rv32/flightcap.go): addr holds the effective address
+// when flags carries FlagLoad or FlagStore and the successor PC otherwise.
+func retire(r *Recorder, pc, insn, addr uint32, time uint64, flags uint8) {
+	*r.Slot() = Rec{Time: time, PC: pc, Insn: insn, Addr: addr, Kind: KindRetire, Flags: flags}
+	if r.Full() {
+		r.Flush()
+	}
+}
+
 func TestRingRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultSize}, {-1, DefaultSize}, {1, 1}, {2, 2}, {3, 4},
@@ -19,7 +29,7 @@ func TestRingRoundsToPowerOfTwo(t *testing.T) {
 func TestWindowOverwritesOldest(t *testing.T) {
 	r := New(4)
 	for k := uint32(0); k < 10; k++ {
-		r.Retire(0x80000000+4*k, 0x13, 0, uint64(k), 0)
+		retire(r, 0x80000000+4*k, 0x13, 0, uint64(k), 0)
 	}
 	if r.Captured() != 10 || r.Dropped() != 6 || r.Len() != 4 {
 		t.Fatalf("captured/dropped/len = %d/%d/%d, want 10/6/4",
@@ -38,7 +48,7 @@ func TestWindowOverwritesOldest(t *testing.T) {
 
 func TestWindowPartialFill(t *testing.T) {
 	r := New(8)
-	r.Retire(0x80000000, 0x13, 0, 0, 0)
+	retire(r, 0x80000000, 0x13, 0, 0, 0)
 	r.MarkIRQ(1, 0x80)
 	w := r.Window()
 	if len(w) != 2 || w[0].Kind != KindRetire || w[1].Kind != KindIRQ {
@@ -80,7 +90,7 @@ func TestCaptureZeroAlloc(t *testing.T) {
 	r.MarkBus(0, "uart0", 0x10000000, true, 4) // intern outside the measured loop
 	r.MarkEvent(0, "wfi-sleep")
 	n := testing.AllocsPerRun(1000, func() {
-		r.Retire(0x80000100, 0x00a50533, 0x80001000, 42, FlagLoad)
+		retire(r, 0x80000100, 0x00a50533, 0x80001000, 42, FlagLoad)
 		r.MarkIRQ(42, 0x80)
 		r.MarkTrap(42, 0x80000100, 0, 11)
 		r.MarkBus(42, "uart0", 0x10000000, true, 4)
@@ -123,8 +133,8 @@ func testSnapshot() *Snapshot {
 
 func TestBundleRoundTrip(t *testing.T) {
 	r := New(16)
-	r.Retire(0x80000100, 0x00a50533, 0, 40, 0)
-	r.Retire(0x80000104, 0x0005a583, 0x80001000, 41, FlagLoad)
+	retire(r, 0x80000100, 0x00a50533, 0, 40, 0)
+	retire(r, 0x80000104, 0x0005a583, 0x80001000, 41, FlagLoad)
 	r.MarkViolation(42, 0x80000120, 0xdeadbeef, 0)
 	b := r.Bundle(testSnapshot())
 	if r.Bundles() != 1 {
@@ -155,10 +165,10 @@ func TestBundleMergesMemWindows(t *testing.T) {
 	r := New(16)
 	// Two accesses 16 bytes apart merge into one ±64 window; one far away
 	// stays separate.
-	r.Retire(0x80000100, 0x13, 0x80001000, 1, FlagLoad)
-	r.Retire(0x80000104, 0x13, 0x80001010, 2, FlagStore)
-	r.Retire(0x80000108, 0x13, 0x80010000, 3, FlagLoad)
-	r.Retire(0x8000010c, 0x13, 0x10000000, 4, FlagStore) // MMIO: no window
+	retire(r, 0x80000100, 0x13, 0x80001000, 1, FlagLoad)
+	retire(r, 0x80000104, 0x13, 0x80001010, 2, FlagStore)
+	retire(r, 0x80000108, 0x13, 0x80010000, 3, FlagLoad)
+	retire(r, 0x8000010c, 0x13, 0x10000000, 4, FlagStore) // MMIO: no window
 	b := r.Bundle(testSnapshot())
 	if len(b.Mem) != 2 {
 		t.Fatalf("got %d memory windows, want 2 (merged + separate): %+v", len(b.Mem), b.Mem)
@@ -167,7 +177,7 @@ func TestBundleMergesMemWindows(t *testing.T) {
 
 func TestValidateBundleRejects(t *testing.T) {
 	r := New(16)
-	r.Retire(0x80000100, 0x13, 0, 1, 0)
+	retire(r, 0x80000100, 0x13, 0, 1, 0)
 	good := r.Bundle(testSnapshot()).JSON()
 	for _, tc := range []struct{ name, from, to string }{
 		{"bad schema", SchemaV1, "nope/v9"},
@@ -187,8 +197,8 @@ func TestValidateBundleRejects(t *testing.T) {
 func TestReportIsDeterministicAndComplete(t *testing.T) {
 	build := func() string {
 		r := New(16)
-		r.Retire(0x80000100, 0x00a50533, 0, 40, 0)
-		r.Retire(0x80000104, 0x0005a583, 0x80001000, 41, FlagLoad|FlagTaintRd)
+		retire(r, 0x80000100, 0x00a50533, 0, 40, 0)
+		retire(r, 0x80000104, 0x0005a583, 0x80001000, 41, FlagLoad|FlagTaintRd)
 		r.MarkIRQ(41, 0x80)
 		r.MarkViolation(42, 0x80000120, 0xdeadbeef, 0)
 		s := testSnapshot()
@@ -213,5 +223,82 @@ func TestReportIsDeterministicAndComplete(t *testing.T) {
 		if strings.Contains(a, banned) {
 			t.Errorf("report leaks volatile field %q", banned)
 		}
+	}
+}
+
+// TestSubscribersSeeEveryRecordOnce drives the stream through ring wraps,
+// interleaved marks and flushes at ragged points: every subscriber must see
+// each record captured after it subscribed exactly once, in capture order —
+// including one that subscribes while the other still has records pending.
+func TestSubscribersSeeEveryRecordOnce(t *testing.T) {
+	r := New(8)
+	// Without a subscriber the ring only overwrites: Full never fires.
+	for k := uint64(0); k < 100; k++ {
+		if r.Full() {
+			t.Fatalf("Full() true at capture %d without a subscriber", k)
+		}
+		retire(r, 0x80000000, 0x13, 0x80000004, k, 0)
+	}
+	var got [2][]uint64
+	subscribe := func(i int) {
+		r.Subscribe(func(recs []Rec) {
+			for _, rec := range recs {
+				got[i] = append(got[i], rec.Time)
+			}
+		})
+	}
+	const from, late, total = 100, 605, 1000
+	subscribe(0)
+	for k := uint64(from); k < from+total; k++ {
+		if k == late {
+			subscribe(1)
+		}
+		switch k % 7 {
+		case 3:
+			r.MarkIRQ(k, 0x800)
+		case 5:
+			r.MarkEvent(k, "wfi-sleep")
+		default:
+			retire(r, 0x80000000, 0x13, 0x80000004, k, 0)
+		}
+		if k%13 == 0 {
+			r.Flush()
+		}
+	}
+	r.Flush()
+	r.Flush() // nothing pending: must deliver nothing
+	for i, first := range []uint64{from, late} {
+		times := got[i]
+		if want := from + total - first; uint64(len(times)) != want {
+			t.Fatalf("subscriber %d saw %d records, want %d", i, len(times), want)
+		}
+		for k, tm := range times {
+			if tm != first+uint64(k) {
+				t.Fatalf("subscriber %d: record %d has time %d, want %d", i, k, tm, first+uint64(k))
+			}
+		}
+	}
+}
+
+// TestFlushZeroAlloc extends the always-on contract to the stream: a
+// subscribed ring that flushes on every wrap must not allocate either.
+func TestFlushZeroAlloc(t *testing.T) {
+	r := New(4)
+	var n uint64
+	r.Subscribe(func(recs []Rec) { n += uint64(len(recs)) })
+	r.MarkEvent(0, "wfi-sleep") // intern outside the measured loop
+	allocs := testing.AllocsPerRun(1000, func() {
+		for k := 0; k < 10; k++ {
+			retire(r, 0x80000100, 0x00a50533, 0x80000104, 42, 0)
+		}
+		r.MarkIRQ(42, 0x80)
+		r.MarkEvent(42, "wfi-sleep")
+		r.Flush()
+	})
+	if allocs != 0 {
+		t.Fatalf("subscribed capture and flush allocate %v times per run, want 0", allocs)
+	}
+	if n != r.Captured() {
+		t.Fatalf("subscriber saw %d records, ring captured %d", n, r.Captured())
 	}
 }

@@ -83,7 +83,7 @@ func TestProfilerAttribution(t *testing.T) {
 	if hot != "immo_loop" {
 		t.Logf("note: hottest function is %q (flat %d)", hot, flat)
 	}
-	// The retire hook must observe what the core retired: the profiler total
+	// The retire stream must carry what the core retired: the profiler total
 	// can lag Instret only by the interrupt-entry steps, which retire no
 	// instruction.
 	instret := e.Platform.Instret()

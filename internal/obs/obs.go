@@ -50,9 +50,6 @@ type Options struct {
 	// MaxChain bounds the number of events reconstructed into a violation's
 	// provenance chain. Defaults to DefaultMaxChain.
 	MaxChain int
-	// TraceExec additionally records an EvExec event for every retired
-	// instruction (both cores). Very chatty; off by default.
-	TraceExec bool
 }
 
 // Checks counts performed clearance checks by site. Fetch counts only
@@ -144,11 +141,6 @@ func (o *Observer) Attach(now func() uint64, lat *core.Lattice, def core.Tag) {
 
 // Attached reports whether a platform has claimed this observer.
 func (o *Observer) Attached() bool { return o.attached }
-
-// TracesExec reports whether per-retire EvExec tracing was requested. The
-// platform uses it to skip wiring the baseline core's instruction-boundary
-// hook when the events would be dropped anyway.
-func (o *Observer) TracesExec() bool { return o.opts.TraceExec }
 
 // Lattice returns the security lattice of the attached platform (nil on the
 // baseline VP or before attachment). Exporters use it for class names.
@@ -273,8 +265,8 @@ func (o *Observer) Chain(seq uint64) []core.TaintEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Core hooks. Every method below is called by the cores only behind an
-// `if c.Obs != nil` guard — the hot path pays nothing when disabled.
+// Core hooks. Every method below is called by the VP+ core only behind a
+// nil check on its Obs field — the hot path pays nothing when disabled.
 
 // BeginInsn notes the instruction about to execute; subsequent events carry
 // its pc and raw word. It also retires the pending jump provenance: pcSrc is
@@ -283,9 +275,6 @@ func (o *Observer) Chain(seq uint64) []core.TaintEvent {
 func (o *Observer) BeginInsn(pc, insn uint32) {
 	o.curPC, o.curInsn = pc, insn
 	o.pcSrc = 0
-	if o.opts.TraceExec {
-		o.emit(core.TaintEvent{Kind: core.EvExec, PC: pc, Insn: insn})
-	}
 }
 
 // SetInsn updates the current-instruction diagnostics (pc and raw word)

@@ -2,11 +2,9 @@ package rv32
 
 import (
 	"vpdift/internal/core"
-	"vpdift/internal/cover"
 	"vpdift/internal/flight"
 	"vpdift/internal/kernel"
 	"vpdift/internal/mem"
-	"vpdift/internal/obs"
 	"vpdift/internal/tlm"
 )
 
@@ -31,17 +29,6 @@ type Core struct {
 
 	// Halted is set by the platform (SysCtrl write) to stop execution.
 	Halted bool
-
-	// Tracer, when non-nil, is invoked before each instruction executes.
-	Tracer func(pc, insn uint32)
-
-	// Obs, when non-nil, receives instruction-boundary events (EvExec). The
-	// baseline core carries no tags, so the platform wires this only when
-	// the observer requests per-retire tracing (Options.TraceExec) — the
-	// plain fetch loop is tight enough that even a guarded call per
-	// instruction is measurable, and without TraceExec the events would be
-	// dropped anyway. Taint provenance is the VP+ core's job.
-	Obs *obs.Observer
 
 	ram     []byte
 	ramBase uint32
@@ -71,28 +58,19 @@ type Core struct {
 
 	mmioBuf [4]core.TByte
 
-	// Retire, when non-nil, is invoked once per executed instruction with
-	// its pc and raw word — the guest profiler's hook (internal/trace).
-	// Separate from Tracer so profiling composes with disassembly tracing;
-	// like every hook it costs one predictable branch when nil. New fields
-	// live at the end of the struct: inserting them higher up shifts the
-	// hot fields (Regs, ram, ic) across cache lines, which costs the tight
-	// interpreter loop measurably.
-	Retire func(pc, insn uint32)
-
 	// uncachedFetch counts fetches that bypassed the decode cache (misaligned
-	// PC or cache disabled) — the non-fill half of the miss count.
+	// PC or cache disabled) — the non-fill half of the miss count. New
+	// fields live at the end of the struct: inserting them higher up shifts
+	// the hot fields (Regs, ram, ic) across cache lines, which costs the
+	// tight interpreter loop measurably.
 	uncachedFetch uint64
 
-	// Cov, when non-nil, receives post-retire coverage events
-	// (internal/cover). Only the guest view applies on the baseline core —
-	// there are no tags to heatmap and no policy to audit.
-	Cov *cover.Cover
-
-	// FR, when non-nil, is the always-on flight recorder: one compressed
-	// record per retire, captured post-switch (see flightcap.go). frAddr is
-	// the last load/store effective address, stashed by load/store because
-	// the post-switch capture cannot recompute it once rd aliased rs1.
+	// FR, when non-nil, is the flight recorder: one compressed record per
+	// retire, captured post-switch (see flightcap.go). It is the core's only
+	// per-retire tap; the profiler, guest coverage and -trace subscribe to
+	// its stream. frAddr is the last load/store effective address, stashed
+	// by load/store because the post-switch capture cannot recompute it once
+	// rd aliased rs1.
 	FR     *flight.Recorder
 	frAddr uint32
 }
@@ -138,8 +116,10 @@ func (c *Core) SetIRQ(line uint32, level bool) {
 func (c *Core) PendingIRQ() bool { return c.mie&c.mip != 0 }
 
 // Run executes up to max instructions. It returns early on WFI with no
-// pending interrupt, on halt, or on an error (bus error, unhandled trap).
-// Timing annotations of MMIO transactions accumulate into delay.
+// pending interrupt (after the wfi retired), on halt, or on an error (bus
+// error, unhandled trap). Timing annotations of MMIO transactions
+// accumulate into delay. Records captured into FR reach its subscribers
+// when the caller flushes it.
 func (c *Core) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
 	for n < max {
 		if c.Halted {
@@ -230,26 +210,8 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 		if e.state != 0 {
 			i = e.inst
 			w = e.word
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			if c.Obs != nil {
-				c.Obs.BeginInsn(pc, w)
-			}
 		} else {
 			w = c.fetchWord(off)
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			if c.Obs != nil {
-				c.Obs.BeginInsn(pc, w)
-			}
 			i = Decode(w)
 			e.inst = i
 			e.word = w
@@ -263,15 +225,6 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 		}
 		c.uncachedFetch++
 		w = c.fetchWord(off)
-		if c.Tracer != nil {
-			c.Tracer(pc, w)
-		}
-		if c.Retire != nil {
-			c.Retire(pc, w)
-		}
-		if c.Obs != nil {
-			c.Obs.BeginInsn(pc, w)
-		}
 		i = Decode(w)
 	}
 
@@ -430,10 +383,8 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 		c.irqPoll = true
 		next = c.mepc
 	case OpWFI:
-		if !c.PendingIRQ() {
-			c.PC = next
-			return RunWFI, nil
-		}
+		// A sleeping wfi retires like any other instruction: the capture
+		// below runs before step reports RunWFI.
 	case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
 		if err := c.csrOp(i, pc); err != nil {
 			return RunOK, err
@@ -445,16 +396,13 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 	default:
 		return RunOK, c.trap(CauseIllegalInstr, c.fetchWord(off), pc)
 	}
-	if c.Cov != nil {
-		c.coverStep(pc, off, next)
-	}
 	if c.FR != nil {
 		// Flight capture, hand-inlined (see flightcap.go).
 		fl := flightFlags[i.Op]
 		if next != pc+4 {
 			fl |= flight.FlagTaken
 		}
-		var faddr uint32
+		faddr := next
 		if fl&(flight.FlagLoad|flight.FlagStore) != 0 {
 			faddr = c.frAddr
 		}
@@ -466,23 +414,17 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 		rec.Aux = 0
 		rec.Kind = flight.KindRetire
 		rec.Flags = fl
+		if c.FR.Full() {
+			c.FR.Flush()
+		}
 	}
 	if c.PC == pc { // not redirected by a trap inside the switch
 		c.PC = next
 	}
-	return RunOK, nil
-}
-
-// coverStep feeds the coverage views for one retired instruction. Called
-// from step behind a single `c.Cov != nil` guard, so the disabled hot loop
-// pays exactly one predictable branch; the raw word is refetched only on
-// the enabled path. Violating or trapping instructions return from step
-// early and are not counted — the platform attributes terminal violations
-// through the policy audit instead.
-func (c *Core) coverStep(pc, off, next uint32) {
-	if g := c.Cov.Guest; g != nil {
-		g.OnRetire(pc, c.fetchWord(off), next)
+	if i.Op == OpWFI && !c.PendingIRQ() {
+		return RunWFI, nil
 	}
+	return RunOK, nil
 }
 
 // set writes a destination register, keeping x0 hardwired to zero.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"vpdift/internal/core"
+	"vpdift/internal/flight"
 	"vpdift/internal/kernel"
 )
 
@@ -259,16 +261,50 @@ func TestISADisassembleDecodeAgree(t *testing.T) {
 	}
 }
 
-// TestTracerFiresOnBothCores verifies the per-instruction trace hook.
-func TestTracerFiresOnBothCores(t *testing.T) {
-	c, _, _ := buildPlain(t, "_start:\n\tnop\n\tnop\n\tcall halt\n")
-	var pcs []uint32
-	c.Tracer = func(pc, insn uint32) { pcs = append(pcs, pc) }
-	var delay kernel.Time
-	if _, st, err := c.Run(100, &delay); err != nil || st != RunHalt {
-		t.Fatalf("st=%v err=%v", st, err)
-	}
-	if len(pcs) < 3 || pcs[0] != testRAMBase || pcs[1] != testRAMBase+4 {
-		t.Errorf("trace = %x", pcs)
+// TestRetireStreamOnBothCores verifies the per-retire tap: a flight stream
+// subscriber sees every instruction either core retired, in order, each
+// record carrying the successor PC the next record starts at. The ring is
+// smaller than the program, so the capture sites must flush mid-run.
+func TestRetireStreamOnBothCores(t *testing.T) {
+	const src = "_start:\n\tnop\n\tnop\n\tcall halt\n"
+	l := core.IFP2()
+	plain, _, _ := buildPlain(t, src)
+	taint := buildTaint(t, src, core.NewPolicy(l, l.MustTag(core.ClassLI))).c
+	for _, tc := range []struct {
+		name string
+		run  func(fr *flight.Recorder, delay *kernel.Time) (uint64, RunStatus, error)
+	}{
+		{"VP", func(fr *flight.Recorder, delay *kernel.Time) (uint64, RunStatus, error) {
+			plain.FR = fr
+			return plain.Run(100, delay)
+		}},
+		{"VP+", func(fr *flight.Recorder, delay *kernel.Time) (uint64, RunStatus, error) {
+			taint.FR = fr
+			return taint.Run(100, delay)
+		}},
+	} {
+		fr := flight.New(4)
+		var recs []flight.Rec
+		fr.Subscribe(func(b []flight.Rec) { recs = append(recs, b...) })
+		var delay kernel.Time
+		n, st, err := tc.run(fr, &delay)
+		if err != nil || st != RunHalt {
+			t.Fatalf("%s: st=%v err=%v", tc.name, st, err)
+		}
+		fr.Flush()
+		if uint64(len(recs)) != n || n < 4 {
+			t.Fatalf("%s: subscriber saw %d records for %d retired instructions", tc.name, len(recs), n)
+		}
+		if recs[0].PC != testRAMBase || recs[1].PC != testRAMBase+4 {
+			t.Errorf("%s: stream starts at 0x%08x, 0x%08x", tc.name, recs[0].PC, recs[1].PC)
+		}
+		for k, r := range recs {
+			if r.Kind != flight.KindRetire || r.Time != uint64(k) {
+				t.Fatalf("%s: record %d = %+v, want retire at time %d", tc.name, k, r, k)
+			}
+			if k > 0 && r.PC != recs[k-1].Next() {
+				t.Errorf("%s: record %d at 0x%08x, predecessor's successor PC 0x%08x", tc.name, k, r.PC, recs[k-1].Next())
+			}
+		}
 	}
 }

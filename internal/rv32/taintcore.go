@@ -32,13 +32,10 @@ type TaintCore struct {
 	Instret uint64
 	Halted  bool
 
-	// Tracer, when non-nil, is invoked before each instruction executes.
-	Tracer func(pc, insn uint32)
-
 	// Obs, when non-nil, records taint-propagation provenance and metrics
-	// (see internal/obs). Every hook call sits behind a nil check, exactly
-	// like Tracer, so a core without an observer pays only predictable
-	// not-taken branches.
+	// (see internal/obs). It needs operand tags the flight record does not
+	// carry, so it stays a hook; every call sits behind a nil check, so a
+	// core without an observer pays only predictable not-taken branches.
 	Obs *obs.Observer
 
 	// obsS1/obsS2 snapshot the source operands consumed by the current
@@ -95,25 +92,23 @@ type TaintCore struct {
 
 	mmioBuf [4]core.TByte
 
-	// Retire, when non-nil, is invoked once per executed instruction with
-	// its pc and raw word — the guest profiler's hook (internal/trace).
-	// New fields live at the end of the struct: inserting them higher up
-	// shifts the hot fields (Regs, ram, ic) across cache lines, which
-	// costs the tight interpreter loop measurably.
-	Retire func(pc, insn uint32)
-
 	// uncachedFetch counts fetches bypassing the decode cache; see
-	// Core.uncachedFetch.
+	// Core.uncachedFetch. New fields live at the end of the struct:
+	// inserting them higher up shifts the hot fields (Regs, ram, ic) across
+	// cache lines, which costs the tight interpreter loop measurably.
 	uncachedFetch uint64
 
-	// Cov, when non-nil, receives post-retire coverage events: guest
-	// block/edge coverage, taint heatmap samples, and policy-audit check
-	// counts (internal/cover). One predictable branch per retire when nil.
+	// Cov, when non-nil, receives post-retire taint heatmap samples and
+	// policy-audit check counts (internal/cover): the two views that need
+	// operand tags or policy state the flight record does not carry. Guest
+	// coverage reads the flight stream instead. One predictable branch per
+	// retire when nil.
 	Cov *cover.Cover
 
-	// FR, when non-nil, is the always-on flight recorder: one compressed
-	// record per retire, captured post-switch (see flightcap.go). frAddr is
-	// the last load/store effective address, stashed by the memory helpers.
+	// FR, when non-nil, is the flight recorder: one compressed record per
+	// retire, captured post-switch (see flightcap.go), and the stream the
+	// profiler, guest coverage and -trace subscribe to. frAddr is the last
+	// load/store effective address, stashed by the memory helpers.
 	FR     *flight.Recorder
 	frAddr uint32
 
@@ -384,12 +379,6 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		if e.state != 0 {
 			i = e.inst
 			w = e.word
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
 			if !e.allowed {
 				// Cached fetch-clearance verdict: the word's tag summary
 				// may not flow to the execution unit.
@@ -398,12 +387,6 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		} else {
 			b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
 			w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
 			e.tag, e.allowed = 0, true
 			if c.checkFetch {
 				if c.Obs != nil {
@@ -429,12 +412,6 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		c.uncachedFetch++
 		b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
 		w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
-		if c.Tracer != nil {
-			c.Tracer(pc, w)
-		}
-		if c.Retire != nil {
-			c.Retire(pc, w)
-		}
 		if c.checkFetch {
 			if c.Obs != nil {
 				c.Obs.Checks.Fetch++
@@ -621,10 +598,8 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		c.irqPoll = true
 		next = c.mepc.V
 	case OpWFI:
-		if !c.PendingIRQ() {
-			c.PC = next
-			return RunWFI, nil
-		}
+		// A sleeping wfi retires like any other instruction (observer,
+		// cover, capture) before step reports RunWFI.
 	case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
 		if err := c.csrOp(i, pc); err != nil {
 			return RunOK, err
@@ -639,7 +614,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		c.observeStep(i, pc, next)
 	}
 	if c.Cov != nil {
-		c.coverStep(i, pc, off, next)
+		c.coverStep(i)
 	}
 	if c.FR != nil {
 		// Flight capture, hand-inlined (see flightcap.go).
@@ -650,7 +625,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		if i.Rd != 0 && c.Regs[i.Rd].T != c.def {
 			fl |= flight.FlagTaintRd
 		}
-		var faddr uint32
+		faddr := next
 		if fl&(flight.FlagLoad|flight.FlagStore) != 0 {
 			faddr = c.frAddr
 		}
@@ -662,28 +637,32 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		rec.Aux = 0
 		rec.Kind = flight.KindRetire
 		rec.Flags = fl
+		if c.FR.Full() {
+			c.FR.Flush()
+		}
 	}
 	if c.PC == pc {
 		c.PC = next
 	}
+	if i.Op == OpWFI && !c.PendingIRQ() {
+		return RunWFI, nil
+	}
 	return RunOK, nil
 }
 
-// coverStep feeds the coverage views for one retired instruction: guest
-// block/edge coverage, taint heatmap samples (store sites and the register
+// coverStep feeds the tag- and policy-dependent coverage views for one
+// retired instruction: taint heatmap samples (store sites and the register
 // file — safe post-switch because stores never write back a register, so
-// Regs[rs1]/Regs[rs2] still hold the address base and data tag), and the
-// policy audit's per-clearance-point check counts. Called from step behind
-// a single `c.Cov != nil` guard, like observeStep, so the disabled hot loop
-// pays one predictable branch. Violating instructions return from step
-// early and are attributed through PolicyAudit.NoteViolation by the
-// platform; a retire under an enabled fetch check counts as one enforcement
-// even when the decode cache memoized the verdict.
-func (c *TaintCore) coverStep(i Inst, pc, off, next uint32) {
+// Regs[rs1]/Regs[rs2] still hold the address base and data tag) and the
+// policy audit's per-clearance-point check counts. Guest block/edge
+// coverage reads the flight stream instead. Called from step behind a
+// single Cov guard, like observeStep, so the disabled hot loop pays one
+// predictable branch. Violating instructions return from step early and
+// are attributed through PolicyAudit.NoteViolation by the platform; a
+// retire under an enabled fetch check counts as one enforcement even when
+// the decode cache memoized the verdict.
+func (c *TaintCore) coverStep(i Inst) {
 	cv := c.Cov
-	if g := cv.Guest; g != nil {
-		g.OnRetire(pc, c.fetchWord(off), next)
-	}
 	if t := cv.Taint; t != nil {
 		t.OnRetireRegs(&c.Regs)
 		switch i.Op {
@@ -754,8 +733,8 @@ func (c *TaintCore) insnWord(pc uint32) uint32 {
 // observeStep records the retired instruction's provenance: the
 // instruction-boundary bookkeeping (BeginInsn), op events for ALU results,
 // load events and the register assignments that consume them, and
-// indirect-jump PC provenance. Called from step behind a single
-// `c.Obs != nil` guard; the *pre-execution* source operands are snapshot in
+// indirect-jump PC provenance. Called from step behind a single Obs
+// guard; the *pre-execution* source operands are snapshot in
 // c.obsS1/c.obsS2 before the switch (which may overwrite them when rd
 // aliases a source) rather than passed as arguments, so the
 // disabled-observer path carries no extra live values. Deferring all

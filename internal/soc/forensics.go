@@ -17,14 +17,14 @@ import (
 	"vpdift/internal/telemetry"
 )
 
-// noteForensics reacts to Run's terminal error: it appends the violating or
-// faulting instruction as the window's last record (those instructions
-// never retire, so the hot-loop capture missed them) and stashes the
-// bundle. Only the first error is kept — re-running a stopped platform must
-// not overwrite the original evidence.
+// noteForensics reacts to Run's first terminal error: it appends the
+// violating or faulting instruction as the window's last record (those
+// instructions never retire, so the hot-loop capture missed them) and,
+// unless FlightOff, stashes the bundle. Run calls it once, so re-running a
+// stopped platform does not overwrite the original evidence.
 func (pl *Platform) noteForensics(err error) {
-	fr := pl.cfg.Flight
-	if fr == nil || pl.lastBundle != nil {
+	fr := pl.fr
+	if fr == nil {
 		return
 	}
 	reason := "error"
@@ -44,7 +44,9 @@ func (pl *Platform) noteForensics(err error) {
 		reason = "fault"
 		fr.MarkFault(pl.Instret(), te.PC, pl.insnAt(te.PC), te.Tval)
 	}
-	pl.lastBundle = pl.buildBundle(reason, err)
+	if pl.cfg.Flight != nil {
+		pl.lastBundle = pl.buildBundle(reason, err)
+	}
 }
 
 // LastForensics returns the bundle stashed by the first terminal violation

@@ -94,15 +94,16 @@ type Config struct {
 	// Trace, when non-nil with at least one view enabled, wires the
 	// simulation-side observability layer: kernel/bus event recording
 	// (Trace.Kernel), waveform probes over CPU and peripheral state
-	// (Trace.VCD), and the guest hot-path profiler (Trace.Prof). Nil keeps
-	// every hook site on its one-branch fast path.
+	// (Trace.VCD), and the guest hot-path profiler (Trace.Prof, a flight
+	// stream subscriber). Nil keeps every hook site on its one-branch fast
+	// path.
 	Trace *trace.Trace
 	// Cover, when non-nil with at least one view enabled, wires the
-	// coverage-observability layer: guest block/edge coverage (Cover.Guest),
-	// taint heatmaps and register occupancy (Cover.Taint), and the policy
-	// audit with per-lattice-edge hit counters (Cover.Audit). On the
-	// baseline VP only the guest view applies. Nil keeps the cores'
-	// post-retire hook on its one-branch fast path.
+	// coverage-observability layer: guest block/edge coverage (Cover.Guest,
+	// a flight stream subscriber), taint heatmaps and register occupancy
+	// (Cover.Taint), and the policy audit with per-lattice-edge hit counters
+	// (Cover.Audit). On the baseline VP only the guest view applies. Nil
+	// keeps the VP+ core's post-retire hook on its one-branch fast path.
 	Cover *cover.Cover
 	// Telemetry, when non-nil, runs a periodic metrics sampler on a kernel
 	// daemon thread: every Sampler.Options().Every of simulated time it
@@ -113,9 +114,11 @@ type Config struct {
 	// Flight is the always-on flight recorder (internal/flight): a small
 	// overwrite-oldest ring of per-retire records plus IRQ/trap/bus marks,
 	// frozen into a forensic bundle when the run stops on a violation or
-	// guest fault (see forensics.go). Nil selects a default-sized recorder;
-	// FlightOff disables capture entirely (the recorder-off flavour of the
-	// perf guard).
+	// guest fault (see forensics.go). Its record stream is also the only
+	// per-retire tap: the profiler and guest coverage subscribe to it, as
+	// may the caller before New. Nil selects a default-sized recorder.
+	// FlightOff freezes no bundle; with no subscriber it also disables
+	// capture entirely (the recorder-off flavour of the perf guard).
 	Flight    *flight.Recorder
 	FlightOff bool
 }
@@ -153,6 +156,11 @@ type Platform struct {
 	// many transactions each one dropped past its log limit.
 	monitors []namedMonitor
 
+	// fr is the record stream the core captures into and the marks land on:
+	// cfg.Flight, or a recorder kept only for subscribers under FlightOff,
+	// or nil when nothing captures.
+	fr *flight.Recorder
+
 	// lastBundle is the forensic bundle stashed by the first terminal
 	// violation or fault (see forensics.go); later Run calls on the stopped
 	// platform keep the original evidence.
@@ -183,16 +191,36 @@ func New(cfg Config) (*Platform, error) {
 		cfg.InstrTime = DefaultInstrTime
 	}
 	// The flight recorder is on by default: a fixed ~96 KiB ring is the
-	// price of having forensics for every verdict anywhere in a fleet.
+	// price of having forensics for every verdict anywhere in a fleet. Its
+	// record stream feeds every per-instruction consumer, wired here as one
+	// subscriber list.
+	var subs []func([]flight.Rec)
+	if cfg.Trace != nil && cfg.Trace.Prof != nil {
+		subs = append(subs, cfg.Trace.Prof.OnRecords)
+	}
+	if cfg.Cover != nil && cfg.Cover.Guest != nil {
+		subs = append(subs, cfg.Cover.Guest.OnRecords)
+	}
+	fr := cfg.Flight
+	if fr == nil && (!cfg.FlightOff || len(subs) > 0) {
+		fr = flight.New(0)
+	}
+	for _, f := range subs {
+		fr.Subscribe(f)
+	}
 	if cfg.FlightOff {
 		cfg.Flight = nil
-	} else if cfg.Flight == nil {
-		cfg.Flight = flight.New(0)
+		if fr != nil && !fr.Subscribed() {
+			fr = nil
+		}
+	} else {
+		cfg.Flight = fr
 	}
 	pl := &Platform{
 		Sim: kernel.New(),
 		Bus: tlm.NewBus(),
 		cfg: cfg,
+		fr:  fr,
 	}
 	pl.irqEvent = pl.Sim.NewEvent("irq")
 
@@ -228,7 +256,7 @@ func New(cfg Config) (*Platform, error) {
 		setIRQ = func(line uint32, level bool) {
 			pl.Core.SetIRQ(line, level)
 			if level {
-				if fr := pl.cfg.Flight; fr != nil {
+				if fr != nil {
 					fr.MarkIRQ(pl.Core.Instret, line)
 				}
 				pl.irqEvent.Notify(0)
@@ -244,7 +272,7 @@ func New(cfg Config) (*Platform, error) {
 		setIRQ = func(line uint32, level bool) {
 			pl.TaintCore.SetIRQ(line, level)
 			if level {
-				if fr := pl.cfg.Flight; fr != nil {
+				if fr != nil {
 					fr.MarkIRQ(pl.TaintCore.Instret, line)
 				}
 				pl.irqEvent.Notify(0)
@@ -255,7 +283,7 @@ func New(cfg Config) (*Platform, error) {
 	// and chain an MMIO mark onto the TLM trace hook. RAM-range traffic is
 	// filtered out — under TaintMemViaTLM every data access is a bus
 	// transaction and would evict the instruction window the bundle is for.
-	if fr := pl.cfg.Flight; fr != nil {
+	if fr != nil {
 		if pl.Core != nil {
 			pl.Core.FR = fr
 		} else {
@@ -271,13 +299,6 @@ func New(cfg Config) (*Platform, error) {
 			}
 		}
 	}
-	if cfg.Trace != nil && cfg.Trace.Prof != nil {
-		if pl.Core != nil {
-			pl.Core.Retire = cfg.Trace.Prof.OnRetire
-		} else {
-			pl.TaintCore.Retire = cfg.Trace.Prof.OnRetire
-		}
-	}
 
 	// Observability: attach the observer to simulated time and the security
 	// context, register peripheral base addresses for MMIO provenance, and
@@ -291,13 +312,9 @@ func New(cfg Config) (*Platform, error) {
 		}
 		o.Attach(func() uint64 { return uint64(pl.Sim.Now()) }, lat, def)
 		env.Obs = o
-		if pl.Core != nil {
-			// The baseline core has no taint to record; its only hook is the
-			// per-retire EvExec event, so wire it only when tracing is on.
-			if o.TracesExec() {
-				pl.Core.Obs = o
-			}
-		} else {
+		// The baseline core has no taint to record, so only the VP+ core
+		// takes the observer.
+		if pl.TaintCore != nil {
 			pl.TaintCore.Obs = o
 		}
 		o.RegisterPort("uart0", UARTBase)
@@ -404,17 +421,16 @@ func New(cfg Config) (*Platform, error) {
 	}
 
 	// Coverage observability: size the requested views against this
-	// platform's geometry and hand the bundle to the core. The audit
-	// installs its lattice counters here — after all wiring-time queries
-	// (Top, clearance encoding) — so setup noise does not pollute the run's
-	// per-edge counts.
+	// platform's geometry and hand the tag- and policy-dependent views to
+	// the VP+ core (guest coverage already subscribed to the flight
+	// stream). The audit installs its lattice counters here — after all
+	// wiring-time queries (Top, clearance encoding) — so setup noise does
+	// not pollute the run's per-edge counts.
 	if cv := cfg.Cover; cv.Active() {
 		if cv.Guest != nil {
 			cv.Guest.Configure(RAMBase, cfg.RAMSize)
 		}
-		if pol == nil {
-			pl.Core.Cov = cv
-		} else {
+		if pol != nil {
 			if cv.Taint != nil {
 				cv.Taint.Configure(RAMBase, cfg.RAMSize, pol.L, pol.Default)
 				// CPU stores report through the core's cover hook; this hook
@@ -428,7 +444,9 @@ func New(cfg Config) (*Platform, error) {
 				cv.Audit.Configure(pol)
 				env.Audit = cv.Audit
 			}
-			pl.TaintCore.Cov = cv
+			if cv.Taint != nil || cv.Audit != nil {
+				pl.TaintCore.Cov = cv
+			}
 		}
 	}
 
@@ -504,7 +522,10 @@ func MustNew(cfg Config) *Platform {
 }
 
 // spawnCPU starts the CPU process: execute a quantum, advance simulated
-// time, repeat; on WFI sleep until an interrupt line rises.
+// time, repeat; on WFI sleep until an interrupt line rises. The flight
+// stream is flushed right after each quantum: only once the CPU yields can
+// another kernel thread (the telemetry sampler, a workload's drive loop,
+// Run's caller) read what the subscribers hold.
 func (pl *Platform) spawnCPU() {
 	pl.Sim.Spawn("cpu", func(p *kernel.Proc) {
 		for {
@@ -517,6 +538,9 @@ func (pl *Platform) spawnCPU() {
 			} else {
 				n, st, err = pl.TaintCore.Run(pl.cfg.Quantum, &delay)
 			}
+			if pl.fr != nil {
+				pl.fr.Flush()
+			}
 			if err != nil {
 				p.Fatal(err)
 			}
@@ -525,7 +549,7 @@ func (pl *Platform) spawnCPU() {
 			case rv32.RunHalt:
 				p.Stop()
 			case rv32.RunWFI:
-				if fr := pl.cfg.Flight; fr != nil {
+				if fr := pl.fr; fr != nil {
 					fr.MarkEvent(pl.Instret(), "wfi-sleep")
 				}
 				if advance > 0 {
@@ -646,11 +670,14 @@ func (pl *Platform) Run(horizon kernel.Time) error {
 	// Freeze the forensic evidence at the first terminal error: append the
 	// violating/faulting instruction as the window's last record and stash
 	// the bundle (see forensics.go).
-	if err != nil {
-		if pl.lastErr == nil {
-			pl.lastErr = err
-		}
+	if err != nil && pl.lastErr == nil {
+		pl.lastErr = err
 		pl.noteForensics(err)
+	}
+	// Hand the subscribers what the CPU thread's last flush could not: the
+	// terminal record and marks appended after that quantum.
+	if pl.fr != nil {
+		pl.fr.Flush()
 	}
 	return err
 }

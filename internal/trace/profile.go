@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"vpdift/internal/asm"
+	"vpdift/internal/flight"
 )
 
 // profFrame is one entry of the profiler's shadow call stack.
@@ -16,11 +17,12 @@ type profFrame struct {
 	recursive bool   // entry already appears lower on the stack
 }
 
-// Profiler is the guest hot-path profiler: it hangs off the cores' Retire
-// hook and buckets retired instructions ("cycles" at the paper's one
-// instruction per 10 ns clock) by pc. Because the model retires exactly one
-// instruction per fetch, the flat histogram is an exact cycle attribution,
-// not a statistical sample.
+// Profiler is the guest hot-path profiler: it subscribes to the flight
+// recorder's retire stream (OnRecords) and buckets retired instructions
+// ("cycles" at the paper's one instruction per 10 ns clock) by pc. Every
+// retire yields one record, so the flat histogram is an exact cycle
+// attribution, not a statistical sample. Instructions that never retire —
+// a violating, faulting or trapping one — are not counted.
 //
 // Call and return edges are tracked architecturally: a jal/jalr writing the
 // link register (x1/x5) marks a pending call, a jalr through the link
@@ -69,8 +71,18 @@ func NewProfiler(base, size uint32) *Profiler {
 // SetImage attaches the loaded guest image for report-time symbolization.
 func (p *Profiler) SetImage(img *asm.Image) { p.img = img }
 
-// OnRetire is the core Retire hook. pc is the address of the retired
-// instruction, insn its encoding.
+// OnRecords is the flight-stream subscriber: it profiles the batch's retire
+// records and skips the platform marks.
+func (p *Profiler) OnRecords(recs []flight.Rec) {
+	for i := range recs {
+		if r := &recs[i]; r.Kind == flight.KindRetire {
+			p.OnRetire(r.PC, r.Insn)
+		}
+	}
+}
+
+// OnRetire profiles one retired instruction. pc is its address, insn its
+// encoding.
 func (p *Profiler) OnRetire(pc, insn uint32) {
 	// Resolve the edge opened by the previous instruction: the current pc is
 	// the callee entry (call) or the caller resume point (return).

@@ -195,7 +195,7 @@ type (
 	// transactions, and simulation metrics. Construct with NewObserver and
 	// attach via WithObserver; a nil observer costs nothing.
 	Observer = obs.Observer
-	// ObserverOptions tunes ring capacity, chain depth, and exec tracing.
+	// ObserverOptions tunes ring capacity and chain depth.
 	ObserverOptions = obs.Options
 	// TaintEvent is one recorded provenance event.
 	TaintEvent = core.TaintEvent
@@ -221,7 +221,8 @@ type (
 	// VCD collects waveform probes into a GTKWave-compatible value change
 	// dump.
 	VCD = trace.VCD
-	// Profiler is the guest hot-path profiler fed by the cores' retire hook.
+	// Profiler is the guest hot-path profiler fed by the flight recorder's
+	// retire stream.
 	Profiler = trace.Profiler
 )
 
