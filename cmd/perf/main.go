@@ -30,7 +30,7 @@ func main() {
 	baseline := flag.String("baseline", "", "compare against an archived report and fail on MIPS regression (the CI perf guard)")
 	regress := flag.Float64("regress", 0.10, "allowed fractional MIPS drop vs -baseline before failing")
 	reps := flag.Int("reps", 1, "run each flavour this many times and keep the fastest (denoises shared runners; the guard uses 3)")
-	flightGuard := flag.Bool("flight", false, "also re-measure the table with the flight recorder disabled and fail unless the recorder-on average overhead stays within 5% of recorder-off")
+	flightGuard := flag.Bool("flight", false, "also re-measure every row with the flight recorder on and off, alternating within each repetition, and fail unless the recorder-on average overhead stays within 5% of recorder-off")
 	profileSmoke := flag.Bool("profile", false, "also run one workload with the trace layer attached and print its hot-path top table (trace smoke test)")
 	coverSmoke := flag.Bool("cover", false, "also run one workload with the coverage subsystem attached and check it stays within the Table II band of -baseline (coverage smoke test)")
 	telemetrySmoke := flag.Bool("telemetry", false, "also run one workload with the live-telemetry sampler attached and check the captured timeseries (telemetry smoke test)")
@@ -94,34 +94,30 @@ func main() {
 	}
 	if *flightGuard {
 		// The flight-recorder guard: the always-on recorder must not distort
-		// the reproduced quantity. The default rows above were measured as
-		// shipped (recorder on); re-measure with the recorder disabled and
-		// require the average overhead factors to agree within 5%.
-		var offRows []perf.Row
+		// the reproduced quantity. Re-measure every row with the recorder on
+		// (as shipped) and off, alternating the two within each repetition
+		// so host drift hits both alike, and require the average overhead
+		// factors to agree within 5%.
+		var sumOn, sumOff float64
+		n := 0
 		for _, w := range perf.Workloads(scale) {
 			if *only != "" && w.Name != *only {
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "running %s (flight recorder off)...\n", w.Name)
-			row, err := perf.RunRowConfig(w, perf.RowConfig{TLMMem: *tlmMem, Reps: *reps, FlightOff: true})
+			fmt.Fprintf(os.Stderr, "running %s (flight recorder on and off, alternating)...\n", w.Name)
+			on, off, err := perf.RunRowFlightPair(w, *tlmMem, *reps)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			offRows = append(offRows, row)
-		}
-		var sumOn, sumOff float64
-		for _, r := range rows {
-			sumOn += r.Overhead()
-		}
-		for i, r := range offRows {
-			sumOff += r.Overhead()
-			on := rows[i]
+			sumOn += on.Overhead()
+			sumOff += off.Overhead()
+			n++
 			fmt.Fprintf(os.Stderr, "flight guard: %-16s VP %7.1f/%7.1f MIPS  VP+ %7.1f/%7.1f MIPS  overhead %.2fx/%.2fx (on/off)\n",
-				r.Name, on.VP.MIPS(), r.VP.MIPS(), on.VPPlus.MIPS(), r.VPPlus.MIPS(),
-				on.Overhead(), r.Overhead())
+				w.Name, on.VP.MIPS(), off.VP.MIPS(), on.VPPlus.MIPS(), off.VPPlus.MIPS(),
+				on.Overhead(), off.Overhead())
 		}
-		avgOn, avgOff := sumOn/float64(len(rows)), sumOff/float64(len(offRows))
+		avgOn, avgOff := sumOn/float64(n), sumOff/float64(n)
 		delta := avgOn/avgOff - 1
 		fmt.Fprintf(os.Stderr, "flight guard: recorder-on average overhead %.2fx vs recorder-off %.2fx (%+.1f%%)\n",
 			avgOn, avgOff, delta*100)

@@ -179,10 +179,8 @@ func TestTaintHeatmap(t *testing.T) {
 		t.Errorf("out-of-window store changed the map: %d", got)
 	}
 
-	var regs [32]core.Word
-	regs[5].T = hc
-	tc.OnRetireRegs(&regs)
-	tc.OnRetireRegs(&regs)
+	tc.OnRetire(5, hc)
+	tc.OnRetire(0, lc)
 
 	var heat bytes.Buffer
 	if err := tc.WriteHeat(&heat, func(addr uint32) string { return "sym" }); err != nil {
@@ -202,7 +200,7 @@ func TestTaintInitFromRAMSeedsWithoutChurn(t *testing.T) {
 	tc.Configure(base, 16, l, lc)
 	data := make([]core.TByte, 16)
 	data[3].T = hc
-	tc.InitFromRAM(data)
+	tc.InitFromRAM(data, 0)
 	if got := tc.EverTainted(); got != 1 {
 		t.Errorf("ever tainted = %d, want 1", got)
 	}

@@ -3,6 +3,7 @@ package cover
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,17 +12,23 @@ import (
 )
 
 // GuestCov records guest code coverage from the flight recorder's retire
-// stream (OnRecords): a per-word execution count over the RAM window (like
-// the trace profiler's histogram) plus a dynamic control-flow edge set.
-// Basic blocks and their totals are derived at report time by a static scan
-// of the image text, so each record costs two array operations and a map
-// update on control transfers.
+// stream (OnRecords): a per-word execution count (like the trace
+// profiler's histogram) plus a dynamic control-flow edge set. Basic blocks
+// and their totals are derived at report time by a static scan of the image
+// text, so each record costs two array operations and a map update on
+// control transfers.
+//
+// The flat counters cover the loaded image, where a guest's code and stack
+// live; a retire elsewhere in the RAM window (code injected past the image)
+// is counted in a map, so reports still show it.
 type GuestCov struct {
-	base   uint32
-	counts []uint64
-	edges  map[uint64]uint64 // pc<<32|next -> traversal count
-	img    *asm.Image
-	cfg    *staticCFG // lazily built from img; the image is fixed after load
+	base, size uint32            // RAM window
+	lo         uint32            // pc counted by counts[0]: the image base
+	counts     []uint64          // per word over the image
+	far        map[uint32]uint64 // word pc -> count in the window outside counts
+	edges      map[uint64]uint64 // pc<<32|next -> traversal count
+	img        *asm.Image
+	cfg        *staticCFG // lazily built from img; the image is fixed after load
 }
 
 // NewGuest returns an unconfigured guest-coverage view; the platform sizes
@@ -30,18 +37,24 @@ func NewGuest() *GuestCov {
 	return &GuestCov{edges: make(map[uint64]uint64)}
 }
 
-// Configure sizes the execution-count window to the RAM window, mirroring
-// the profiler: one counter per 32-bit word.
+// Configure binds the view to the RAM window: only pcs inside it are
+// counted.
 func (g *GuestCov) Configure(base, size uint32) {
-	g.base = base
-	g.counts = make([]uint64, (size+3)/4)
+	g.base, g.size = base, size
+	g.far = make(map[uint32]uint64)
 }
 
+// configured reports whether a platform configured the view.
+func (g *GuestCov) configured() bool { return g.far != nil }
+
 // SetImage attaches the loaded program so reports can attribute coverage to
-// functions and annotate disassembly.
+// functions and annotate disassembly, and sizes the flat counters to it.
+// Call it before the first retire.
 func (g *GuestCov) SetImage(img *asm.Image) {
 	g.img = img
 	g.cfg = nil
+	g.lo = img.Base &^ 3
+	g.counts = make([]uint64, (img.End()-g.lo+3)/4)
 }
 
 // staticCFG returns the image's control-flow graph, built once: Stats runs
@@ -67,8 +80,10 @@ func (g *GuestCov) OnRecords(recs []flight.Rec) {
 // the fall-through (or the instruction is a conditional branch, whose
 // not-taken edge matters for edge coverage), the control-flow edge.
 func (g *GuestCov) OnRetire(pc, insn, next uint32) {
-	if idx := (pc - g.base) >> 2; int(idx) < len(g.counts) {
+	if idx := (pc - g.lo) >> 2; int(idx) < len(g.counts) {
 		g.counts[idx]++
+	} else if pc-g.base < g.size {
+		g.far[pc&^3]++
 	}
 	if next != pc+4 || insn&0x7f == opBranch {
 		g.edges[uint64(pc)<<32|uint64(next)]++
@@ -77,10 +92,23 @@ func (g *GuestCov) OnRetire(pc, insn, next uint32) {
 
 // Count returns the execution count recorded for pc.
 func (g *GuestCov) Count(pc uint32) uint64 {
-	if idx := (pc - g.base) >> 2; int(idx) < len(g.counts) {
+	if idx := (pc - g.lo) >> 2; int(idx) < len(g.counts) {
 		return g.counts[idx]
 	}
-	return 0
+	return g.far[pc&^3]
+}
+
+// eachPC visits every word with a nonzero execution count, flat counters
+// first, then the map in no particular order.
+func (g *GuestCov) eachPC(f func(pc uint32, n uint64)) {
+	for idx, n := range g.counts {
+		if n != 0 {
+			f(g.lo+uint32(idx)*4, n)
+		}
+	}
+	for pc, n := range g.far {
+		f(pc, n)
+	}
 }
 
 // EdgeCount returns the traversal count of the control-flow edge from -> to.
@@ -379,16 +407,17 @@ type execRange struct {
 // executedOutside lists contiguous executed ranges not covered by the image
 // text.
 func (g *GuestCov) executedOutside() []execRange {
-	var out []execRange
 	textEnd := g.img.Base + uint32(len(g.img.Text))
-	for idx, c := range g.counts {
-		if c == 0 {
-			continue
+	var pcs []uint32
+	g.eachPC(func(pc uint32, _ uint64) {
+		if pc < g.img.Base || pc >= textEnd {
+			pcs = append(pcs, pc)
 		}
-		pc := g.base + uint32(idx)*4
-		if pc >= g.img.Base && pc < textEnd {
-			continue
-		}
+	})
+	slices.Sort(pcs)
+	var out []execRange
+	for _, pc := range pcs {
+		c := g.Count(pc)
 		if n := len(out); n > 0 && out[n-1].end == pc {
 			out[n-1].end = pc + 4
 			out[n-1].execs += c

@@ -119,22 +119,19 @@ func edgeKey(e uint64) string {
 func Capture(c *Cover, run RunID, verdict *Verdict) *Snapshot {
 	s := &Snapshot{Schema: SnapshotSchema}
 	if c != nil {
-		if g := c.Guest; g != nil && g.counts != nil {
+		if g := c.Guest; g != nil && g.configured() {
 			gs := &GuestSnap{Base: hexAddr(g.base), Hits: map[string]uint64{}, Edges: map[string]uint64{}}
-			for idx, n := range g.counts {
-				if n != 0 {
-					gs.Hits[hexAddr(g.base+uint32(idx)*4)] = n
-				}
-			}
+			g.eachPC(func(pc uint32, n uint64) { gs.Hits[hexAddr(pc)] = n })
 			for e, n := range g.edges {
 				gs.Edges[edgeKey(e)] = n
 			}
 			s.Guest = gs
 		}
-		if t := c.Taint; t != nil && t.shadow != nil {
+		if t := c.Taint; t != nil && t.pages != nil {
+			occ := t.regOccupancy()
 			ts := &TaintSnap{
 				ClassWrites: map[string]uint64{},
-				RegOcc:      append([]uint64(nil), t.regOcc[:]...),
+				RegOcc:      occ[:],
 				Retires:     t.retires,
 				Churn:       t.ChurnTotal(),
 			}

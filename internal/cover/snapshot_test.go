@@ -26,12 +26,7 @@ func fullCover(t *testing.T) *Cover {
 	hi, li := l.MustTag(core.ClassHI), l.MustTag(core.ClassLI)
 	c.Taint.Configure(base, 64, l, li)
 	c.Taint.OnStore(base+8, 4, hi)
-	var regs [32]core.Word
-	for i := range regs {
-		regs[i].T = li
-	}
-	regs[5].T = hi
-	c.Taint.OnRetireRegs(&regs)
+	c.Taint.OnRetire(5, hi)
 
 	pol := core.NewPolicy(l, li).
 		WithFetchClearance(hi).

@@ -195,6 +195,14 @@ func (o *Observer) emit(ev core.TaintEvent) uint64 {
 		}
 		o.ring[idx] = ev
 	} else {
+		if idx >= cap(o.ring) {
+			// Double the ring, up to its capacity: append alone grows a
+			// slice this large by about a quarter at a time, which copies
+			// the events several times over while the ring fills.
+			grown := make([]core.TaintEvent, len(o.ring), min(2*cap(o.ring), o.opts.RingCapacity))
+			copy(grown, o.ring)
+			o.ring = grown
+		}
 		for len(o.ring) < idx {
 			o.ring = append(o.ring, core.TaintEvent{})
 		}

@@ -3,10 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vpdift/internal/core"
+	"vpdift/internal/tlm"
 )
 
 const secret core.Tag = 1 // any non-default tag
@@ -140,6 +143,30 @@ func TestRingEviction(t *testing.T) {
 		if ev.Seq == 0 {
 			t.Errorf("Events()[%d] is a hole", i)
 		}
+	}
+}
+
+// TestRingGrowthDoubles bounds what filling the ring allocates: the slice
+// doubles up to its capacity, so the copies left behind add up to less than
+// one more ring, and it ends at exactly the capacity.
+func TestRingGrowthDoubles(t *testing.T) {
+	o := New()
+	sink := o.BusSink("dev")
+	tr := tlm.Transaction{Cmd: tlm.Read, Data: []core.TByte{{V: 1}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < DefaultRingCapacity; i++ {
+		sink(tr)
+	}
+	runtime.ReadMemStats(&after)
+	if len(o.ring) != DefaultRingCapacity || cap(o.ring) != DefaultRingCapacity {
+		t.Errorf("ring len %d cap %d after %d events, want both %d", len(o.ring), cap(o.ring),
+			DefaultRingCapacity, DefaultRingCapacity)
+	}
+	ring := uint64(DefaultRingCapacity) * uint64(unsafe.Sizeof(core.TaintEvent{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*ring {
+		t.Errorf("filling the ring allocated %.1f MiB, want at most %.1f (twice the ring)",
+			float64(got)/(1<<20), float64(2*ring)/(1<<20))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -325,59 +326,73 @@ func RunRowCfg(w Workload, tlmMem bool) (Row, error) {
 // code can do rather than what the host happened to allow. The CI perf
 // guard uses reps=3 so a single contended run cannot fail the build.
 func RunRowBest(w Workload, tlmMem bool, reps int) (Row, error) {
-	return RunRowConfig(w, RowConfig{TLMMem: tlmMem, Reps: reps})
-}
-
-// RowConfig selects the conditions RunRowConfig measures under.
-type RowConfig struct {
-	TLMMem bool
-	Reps   int
-	// FlightOff measures every flavour with the flight recorder disabled.
-	// The default prices the platform as shipped (recorder on).
-	FlightOff bool
-}
-
-// RunRowConfig measures one workload's flavours under the given config.
-func RunRowConfig(w Workload, cfg RowConfig) (Row, error) {
-	tlmMem, reps := cfg.TLMMem, cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	best := func(o Options) (Measurement, error) {
-		var m Measurement
-		n := reps
-		for r := 0; r < n; r++ {
-			got, err := RunOnceOpts(w, o)
-			if err != nil {
-				return Measurement{}, err
-			}
-			if r == 0 || got.Wall < m.Wall {
-				m = got
-			}
-			if r == 0 && reps > 1 && got.Wall < 200*time.Millisecond {
-				// Sub-200ms workloads are dominated by scheduling noise; a
-				// single contended slice skews the whole measurement. Triple
-				// the repetitions — the extra runs cost well under a second.
-				n = reps * 3
-			}
-		}
-		return m, nil
-	}
-	vp, err := best(Options{FlightOff: cfg.FlightOff})
+	vp, err := bestOf(w, reps, Options{})
 	if err != nil {
 		return Row{}, err
 	}
-	vpp, err := best(Options{DIFT: true, TLMMem: tlmMem, FlightOff: cfg.FlightOff})
+	vpp, err := bestOf(w, reps, Options{DIFT: true, TLMMem: tlmMem})
 	if err != nil {
 		return Row{}, err
 	}
+	return newRow(w, vp[0], vpp[0]), nil
+}
+
+// RunRowFlightPair measures one workload's flavours with the flight
+// recorder on (as shipped) and off. Each repetition runs all four
+// configurations back to back, alternating their order, so they see the
+// same host conditions and the on/off difference prices the recorder
+// rather than host drift between two phases.
+func RunRowFlightPair(w Workload, tlmMem bool, reps int) (on, off Row, err error) {
+	m, err := bestOf(w, reps,
+		Options{}, Options{FlightOff: true},
+		Options{DIFT: true, TLMMem: tlmMem}, Options{DIFT: true, TLMMem: tlmMem, FlightOff: true})
+	if err != nil {
+		return Row{}, Row{}, err
+	}
+	return newRow(w, m[0], m[2]), newRow(w, m[1], m[3]), nil
+}
+
+func newRow(w Workload, vp, vpp Measurement) Row {
 	return Row{
 		Name:   w.Name,
 		Instr:  vp.Instr,
 		LoCASM: w.Build().TextWords(),
 		VP:     vp,
 		VPPlus: vpp,
-	}, nil
+	}
+}
+
+// bestOf runs w under each of opts reps times, interleaving the
+// configurations within every repetition (alternating their order), and
+// keeps the fastest measurement per configuration (see RunRowBest).
+func bestOf(w Workload, reps int, opts ...Options) ([]Measurement, error) {
+	if reps < 1 {
+		reps = 1
+	}
+	best := make([]Measurement, len(opts))
+	n := reps
+	for r := 0; r < n; r++ {
+		for k := range opts {
+			j := k
+			if r%2 == 1 {
+				j = len(opts) - 1 - k
+			}
+			got, err := RunOnceOpts(w, opts[j])
+			if err != nil {
+				return nil, err
+			}
+			if r == 0 || got.Wall < best[j].Wall {
+				best[j] = got
+			}
+		}
+		if r == 0 && reps > 1 && slices.ContainsFunc(best, func(m Measurement) bool { return m.Wall < 200*time.Millisecond }) {
+			// Sub-200ms workloads are dominated by scheduling noise; a
+			// single contended slice skews the whole measurement. Triple
+			// the repetitions — the extra runs cost well under a second.
+			n = reps * 3
+		}
+	}
+	return best, nil
 }
 
 // ReportRow is one Table II row in the machine-readable report.

@@ -73,27 +73,35 @@ type Core struct {
 	// rd aliased rs1.
 	FR     *flight.Recorder
 	frAddr uint32
+
+	// mmio is the payload MMIO loads and stores reuse. The bus hands it to
+	// its targets through an interface, so a payload on the stack would
+	// escape: one heap allocation per device access, which a guest polling
+	// a status register turns into megabytes per run.
+	mmio tlm.Payload
 }
 
 // NewCore builds a baseline core over plain RAM and a bus for MMIO. The
 // core registers a write hook on the RAM so that bus-initiated writes (DMA,
-// TLM transactions) invalidate its predecoded-instruction cache.
+// TLM transactions) invalidate its predecoded-instruction cache. The cache
+// starts empty; SizeDecodeCache sizes it to the program.
 func NewCore(ram *mem.PlainMemory, ramBase uint32, bus *tlm.Bus) *Core {
 	c := &Core{
 		ram:     ram.Data(),
 		ramBase: ramBase,
 		ramSize: ram.Size(),
 		bus:     bus,
-		ic:      newICache(ram.Size()),
 		irqPoll: true,
 	}
 	ram.AddWriteHook(c.InvalidateDecodeCache)
 	return c
 }
 
-// DisableDecodeCache turns the predecoded-instruction cache off: every
-// fetch decodes from RAM bytes again. For ablation benchmarks.
-func (c *Core) DisableDecodeCache() { c.ic = icache{} }
+// SizeDecodeCache gives the predecoded-instruction cache one entry per RAM
+// word in byte offsets [0, end), dropping any entries it held; fetches past
+// end decode uncached, so end 0 turns the cache off. soc.Load sizes it to
+// the loaded image. Call it before Run.
+func (c *Core) SizeDecodeCache(end uint32) { c.ic = newICache(min(end, c.ramSize)) }
 
 // InvalidateDecodeCache drops predecoded entries covering RAM byte offsets
 // [start, end). It is registered as the RAM write hook and may be called by
@@ -492,8 +500,9 @@ func (c *Core) load(addr uint32, size uint32, delay *kernel.Time, pc uint32) (ui
 				uint32(c.ram[off+2])<<16 | uint32(c.ram[off+3])<<24, nil
 		}
 	}
-	p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
+	p := &c.mmio
+	*p = tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+	c.bus.Transport(p, delay)
 	if p.Resp != tlm.OK {
 		return 0, &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
 	}
@@ -522,8 +531,9 @@ func (c *Core) store(addr, val uint32, size uint32, delay *kernel.Time, pc uint3
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val >> (8 * j))}
 	}
-	p := tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
+	p := &c.mmio
+	*p = tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+	c.bus.Transport(p, delay)
 	if p.Resp != tlm.OK {
 		return &BusError{What: "store " + p.Resp.String(), Addr: addr, PC: pc}
 	}

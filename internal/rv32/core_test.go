@@ -40,6 +40,7 @@ func buildPlain(t *testing.T, src string) (*Core, *asm.Image, *mem.PlainMemory) 
 	}
 	bus := tlm.NewBus()
 	c := NewCore(ram, testRAMBase, bus)
+	c.SizeDecodeCache(img.End() - testRAMBase)
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 		if p.Cmd == tlm.Write {
 			c.Halted = true
@@ -523,6 +524,7 @@ _start:
 		t.Fatal(err)
 	}
 	c = NewCore(ram, testRAMBase, bus)
+	c.SizeDecodeCache(img2.End() - testRAMBase)
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 		c.Halted = true
 		p.Resp = tlm.OK
@@ -662,6 +664,7 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 		}
 		bus := tlm.NewBus()
 		tc := NewTaintCore(ram, testRAMBase, bus, pol)
+		tc.SizeDecodeCache(img.End() - testRAMBase)
 		bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 			tc.Halted = true
 			p.Resp = tlm.OK

@@ -7,7 +7,10 @@ import "vpdift/internal/core"
 // the same text words; real VPs (the original riscv-vp among them) eliminate
 // that with an instruction cache over the DMI region, and this is the Go
 // analog: a direct-mapped array with one entry per word-aligned RAM word,
-// indexed by (pc - ramBase) >> 2.
+// indexed by (pc - ramBase) >> 2. soc.Load sizes it to the loaded image,
+// where every guest keeps its code and stack, so a platform pays for the
+// words its guest can execute rather than the whole RAM window; a fetch
+// past the end takes the uncached path.
 //
 // Correctness rests on write invalidation. Every path that can change RAM
 // contents (or, on the VP+, RAM byte *tags*) drops the covered entries:
@@ -63,9 +66,10 @@ type icache struct {
 	fills uint64 // decode-cache miss count (each fill is one slow decode)
 }
 
-// newICache sizes the cache to cover a RAM of ramSize bytes.
-func newICache(ramSize uint32) icache {
-	return icache{ents: make([]icEntry, ramSize/4), lo: ^uint32(0)}
+// newICache sizes the cache to cover the whole words in the first size
+// bytes of RAM.
+func newICache(size uint32) icache {
+	return icache{ents: make([]icEntry, size/4), lo: ^uint32(0)}
 }
 
 // noteFill extends the watermark over the word at byte offset off.

@@ -58,6 +58,9 @@ func TestSelfModifyingCodePlainCore(t *testing.T) {
 			if got := c.Regs[10]; got != 0x17 {
 				t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
 			}
+			if c.DecodeCacheFills() == 0 {
+				t.Error("no decode-cache fills: the test ran uncached")
+			}
 		})
 	}
 }
@@ -80,6 +83,9 @@ func TestSelfModifyingCodeTaintCore(t *testing.T) {
 			}
 			if got := r.c.Regs[10].V; got != 0x17 {
 				t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
+			}
+			if r.c.DecodeCacheFills() == 0 {
+				t.Error("no decode-cache fills: the test ran uncached")
 			}
 		})
 	}
@@ -115,7 +121,7 @@ func TestSelfModifyingCodeWithCacheDisabled(t *testing.T) {
 	// The ablation configuration (always-decode slow path) must of course
 	// see the new bytes too.
 	c, _, _ := buildPlain(t, smcPatchBody("nop"))
-	c.DisableDecodeCache()
+	c.SizeDecodeCache(0)
 	var delay kernel.Time
 	n, st, err := c.Run(1_000_000, &delay)
 	if err != nil {

@@ -47,6 +47,7 @@ func buildTaint(t *testing.T, src string, pol *core.Policy) *taintRig {
 	}
 	bus := tlm.NewBus()
 	c := NewTaintCore(ram, testRAMBase, bus, pol)
+	c.SizeDecodeCache(img.End() - testRAMBase)
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 		c.Halted = true
 		p.Resp = tlm.OK
@@ -514,6 +515,7 @@ _start:
 	}
 	bus := tlm.NewBus()
 	c := NewTaintCore(ram, testRAMBase, bus, pol)
+	c.SizeDecodeCache(img.End() - testRAMBase)
 	var seenTag core.Tag
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 		c.Halted = true

@@ -126,10 +126,14 @@ type TaintCore struct {
 	defBranchOK bool
 	defMemOK    bool
 	pinned      bool
+
+	// mmio is the payload MMIO loads and stores reuse; see Core.mmio.
+	mmio tlm.Payload
 }
 
 // NewTaintCore builds a DIFT core over tainted RAM, enforcing the policy.
-// The policy must have been validated against its lattice.
+// The policy must have been validated against its lattice. The decode
+// cache starts empty; SizeDecodeCache sizes it to the program.
 func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Policy) *TaintCore {
 	c := &TaintCore{
 		ram:     ram.Data(),
@@ -148,7 +152,6 @@ func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Polic
 		memAddrClear: pol.Exec.MemAddr,
 		hasRegions:   len(pol.Regions) > 0,
 
-		ic:      newICache(ram.Size()),
 		irqPoll: true,
 	}
 	for _, r := range pol.Regions {
@@ -168,9 +171,9 @@ func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Polic
 	return c
 }
 
-// DisableDecodeCache turns the predecoded-instruction cache off: every
-// fetch folds byte tags and decodes again. For ablation benchmarks.
-func (c *TaintCore) DisableDecodeCache() { c.ic = icache{} }
+// SizeDecodeCache sizes the predecoded-instruction cache to the RAM words
+// in byte offsets [0, end); see Core.SizeDecodeCache.
+func (c *TaintCore) SizeDecodeCache(end uint32) { c.ic = newICache(min(end, c.ramSize)) }
 
 // DecodeCacheFills reports how many predecoded-cache slots have been filled
 // (i.e. slow-path decodes); the metrics exporter pairs it with Instret to
@@ -210,6 +213,11 @@ func (c *TaintCore) PendingIRQ() bool { return c.mie.V&c.mip != 0 }
 func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
 	if c.bstate == nil {
 		c.armFlagCaches()
+	}
+	if c.Cov != nil && c.Cov.Taint != nil {
+		// Register occupancy follows each retire's rd; catch up with any
+		// register written since the last Run.
+		c.Cov.Taint.SyncRegs(&c.Regs)
 	}
 	for n < max {
 		if c.Halted {
@@ -651,9 +659,10 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 }
 
 // coverStep feeds the tag- and policy-dependent coverage views for one
-// retired instruction: taint heatmap samples (store sites and the register
-// file — safe post-switch because stores never write back a register, so
-// Regs[rs1]/Regs[rs2] still hold the address base and data tag) and the
+// retired instruction: taint heatmap samples (store sites — safe
+// post-switch because stores never write back a register, so
+// Regs[rs1]/Regs[rs2] still hold the address base and data tag — and, for
+// register occupancy, rd, the only register a retire can change) and the
 // policy audit's per-clearance-point check counts. Guest block/edge
 // coverage reads the flight stream instead. Called from step behind a
 // single Cov guard, like observeStep, so the disabled hot loop pays one
@@ -664,7 +673,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 func (c *TaintCore) coverStep(i Inst) {
 	cv := c.Cov
 	if t := cv.Taint; t != nil {
-		t.OnRetireRegs(&c.Regs)
+		t.OnRetire(i.Rd, c.Regs[i.Rd].T)
 		switch i.Op {
 		case OpSB:
 			t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 1, c.Regs[i.Rs2].T)
@@ -848,8 +857,9 @@ func (c *TaintCore) load(i Inst, delay *kernel.Time, pc uint32) error {
 			}
 		}
 	} else {
-		p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-		c.bus.Transport(&p, delay)
+		p := &c.mmio
+		*p = tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+		c.bus.Transport(p, delay)
 		if p.Resp != tlm.OK {
 			return &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
 		}
@@ -937,8 +947,9 @@ func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) er
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val.V >> (8 * j)), T: val.T}
 	}
-	p := tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
+	p := &c.mmio
+	*p = tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+	c.bus.Transport(p, delay)
 	if p.Resp != tlm.OK {
 		return &BusError{What: "store " + p.Resp.String(), Addr: addr, PC: pc}
 	}

@@ -180,3 +180,41 @@ func TestCoverDisabledParity(t *testing.T) {
 		t.Errorf("UART output diverges")
 	}
 }
+
+// TestTaintSeedCoversClassifiedRegions: Load seeds the taint heatmap from
+// the image and the classification regions only, so every byte it tags —
+// a region past the image and one clipped at the end of RAM included —
+// must count as ever-tainted, and nothing else.
+func TestTaintSeedCoversClassifiedRegions(t *testing.T) {
+	img, err := guest.Program(coverSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ramSize = 1 << 20
+	l := core.IFP1()
+	lc, hc := l.MustTag(core.ClassLC), l.MustTag(core.ClassHC)
+	key := (img.End() + 0x1000) &^ 0xfff
+	pol := core.NewPolicy(l, lc).
+		WithRegion(core.RegionRule{Name: "image", Start: img.Base, End: img.End(), Classify: true, Class: hc}).
+		WithRegion(core.RegionRule{Name: "key", Start: key - 8, End: key + 56, Classify: true, Class: hc}).
+		WithRegion(core.RegionRule{Name: "tail", Start: soc.RAMBase + ramSize - 8, End: soc.RAMBase + ramSize + 8, Classify: true, Class: hc})
+	cv := cover.New()
+	pl, err := soc.New(soc.Config{Policy: pol, Cover: cv, RAMSize: ramSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Shutdown()
+	if err := pl.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	want := pl.TaintSummary()["HC"]
+	if want != uint64(img.End()-img.Base)+64+8 {
+		t.Fatalf("RAM holds %d HC bytes, want the image, key and tail", want)
+	}
+	if got := cv.Taint.EverTainted(); got != want {
+		t.Errorf("heatmap seeded %d ever-tainted bytes, RAM holds %d HC bytes", got, want)
+	}
+	if got := cv.Taint.ChurnTotal(); got != 0 {
+		t.Errorf("seeding counted %d tag changes", got)
+	}
+}

@@ -250,9 +250,6 @@ func New(cfg Config) (*Platform, error) {
 	if pol == nil {
 		pl.plainRAM = mem.NewPlain(cfg.RAMSize)
 		pl.Core = rv32.NewCore(pl.plainRAM, RAMBase, pl.Bus)
-		if cfg.NoDecodeCache {
-			pl.Core.DisableDecodeCache()
-		}
 		setIRQ = func(line uint32, level bool) {
 			pl.Core.SetIRQ(line, level)
 			if level {
@@ -266,9 +263,6 @@ func New(cfg Config) (*Platform, error) {
 		pl.ram = mem.New(cfg.RAMSize, pol.Default)
 		pl.TaintCore = rv32.NewTaintCore(pl.ram, RAMBase, pl.Bus, pol)
 		pl.TaintCore.ForceBusMem = cfg.TaintMemViaTLM
-		if cfg.NoDecodeCache {
-			pl.TaintCore.DisableDecodeCache()
-		}
 		setIRQ = func(line uint32, level bool) {
 			pl.TaintCore.SetIRQ(line, level)
 			if level {
@@ -595,6 +589,15 @@ func (pl *Platform) Load(img *asm.Image) error {
 	if cv := pl.cfg.Cover; cv != nil && cv.Guest != nil {
 		cv.Guest.SetImage(img)
 	}
+	// The decode cache covers the image, where every guest keeps its code
+	// and stack; fetches past it decode uncached.
+	if !pl.cfg.NoDecodeCache {
+		if pl.Core != nil {
+			pl.Core.SizeDecodeCache(img.End() - RAMBase)
+		} else {
+			pl.TaintCore.SizeDecodeCache(img.End() - RAMBase)
+		}
+	}
 	if pl.Core != nil {
 		if err := pl.plainRAM.Load(offset, flat); err != nil {
 			return err
@@ -638,8 +641,20 @@ func (pl *Platform) Load(img *asm.Image) error {
 	}
 	// Seed the taint heatmap's shadow tags from the classified RAM so the
 	// classification roots count as ever-tainted without counting as churn.
+	// The image and the classification regions are the only bytes tagged
+	// above; the rest of RAM holds the default tag the heatmap assumes.
 	if cv := pl.cfg.Cover; cv != nil && cv.Taint != nil {
-		cv.Taint.InitFromRAM(data)
+		cv.Taint.InitFromRAM(data[offset:offset+uint32(len(flat))], offset)
+		n := uint32(len(data))
+		for i := range pol.Regions {
+			if r := &pol.Regions[i]; r.Classify {
+				lo := min(max(r.Start, RAMBase)-RAMBase, n)
+				hi := min(max(r.End, RAMBase)-RAMBase, n)
+				if lo < hi {
+					cv.Taint.InitFromRAM(data[lo:hi], lo)
+				}
+			}
+		}
 	}
 	// The image and classification rules were written through the raw Data()
 	// slice, which bypasses the RAM write hooks; drop the core's caches

@@ -31,10 +31,14 @@ func (t Transaction) String() string {
 //
 // Keep records small: every transaction copies its payload.
 type Monitor struct {
-	target  Target
-	sim     *kernel.Simulator
-	limit   int
-	log     []Transaction
+	target Target
+	sim    *kernel.Simulator
+	limit  int
+	log    []Transaction
+	// buf backs a capped log: log is a window into it that slides forward
+	// as records are dropped and moves back to the front when it reaches
+	// the end, so the log never reallocates.
+	buf     []Transaction
 	dropped uint64
 	// OnTransaction, when set, is invoked for every completed access.
 	OnTransaction func(Transaction)
@@ -57,6 +61,12 @@ func (m *Monitor) Transport(p *Payload, delay *kernel.Time) {
 	}
 	if m.sim != nil {
 		tr.At = m.sim.Now()
+	}
+	if m.limit > 0 && len(m.log) == cap(m.log) {
+		if m.buf == nil {
+			m.buf = make([]Transaction, 0, 2*m.limit)
+		}
+		m.log = m.buf[:copy(m.buf[:len(m.log)], m.log)]
 	}
 	m.log = append(m.log, tr)
 	if m.limit > 0 && len(m.log) > m.limit {

@@ -112,3 +112,34 @@ func TestMonitorUnlimited(t *testing.T) {
 		t.Errorf("unlimited log length = %d", len(mon.Log()))
 	}
 }
+
+// TestMonitorLimitKeepsLog checks that a capped log keeps its backing array
+// (a transaction costs one allocation, the copy of its data) and still holds
+// the newest records in order.
+func TestMonitorLimitKeepsLog(t *testing.T) {
+	dev := TargetFunc(func(p *Payload, d *kernel.Time) { p.Resp = OK })
+	for _, limit := range []int{1, 4} {
+		mon := NewMonitor(dev, nil, limit)
+		p := &Payload{Cmd: Read, Data: make([]core.TByte, 4)}
+		var delay kernel.Time
+		next := uint32(0)
+		step := func() {
+			p.Addr = next
+			next++
+			mon.Transport(p, &delay)
+		}
+		step()
+		if n := testing.AllocsPerRun(100, step); n > 1 {
+			t.Errorf("limit %d: Transport allocated %v times per call, want 1", limit, n)
+		}
+		log := mon.Log()
+		if len(log) != limit || mon.Dropped() != uint64(int(next)-limit) {
+			t.Fatalf("limit %d: %d records, %d dropped after %d transactions", limit, len(log), mon.Dropped(), next)
+		}
+		for i, tr := range log {
+			if want := next - uint32(limit-i); tr.Addr != want {
+				t.Errorf("limit %d: record %d has addr %d, want %d", limit, i, tr.Addr, want)
+			}
+		}
+	}
+}

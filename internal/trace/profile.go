@@ -38,12 +38,14 @@ type profFrame struct {
 type Profiler struct {
 	img *asm.Image
 
-	// Flat histogram: counts[i] covers pc base+4*i; far catches retires
-	// outside [base, base+4*len(counts)) (should not happen on this SoC).
-	base   uint32
-	counts []uint64
-	far    map[uint32]uint64
-	total  uint64
+	// Flat histogram: counts[i] covers pc lo+4*i, over the part of the
+	// image inside the window [base, base+size); far catches every other
+	// retire (code run outside the image).
+	base, size uint32
+	lo         uint32
+	counts     []uint64
+	far        map[uint32]uint64
+	total      uint64
 
 	// Call tracking state.
 	pendingCall bool
@@ -55,21 +57,31 @@ type Profiler struct {
 	lastFlush   uint64
 }
 
-// NewProfiler creates a profiler covering the pc window [base, base+size).
-// size is in bytes and rounded up to a word; retires outside the window fall
-// back to a map.
+// NewProfiler creates a profiler for the pc window [base, base+size), size
+// in bytes. It allocates no histogram: SetImage sizes the flat counters to
+// the part of the loaded image inside the window, and every other retire
+// falls back to a map.
 func NewProfiler(base, size uint32) *Profiler {
 	return &Profiler{
 		base:   base,
-		counts: make([]uint64, (size+3)/4),
+		size:   size,
 		far:    make(map[uint32]uint64),
 		cum:    make(map[uint32]uint64),
 		folded: make(map[string]uint64),
 	}
 }
 
-// SetImage attaches the loaded guest image for report-time symbolization.
-func (p *Profiler) SetImage(img *asm.Image) { p.img = img }
+// SetImage attaches the loaded guest image for report-time symbolization
+// and sizes the flat histogram to it. Call it before the first retire.
+func (p *Profiler) SetImage(img *asm.Image) {
+	p.img = img
+	lo := max(img.Base, p.base) &^ 3
+	hi := min(uint64(img.End()), uint64(p.base)+uint64(p.size))
+	p.lo, p.counts = lo, nil
+	if uint64(lo) < hi {
+		p.counts = make([]uint64, (hi-uint64(lo)+3)/4)
+	}
+}
 
 // OnRecords is the flight-stream subscriber: it profiles the batch's retire
 // records and skips the platform marks.
@@ -112,7 +124,7 @@ func (p *Profiler) OnRetire(pc, insn uint32) {
 	}
 
 	p.total++
-	if i := (pc - p.base) >> 2; uint64(i) < uint64(len(p.counts)) && pc >= p.base {
+	if i := (pc - p.lo) >> 2; uint64(i) < uint64(len(p.counts)) && pc >= p.lo {
 		p.counts[i]++
 	} else {
 		p.far[pc]++
@@ -206,7 +218,7 @@ func (p *Profiler) funcOf(pc uint32) (string, bool) {
 func (p *Profiler) eachPC(f func(pc uint32, n uint64)) {
 	for i, n := range p.counts {
 		if n != 0 {
-			f(p.base+uint32(i)<<2, n)
+			f(p.lo+uint32(i)<<2, n)
 		}
 	}
 	for pc, n := range p.far {
