@@ -16,7 +16,9 @@
 //	    dedups), await every result, report throughput and percentiles.
 //	vp-load -verify
 //	    functional checks: dedup cache hit, queue-full 429 + Retry-After,
-//	    drain leaves zero sessions and zero leaked goroutines.
+//	    drain leaves zero sessions and zero leaked goroutines, forensic and
+//	    coverage payloads, and a panicking simulation that fails only its
+//	    own session.
 //	vp-load -n 200 -baseline BENCH_serve.json -regress 0.25
 //	    load run plus guard: fail if throughput drops more than -regress
 //	    below the baseline report (the cmd/perf -baseline idiom).
@@ -41,7 +43,9 @@ import (
 
 	"vpdift/internal/cover"
 	"vpdift/internal/flight"
+	"vpdift/internal/kernel"
 	"vpdift/internal/serve"
+	"vpdift/internal/soc"
 	"vpdift/internal/telemetry"
 )
 
@@ -190,6 +194,39 @@ func getJSON(c *http.Client, url string) (int, envelope, error) {
 		return resp.StatusCode, env, err
 	}
 	return resp.StatusCode, env, nil
+}
+
+// createSession POSTs spec and returns the new session's ID; any status but
+// 201 Created is an error.
+func createSession(c *http.Client, base string, spec telemetry.SessionSpec) (string, error) {
+	status, _, env, err := postJSON(c, base+"/api/v1/sessions", spec)
+	if err != nil || status != http.StatusCreated {
+		return "", fmt.Errorf("POST %s/%s: status %d, err %v", spec.Workload, spec.Stimulus, status, err)
+	}
+	var created struct {
+		Session struct {
+			ID string `json:"id"`
+		} `json:"session"`
+	}
+	json.Unmarshal(env.Data, &created)
+	return created.Session.ID, nil
+}
+
+// getOK GETs url and returns the body of its 200 response.
+func getOK(c *http.Client, url string) ([]byte, error) {
+	resp, err := c.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, b)
+	}
+	return b, nil
 }
 
 // loadRun is the closed-loop benchmark, in two phases so the server holds
@@ -353,17 +390,9 @@ func loadRun() error {
 // (request counters, queue-wait observations), and archives the text — the
 // load report's server-side half.
 func captureServerMetrics(c *http.Client, base, path string) error {
-	resp, err := c.Get(base + "/metrics")
+	b, err := getOK(c, base+"/metrics")
 	if err != nil {
-		return fmt.Errorf("vp-load: scrape /metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("vp-load: read /metrics: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("vp-load: /metrics status %d", resp.StatusCode)
+		return fmt.Errorf("vp-load: scrape: %w", err)
 	}
 	text := string(b)
 	if err := telemetry.ValidateExposition(text); err != nil {
@@ -526,17 +555,9 @@ func downloadForensics(c *http.Client, base string, ids []string) error {
 		return err
 	}
 	for _, id := range ids {
-		resp, err := c.Get(base + "/api/v1/sessions/" + id + "/forensics")
+		b, err := getOK(c, base+"/api/v1/sessions/"+id+"/forensics")
 		if err != nil {
 			return fmt.Errorf("vp-load: forensics %s: %w", id, err)
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("vp-load: forensics %s: %w", id, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("vp-load: forensics %s: status %d", id, resp.StatusCode)
 		}
 		if _, err := flight.ValidateBundle(b); err != nil {
 			return fmt.Errorf("vp-load: forensics %s: %w", id, err)
@@ -654,7 +675,90 @@ func verify() error {
 	if err := verifyCover(); err != nil {
 		return fmt.Errorf("vp-load verify (cover): %w", err)
 	}
-	fmt.Fprintln(os.Stderr, "vp-load verify: dedup, backpressure, drain, forensics and cover checks passed")
+	if err := verifyPanic(); err != nil {
+		return fmt.Errorf("vp-load verify (panic): %w", err)
+	}
+	fmt.Fprintln(os.Stderr, "vp-load verify: dedup, backpressure, drain, forensics, cover and panic checks passed")
+	return nil
+}
+
+// verifyPanic runs a session whose simulation panics beside a healthy one.
+// The panic must fail its own session only: the result is marked panicked
+// and keeps a valid forensic bundle, the healthy session completes,
+// /readyz stays 200 and serve.panics_total reads 1. The faulty session is a
+// real micro platform with one extra kernel process that panics 10 µs into
+// the run, submitted with Server.Submit.
+func verifyPanic() error {
+	tg, err := startSelf(2, 64)
+	if err != nil {
+		return err
+	}
+	defer tg.close()
+	c := client()
+
+	cfg, err := serve.NewFactory().Build(telemetry.SessionSpec{Workload: "micro", Stimulus: "verify-panic"})
+	if err != nil {
+		return err
+	}
+	cfg.ID = "faulty"
+	cfg.Platform.(*soc.Platform).Sim.Spawn("faulty", func(p *kernel.Process) {
+		if p.Now() > 0 {
+			panic("vp-load: injected model bug")
+		}
+		p.WakeAfter(10 * kernel.US)
+	})
+	if err := tg.sv.Submit(cfg); err != nil {
+		return err
+	}
+	healthy, err := createSession(c, tg.base, telemetry.SessionSpec{Workload: "micro", Stimulus: "verify-panic-healthy"})
+	if err != nil {
+		return err
+	}
+
+	type result struct {
+		Panicked  bool   `json:"panicked"`
+		Exited    bool   `json:"exited"`
+		Error     string `json:"error"`
+		Forensics bool   `json:"forensics"`
+	}
+	var e atomic.Int64
+	var bad, good result
+	data, ok := awaitResultData(c, tg.base, "faulty", &e)
+	if !ok {
+		return fmt.Errorf("faulty session never finished")
+	}
+	json.Unmarshal(data, &bad)
+	if !bad.Panicked || !bad.Forensics || bad.Error == "" {
+		return fmt.Errorf("faulty result not marked panicked with a bundle: %s", data)
+	}
+	if data, ok = awaitResultData(c, tg.base, healthy, &e); !ok {
+		return fmt.Errorf("healthy session never finished")
+	}
+	json.Unmarshal(data, &good)
+	if good.Panicked || !good.Exited || good.Error != "" {
+		return fmt.Errorf("healthy session did not complete cleanly: %s", data)
+	}
+	if _, err := getOK(c, tg.base+"/readyz"); err != nil {
+		return fmt.Errorf("not ready after a panic: %w", err)
+	}
+	prom, err := getOK(c, tg.base+"/metrics")
+	if err != nil {
+		return err
+	}
+	if !bytes.Contains(prom, []byte("\nvpdift_serve_panics_total 1\n")) {
+		return fmt.Errorf("/metrics does not count the panic as vpdift_serve_panics_total 1")
+	}
+	raw, err := getOK(c, tg.base+"/api/v1/sessions/faulty/forensics")
+	if err != nil {
+		return err
+	}
+	b, err := flight.ValidateBundle(raw)
+	if err != nil {
+		return err
+	}
+	if b.Reason != "panic" {
+		return fmt.Errorf("faulty bundle reason %q, want panic", b.Reason)
+	}
 	return nil
 }
 
@@ -669,19 +773,12 @@ func verifyCover() error {
 	defer tg.close()
 	c := client()
 
-	status, _, env, err := postJSON(c, tg.base+"/api/v1/sessions",
-		telemetry.SessionSpec{Workload: "wk-3", Stimulus: "verify-cover", Cover: true})
-	if err != nil || status != http.StatusCreated {
-		return fmt.Errorf("POST covered wk-3: status %d, err %v", status, err)
+	id, err := createSession(c, tg.base, telemetry.SessionSpec{Workload: "wk-3", Stimulus: "verify-cover", Cover: true})
+	if err != nil {
+		return err
 	}
-	var created struct {
-		Session struct {
-			ID string `json:"id"`
-		} `json:"session"`
-	}
-	json.Unmarshal(env.Data, &created)
 	var e atomic.Int64
-	data, ok := awaitResultData(c, tg.base, created.Session.ID, &e)
+	data, ok := awaitResultData(c, tg.base, id, &e)
 	if !ok {
 		return fmt.Errorf("covered wk-3 session never finished")
 	}
@@ -723,19 +820,12 @@ func verifyForensics() error {
 	defer tg.close()
 	c := client()
 
-	status, _, env, err := postJSON(c, tg.base+"/api/v1/sessions",
-		telemetry.SessionSpec{Workload: "wk-3", Stimulus: "verify-forensics"})
-	if err != nil || status != http.StatusCreated {
-		return fmt.Errorf("POST wk-3: status %d, err %v", status, err)
+	id, err := createSession(c, tg.base, telemetry.SessionSpec{Workload: "wk-3", Stimulus: "verify-forensics"})
+	if err != nil {
+		return err
 	}
-	var created struct {
-		Session struct {
-			ID string `json:"id"`
-		} `json:"session"`
-	}
-	json.Unmarshal(env.Data, &created)
 	var e atomic.Int64
-	data, ok := awaitResultData(c, tg.base, created.Session.ID, &e)
+	data, ok := awaitResultData(c, tg.base, id, &e)
 	if !ok {
 		return fmt.Errorf("wk-3 session never finished")
 	}
@@ -750,17 +840,9 @@ func verifyForensics() error {
 	if !res.Forensics {
 		return fmt.Errorf("wk-3 result reports no forensic bundle: %s", data)
 	}
-	resp, err := c.Get(tg.base + "/api/v1/sessions/" + created.Session.ID + "/forensics")
+	raw, err := getOK(c, tg.base+"/api/v1/sessions/"+id+"/forensics")
 	if err != nil {
 		return err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("forensics endpoint: status %d: %s", resp.StatusCode, raw)
 	}
 	b, err := flight.ValidateBundle(raw)
 	if err != nil {
@@ -783,21 +865,15 @@ func verifyDedup() error {
 	c := client()
 	spec := telemetry.SessionSpec{Workload: "micro", Stimulus: "verify-dedup"}
 
-	status, _, env, err := postJSON(c, tg.base+"/api/v1/sessions", spec)
-	if err != nil || status != http.StatusCreated {
-		return fmt.Errorf("first POST: status %d, err %v", status, err)
+	id, err := createSession(c, tg.base, spec)
+	if err != nil {
+		return err
 	}
-	var created struct {
-		Session struct {
-			ID string `json:"id"`
-		} `json:"session"`
-	}
-	json.Unmarshal(env.Data, &created)
 	var e atomic.Int64
-	if !awaitResult(c, tg.base, created.Session.ID, &e) {
+	if !awaitResult(c, tg.base, id, &e) {
 		return fmt.Errorf("first session never finished")
 	}
-	status, _, env, err = postJSON(c, tg.base+"/api/v1/sessions", spec)
+	status, _, env, err := postJSON(c, tg.base+"/api/v1/sessions", spec)
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("second POST: status %d, err %v (want 200 cached)", status, err)
 	}
@@ -876,18 +952,11 @@ func verifyDrain() error {
 	var e atomic.Int64
 	ids := make([]string, 0, 20)
 	for i := 0; i < 20; i++ {
-		status, _, env, err := postJSON(c, tg.base+"/api/v1/sessions",
-			telemetry.SessionSpec{Workload: "micro", Stimulus: fmt.Sprintf("drain-%d", i)})
-		if err != nil || status != http.StatusCreated {
-			return fmt.Errorf("POST %d: status %d, err %v", i, status, err)
+		id, err := createSession(c, tg.base, telemetry.SessionSpec{Workload: "micro", Stimulus: fmt.Sprintf("drain-%d", i)})
+		if err != nil {
+			return err
 		}
-		var created struct {
-			Session struct {
-				ID string `json:"id"`
-			} `json:"session"`
-		}
-		json.Unmarshal(env.Data, &created)
-		ids = append(ids, created.Session.ID)
+		ids = append(ids, id)
 	}
 	for _, id := range ids {
 		if !awaitResult(c, tg.base, id, &e) {

@@ -306,7 +306,10 @@ func main() {
 		writeForensics(*forensicsDir, name, b)
 	}
 
-	var v *core.Violation
+	var (
+		v  *core.Violation
+		pe *kernel.PanicError
+	)
 	switch {
 	case errors.As(runErr, &v):
 		fmt.Fprintf(os.Stderr, "\nSECURITY VIOLATION: %v\n", v)
@@ -325,6 +328,11 @@ func main() {
 				v.ProvenanceReport(annotate))
 		}
 		os.Exit(3)
+	case errors.As(runErr, &pe):
+		// A bug in the simulator, not in the guest: the stack is what a
+		// bug report needs.
+		fmt.Fprintf(os.Stderr, "\nerror: %v\n\n%s", pe, pe.Stack)
+		os.Exit(1)
 	case runErr != nil:
 		fmt.Fprintf(os.Stderr, "\nerror: %v\n", runErr)
 		os.Exit(1)

@@ -2,22 +2,15 @@ package kernel
 
 import "testing"
 
-// A daemon thread alone must not keep an unbounded Run alive: once the
+// A daemon process alone must not keep an unbounded Run alive: once the
 // regular work drains, Run(Forever) returns exactly as if the queue were
 // empty, with the daemon's next wake-up still queued.
 func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	ticks := 0
-	s.SpawnDaemon("sampler", func(p *Proc) {
-		for {
-			p.Wait(10)
-			ticks++
-		}
-	})
-	s.Spawn("worker", func(p *Proc) {
-		p.Wait(35)
-	})
+	s.SpawnDaemon("sampler", periodic(10, func(*Process) { ticks++ }))
+	s.Spawn("worker", seq(func(p *Process) { p.WakeAfter(35) }))
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +32,9 @@ func TestDaemonTicksThroughIdleHorizon(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	var stamps []Time
-	s.SpawnDaemon("sampler", func(p *Proc) {
-		for {
-			p.Wait(10)
-			stamps = append(stamps, p.Now())
-		}
-	})
+	s.SpawnDaemon("sampler", periodic(10, func(p *Process) {
+		stamps = append(stamps, p.Now())
+	}))
 	if err := s.Run(45); err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +59,10 @@ func TestDaemonResumesAfterUnboundedRun(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	var stamps []Time
-	s.SpawnDaemon("sampler", func(p *Proc) {
-		for {
-			p.Wait(10)
-			stamps = append(stamps, p.Now())
-		}
-	})
-	s.Spawn("worker", func(p *Proc) { p.Wait(5) })
+	s.SpawnDaemon("sampler", periodic(10, func(p *Process) {
+		stamps = append(stamps, p.Now())
+	}))
+	s.Spawn("worker", seq(func(p *Process) { p.WakeAfter(5) }))
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +93,11 @@ func TestDaemonStopsWithSimulation(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	ticks := 0
-	s.SpawnDaemon("sampler", func(p *Proc) {
-		for {
-			p.Wait(10)
-			ticks++
-		}
-	})
-	s.Spawn("stopper", func(p *Proc) {
-		p.Wait(25)
-		p.Stop()
-	})
+	s.SpawnDaemon("sampler", periodic(10, func(*Process) { ticks++ }))
+	s.Spawn("stopper", seq(
+		func(p *Process) { p.WakeAfter(25) },
+		func(*Process) { s.Stop() },
+	))
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}

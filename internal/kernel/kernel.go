@@ -2,23 +2,25 @@
 // the Go substitute for the SystemC simulation kernel used by the paper's
 // virtual prototype.
 //
-// The execution model mirrors SystemC's: a set of cooperative processes
-// advance a shared simulated clock. Thread processes (the analog of
-// SC_THREAD) are goroutines that run exclusively — exactly one process or the
-// scheduler itself executes at any instant — and yield by calling Wait or
-// WaitEvent. Timed callbacks (the analog of SC_METHOD sensitivity) can be
-// scheduled with After/At. Events support delayed notification like
-// sc_event::notify(delay).
+// The execution model mirrors SystemC's SC_METHOD processes: a process is a
+// named callback that runs to completion each time the scheduler dispatches
+// it and re-arms itself with WakeAfter (next_trigger(d)) or WakeOn
+// (next_trigger(event)). A process that returns without re-arming is
+// finished. Timed plain callbacks can be scheduled with After/At. Events
+// support delayed notification like sc_event::notify(delay).
 //
 // Determinism: all runnable work is ordered by (timestamp, schedule sequence
 // number), so repeated simulations of the same model produce identical
-// traces. There is no real concurrency; goroutines are used purely as
-// coroutines.
+// traces. Everything runs on the goroutine that calls Run, which is also
+// where a panic in any process or callback ends up: Run recovers it and
+// stops the simulation with a *PanicError.
 package kernel
 
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 )
 
 // Time is simulated time in nanoseconds.
@@ -49,13 +51,13 @@ func (t Time) String() string {
 	}
 }
 
-// workItem is a scheduled unit of execution: either a thread wake-up or a
-// plain callback. Daemon items (wake-ups of daemon threads) never keep the
+// workItem is a scheduled unit of execution: either a process wake-up or a
+// plain callback. Daemon items (wake-ups of daemon processes) never keep the
 // simulation alive on their own — see Run.
 type workItem struct {
 	at     Time
 	seq    uint64
-	thread *Thread
+	proc   *Process
 	fn     func()
 	daemon bool
 }
@@ -86,16 +88,15 @@ func (q *workQueue) Pop() any {
 // into the simulator. A nil tracer costs one predictable branch per hook
 // site, the same discipline as the cores' Tracer/Obs hooks.
 type Tracer interface {
-	// ThreadSpawn: a thread was created (its first run is scheduled at `at`).
+	// ThreadSpawn: a process was created (its first run is scheduled at `at`).
 	ThreadSpawn(name string, at Time)
-	// ThreadRun: the scheduler dispatched the thread at the current time.
+	// ThreadRun: the scheduler dispatched the process at the current time.
 	ThreadRun(name string, at Time)
-	// ThreadPause: the thread yielded back to the scheduler (Wait, WaitEvent,
-	// or body return).
+	// ThreadPause: the process's callback returned to the scheduler.
 	ThreadPause(name string, at Time)
-	// ThreadWake: the thread was scheduled to resume at wakeAt.
+	// ThreadWake: the process was scheduled to run again at wakeAt.
 	ThreadWake(name string, at, wakeAt Time)
-	// EventNotify: an event fired at `at`, waking `waiters` threads at
+	// EventNotify: an event fired at `at`, waking `waiters` processes at
 	// deliverAt.
 	EventNotify(event string, at, deliverAt Time, waiters int)
 	// TimeAdvance: the simulated clock moved from `from` to `to`. Work items
@@ -108,8 +109,8 @@ type Simulator struct {
 	now     Time
 	seq     uint64
 	queue   workQueue
-	live    int // queued non-daemon work items
-	threads []*Thread
+	live    int      // queued non-daemon work items
+	current *Process // the process being dispatched, nil between dispatches
 	stopped bool
 	err     error
 	running bool
@@ -131,8 +132,8 @@ func (s *Simulator) Err() error { return s.err }
 // Stopped reports whether Stop or Fatal has been called.
 func (s *Simulator) Stopped() bool { return s.stopped }
 
-// Stop ends the simulation gracefully: Run returns after the currently
-// executing process yields.
+// Stop ends the simulation gracefully: Run returns once the currently
+// executing process or callback returns.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Fatal stops the simulation with an error; Run returns it. The first fatal
@@ -165,22 +166,56 @@ func (s *Simulator) At(t Time, fn func()) {
 // After schedules fn to run d after the current time.
 func (s *Simulator) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
+// PanicError is the error Run returns when a process or callback panicked.
+// The simulation is stopped where the panic left it; its state stays
+// readable (a platform freezes its forensic bundle from it).
+type PanicError struct {
+	// Process names the panicking process, "" for a plain callback.
+	Process string
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the goroutine's stack at the panic, panicking frames
+	// included.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	if e.Process == "" {
+		return fmt.Sprintf("kernel: callback panicked: %v", e.Value)
+	}
+	return fmt.Sprintf("kernel: process %s panicked: %v", e.Process, e.Value)
+}
+
 // Run executes scheduled work until the horizon is passed, the queue drains,
 // or the simulation is stopped. It returns the fatal error, if any. The clock
 // never advances past `until`; work scheduled later stays queued for a
 // subsequent Run call.
 //
-// Daemon threads (SpawnDaemon) never keep the simulation alive: once only
+// Daemon processes (SpawnDaemon) never keep the simulation alive: once only
 // daemon wake-ups remain queued, an unbounded Run returns exactly as if the
 // queue had drained. Under a finite horizon the remaining daemon items still
 // execute up to the horizon — a periodic sampler keeps ticking through idle
 // stretches the caller explicitly asked to simulate.
-func (s *Simulator) Run(until Time) error {
+//
+// A panic in a process or callback does not escape: Run stops the
+// simulation and returns a *PanicError.
+func (s *Simulator) Run(until Time) (err error) {
 	if s.running {
 		panic("kernel: Run called from inside a process")
 	}
 	s.running = true
-	defer func() { s.running = false }()
+	defer func() {
+		s.running = false
+		if r := recover(); r != nil {
+			pe := &PanicError{Value: r, Stack: debug.Stack()}
+			if s.current != nil {
+				pe.Process = s.current.name
+				s.current = nil
+			}
+			s.Fatal(pe)
+			err = s.err
+		}
+	}()
 
 	for !s.stopped && len(s.queue) > 0 {
 		if s.live == 0 && until == Forever {
@@ -202,8 +237,8 @@ func (s *Simulator) Run(until Time) error {
 			}
 			s.now = next.at
 		}
-		if next.thread != nil {
-			next.thread.dispatch()
+		if next.proc != nil {
+			s.dispatch(next.proc)
 		} else {
 			next.fn()
 		}
@@ -218,28 +253,43 @@ func (s *Simulator) Run(until Time) error {
 	return s.err
 }
 
+// dispatch runs one process callback, then yields to the Go scheduler. At
+// GOMAXPROCS=1 the garbage collector's background mark worker runs only when
+// the simulating goroutine yields; without a yield per dispatch, a long run
+// keeps allocating through a stretched mark phase and overshoots its heap
+// goal.
+func (s *Simulator) dispatch(p *Process) {
+	p.queued = false
+	if s.trace != nil {
+		s.trace.ThreadRun(p.name, s.now)
+	}
+	s.current = p
+	p.fn(p)
+	s.current = nil
+	if s.trace != nil {
+		s.trace.ThreadPause(p.name, s.now)
+	}
+	runtime.Gosched()
+}
+
 // Pending reports whether any work is queued.
 func (s *Simulator) Pending() bool { return len(s.queue) > 0 }
 
-// Shutdown terminates all thread goroutines. It must be called when a
-// simulator is abandoned (tests create many); afterwards the simulator must
-// not be used.
+// Shutdown stops the simulator and drops its queued work; afterwards the
+// simulator must not be used. Processes hold no resources outside the
+// queue, so an abandoned simulator that skips Shutdown leaks nothing.
 func (s *Simulator) Shutdown() {
 	s.stopped = true
-	for _, t := range s.threads {
-		t.kill()
-	}
-	s.threads = nil
 	s.queue = nil
 	s.live = 0
 }
 
-// Event is the analog of sc_event: processes block on it with
-// Proc.WaitEvent, and it is fired with Notify.
+// Event is the analog of sc_event: processes wait on it with
+// Process.WakeOn, and it is fired with Notify.
 type Event struct {
 	s       *Simulator
 	name    string
-	waiters []*Thread
+	waiters []*Process
 }
 
 // NewEvent creates a named event.
@@ -251,186 +301,79 @@ func (e *Event) Name() string { return e.name }
 // Notify wakes all processes currently waiting on the event after the given
 // delay. Like sc_event::notify, processes that start waiting after the call
 // are not woken by it. Notify(0) wakes waiters at the current timestamp,
-// after the currently running process yields.
+// after the currently running process returns.
 func (e *Event) Notify(delay Time) {
 	waiters := e.waiters
 	e.waiters = nil
 	if e.s.trace != nil {
 		e.s.trace.EventNotify(e.name, e.s.now, e.s.now+delay, len(waiters))
 	}
-	for _, t := range waiters {
-		t.scheduleWake(e.s.now + delay)
+	for _, p := range waiters {
+		p.wake(e.s.now + delay)
 	}
 }
 
-// kernelKilled is the panic payload used to unwind killed thread goroutines.
-type kernelKilled struct{}
-
-// Thread is a cooperative process, the analog of SC_THREAD. Its body runs in
-// a dedicated goroutine but executes strictly exclusively with the scheduler
-// and all other threads.
-type Thread struct {
+// Process is a named callback the scheduler dispatches, the analog of an
+// SC_METHOD. Each dispatch runs the callback to completion; the callback
+// re-arms the process with one call to WakeAfter or WakeOn, or returns
+// without one to finish it. A process that needs state across dispatches
+// keeps it in its closure.
+type Process struct {
 	s      *Simulator
 	name   string
-	resume chan bool // true = run, false = kill
-	yield  chan struct{}
-	done   bool
-	queued bool
+	fn     func(p *Process)
 	daemon bool
-	proc   *Proc
+	queued bool
 }
 
-// Proc is the handle a thread body uses to interact with the kernel.
-type Proc struct {
-	t *Thread
+// Spawn creates a process and schedules its first dispatch at the current
+// time.
+func (s *Simulator) Spawn(name string, fn func(p *Process)) *Process {
+	return s.spawn(name, fn, false)
 }
 
-// Spawn creates a thread and schedules its first execution at the current
-// time. The body runs until it returns; a body that wants to live for the
-// whole simulation loops around Wait calls, exactly like an SC_THREAD.
-func (s *Simulator) Spawn(name string, body func(p *Proc)) *Thread {
-	return s.spawn(name, body, false)
+// SpawnDaemon creates a daemon process: it participates in simulated time
+// like any other process, but its pending wake-ups never keep the
+// simulation alive — Run(Forever) returns when only daemon work remains,
+// exactly as if the queue had drained. This is the contract a periodic
+// telemetry sampler needs: it observes the platform at a fixed simulated
+// cadence without turning a finished (or deadlocked) simulation into an
+// infinite loop.
+func (s *Simulator) SpawnDaemon(name string, fn func(p *Process)) *Process {
+	return s.spawn(name, fn, true)
 }
 
-// SpawnDaemon creates a daemon thread: it participates in simulated time
-// like any other thread, but its pending wake-ups never keep the simulation
-// alive — Run(Forever) returns when only daemon work remains, exactly as if
-// the queue had drained. This is the contract a periodic telemetry sampler
-// needs: it observes the platform at a fixed simulated cadence without
-// turning a finished (or deadlocked) simulation into an infinite loop.
-func (s *Simulator) SpawnDaemon(name string, body func(p *Proc)) *Thread {
-	return s.spawn(name, body, true)
-}
-
-func (s *Simulator) spawn(name string, body func(p *Proc), daemon bool) *Thread {
-	t := &Thread{
-		s:      s,
-		name:   name,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-		daemon: daemon,
-	}
-	t.proc = &Proc{t: t}
-	s.threads = append(s.threads, t)
+func (s *Simulator) spawn(name string, fn func(p *Process), daemon bool) *Process {
+	p := &Process{s: s, name: name, fn: fn, daemon: daemon}
 	if s.trace != nil {
 		s.trace.ThreadSpawn(name, s.now)
 	}
-	go func() {
-		if !<-t.resume {
-			t.done = true
-			t.yield <- struct{}{}
-			return
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, killed := r.(kernelKilled); !killed {
-						panic(r)
-					}
-				}
-			}()
-			body(t.proc)
-		}()
-		t.done = true
-		t.yield <- struct{}{}
-	}()
-	t.scheduleWake(s.now)
-	return t
+	p.wake(s.now)
+	return p
 }
 
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.name }
-
-// Done reports whether the thread body has returned.
-func (t *Thread) Done() bool { return t.done }
-
-func (t *Thread) scheduleWake(at Time) {
-	if t.done || t.queued {
-		return
-	}
-	t.queued = true
-	if t.s.trace != nil {
-		t.s.trace.ThreadWake(t.name, t.s.now, at)
-	}
-	t.s.push(&workItem{at: at, thread: t, daemon: t.daemon})
-}
-
-// dispatch resumes the thread and blocks until it yields or finishes.
-func (t *Thread) dispatch() {
-	if t.done {
-		return
-	}
-	t.queued = false
-	if t.s.trace != nil {
-		t.s.trace.ThreadRun(t.name, t.s.now)
-	}
-	t.resume <- true
-	<-t.yield
-	if t.s.trace != nil {
-		t.s.trace.ThreadPause(t.name, t.s.now)
-	}
-}
-
-// kill unwinds the thread goroutine if it is still alive.
-func (t *Thread) kill() {
-	if t.done {
-		return
-	}
-	t.resume <- false // the goroutine either panics out of its pause or exits before starting
-	<-t.yield
-	t.done = true
-}
-
-// pause returns control to the scheduler and blocks until resumed. When the
-// simulator is shutting down it unwinds the goroutine.
-func (p *Proc) pause() {
-	t := p.t
-	t.yield <- struct{}{}
-	if !<-t.resume {
-		t.done = true
-		panic(kernelKilled{})
-	}
-}
+// Name returns the process name.
+func (p *Process) Name() string { return p.name }
 
 // Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.t.s.Now() }
+func (p *Process) Now() Time { return p.s.now }
 
-// Simulator returns the owning simulator.
-func (p *Proc) Simulator() *Simulator { return p.t.s }
+// WakeAfter re-arms the process to run again d after the current time —
+// next_trigger(d). WakeAfter(0) runs it again at the current timestamp,
+// after the work already queued there.
+func (p *Process) WakeAfter(d Time) { p.wake(p.s.now + d) }
 
-// Wait suspends the thread for d of simulated time — sc_core::wait(d).
-func (p *Proc) Wait(d Time) {
-	p.t.scheduleWake(p.t.s.now + d)
-	p.pause()
-}
+// WakeOn re-arms the process to run when e is next notified —
+// next_trigger(e).
+func (p *Process) WakeOn(e *Event) { e.waiters = append(e.waiters, p) }
 
-// WaitEvent suspends the thread until the event is notified —
-// sc_core::wait(event).
-func (p *Proc) WaitEvent(e *Event) {
-	e.waiters = append(e.waiters, p.t)
-	p.pause()
-}
-
-// Yield suspends the thread and reschedules it at the current timestamp,
-// letting other runnable processes execute first.
-func (p *Proc) Yield() { p.Wait(0) }
-
-// Stop gracefully stops the simulation (and suspends the calling thread
-// permanently).
-func (p *Proc) Stop() {
-	p.t.s.Stop()
-	p.parkForever()
-}
-
-// Fatal stops the simulation with an error (and suspends the calling thread
-// permanently).
-func (p *Proc) Fatal(err error) {
-	p.t.s.Fatal(err)
-	p.parkForever()
-}
-
-// parkForever yields without rescheduling; the thread only wakes again to be
-// killed at Shutdown.
-func (p *Proc) parkForever() {
-	p.pause()
+func (p *Process) wake(at Time) {
+	if p.queued {
+		return
+	}
+	p.queued = true
+	if p.s.trace != nil {
+		p.s.trace.ThreadWake(p.name, p.s.now, at)
+	}
+	p.s.push(&workItem{at: at, proc: p, daemon: p.daemon})
 }

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -74,16 +76,50 @@ func TestRunHorizon(t *testing.T) {
 	}
 }
 
+// seq turns a straight-line body into a process: dispatch i runs step i,
+// which re-arms the process for the next step or, by not re-arming, ends it.
+func seq(steps ...func(p *Process)) func(p *Process) {
+	i := 0
+	return func(p *Process) {
+		if i < len(steps) {
+			i++
+			steps[i-1](p)
+		}
+	}
+}
+
+// loop is the process form of a body that runs fn and then waits d, n times.
+func loop(n int, d Time, fn func(p *Process)) func(p *Process) {
+	i := 0
+	return func(p *Process) {
+		if i < n {
+			i++
+			fn(p)
+			p.WakeAfter(d)
+		}
+	}
+}
+
+// periodic is the process form of `for { wait(d); fn() }`: the spawn-time
+// dispatch only arms the first period.
+func periodic(d Time, fn func(p *Process)) func(p *Process) {
+	armed := false
+	return func(p *Process) {
+		if armed {
+			fn(p)
+		}
+		armed = true
+		p.WakeAfter(d)
+	}
+}
+
 func TestThreadWait(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	var stamps []Time
-	s.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			stamps = append(stamps, p.Now())
-			p.Wait(25 * MS)
-		}
-	})
+	s.Spawn("ticker", loop(3, 25*MS, func(p *Process) {
+		stamps = append(stamps, p.Now())
+	}))
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -103,18 +139,8 @@ func TestThreadsInterleaveDeterministically(t *testing.T) {
 		s := New()
 		defer s.Shutdown()
 		var log []string
-		s.Spawn("a", func(p *Proc) {
-			for i := 0; i < 3; i++ {
-				log = append(log, "a")
-				p.Wait(10)
-			}
-		})
-		s.Spawn("b", func(p *Proc) {
-			for i := 0; i < 3; i++ {
-				log = append(log, "b")
-				p.Wait(10)
-			}
-		})
+		s.Spawn("a", loop(3, 10, func(*Process) { log = append(log, "a") }))
+		s.Spawn("b", loop(3, 10, func(*Process) { log = append(log, "b") }))
 		if err := s.Run(Forever); err != nil {
 			t.Fatal(err)
 		}
@@ -146,14 +172,14 @@ func TestEventNotify(t *testing.T) {
 		t.Errorf("Name() = %q", ev.Name())
 	}
 	var woke Time
-	s.Spawn("waiter", func(p *Proc) {
-		p.WaitEvent(ev)
-		woke = p.Now()
-	})
-	s.Spawn("notifier", func(p *Proc) {
-		p.Wait(40)
-		ev.Notify(5)
-	})
+	s.Spawn("waiter", seq(
+		func(p *Process) { p.WakeOn(ev) },
+		func(p *Process) { woke = p.Now() },
+	))
+	s.Spawn("notifier", seq(
+		func(p *Process) { p.WakeAfter(40) },
+		func(*Process) { ev.Notify(5) },
+	))
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +193,11 @@ func TestEventNotifyWakesOnlyCurrentWaiters(t *testing.T) {
 	defer s.Shutdown()
 	ev := s.NewEvent("e")
 	count := 0
-	s.Spawn("late", func(p *Proc) {
-		p.Wait(10) // starts waiting after the notify below has fired
-		p.WaitEvent(ev)
-		count++
-	})
+	s.Spawn("late", seq(
+		func(p *Process) { p.WakeAfter(10) }, // starts waiting after the notify below has fired
+		func(p *Process) { p.WakeOn(ev) },
+		func(*Process) { count++ },
+	))
 	s.At(5, func() { ev.Notify(0) })
 	if err := s.Run(100); err != nil {
 		t.Fatal(err)
@@ -187,10 +213,10 @@ func TestEventNotifyMultipleWaiters(t *testing.T) {
 	ev := s.NewEvent("e")
 	woke := 0
 	for i := 0; i < 3; i++ {
-		s.Spawn("w", func(p *Proc) {
-			p.WaitEvent(ev)
-			woke++
-		})
+		s.Spawn("w", seq(
+			func(p *Process) { p.WakeOn(ev) },
+			func(*Process) { woke++ },
+		))
 	}
 	s.At(10, func() { ev.Notify(0) })
 	if err := s.Run(Forever); err != nil {
@@ -201,16 +227,20 @@ func TestEventNotifyMultipleWaiters(t *testing.T) {
 	}
 }
 
+// A yield is WakeAfter(0): the process runs again at the same timestamp,
+// after the work already queued there.
 func TestYield(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	var log []string
-	s.Spawn("a", func(p *Proc) {
-		log = append(log, "a1")
-		p.Yield()
-		log = append(log, "a2")
-	})
-	s.Spawn("b", func(p *Proc) {
+	s.Spawn("a", seq(
+		func(p *Process) {
+			log = append(log, "a1")
+			p.WakeAfter(0)
+		},
+		func(*Process) { log = append(log, "a2") },
+	))
+	s.Spawn("b", func(*Process) {
 		log = append(log, "b1")
 	})
 	if err := s.Run(Forever); err != nil {
@@ -228,21 +258,20 @@ func TestStopFromThread(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	reached := false
-	s.Spawn("stopper", func(p *Proc) {
-		p.Wait(10)
-		p.Stop()
-		reached = true // must never run
-	})
-	s.Spawn("other", func(p *Proc) {
-		for {
-			p.Wait(1)
-		}
-	})
+	s.Spawn("stopper", seq(
+		func(p *Process) { p.WakeAfter(10) },
+		func(p *Process) {
+			s.Stop()
+			p.WakeAfter(0)
+		},
+		func(*Process) { reached = true }, // must never run
+	))
+	s.Spawn("other", periodic(1, func(*Process) {}))
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
 	if reached {
-		t.Error("Stop must park the calling thread")
+		t.Error("no process may be dispatched after Stop")
 	}
 	if !s.Stopped() || s.Now() != 10 {
 		t.Errorf("Stopped=%v Now=%v", s.Stopped(), s.Now())
@@ -253,10 +282,10 @@ func TestFatalFromThread(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	boom := errors.New("boom")
-	s.Spawn("failer", func(p *Proc) {
-		p.Wait(3)
-		p.Fatal(boom)
-	})
+	s.Spawn("failer", seq(
+		func(p *Process) { p.WakeAfter(3) },
+		func(*Process) { s.Fatal(boom) },
+	))
 	err := s.Run(Forever)
 	if !errors.Is(err, boom) {
 		t.Errorf("Run error = %v, want boom", err)
@@ -275,51 +304,41 @@ func TestFatalFromThread(t *testing.T) {
 	}
 }
 
-func TestShutdownKillsBlockedThreads(t *testing.T) {
-	s := New()
-	ev := s.NewEvent("never")
-	cleanedUp := false
-	s.Spawn("waiter", func(p *Proc) {
-		defer func() { cleanedUp = true }()
-		p.WaitEvent(ev)
-	})
-	s.Spawn("sleeper", func(p *Proc) {
-		for {
-			p.Wait(1000)
-		}
-	})
-	if err := s.Run(5000); err != nil {
-		t.Fatal(err)
-	}
-	s.Shutdown()
-	if !cleanedUp {
-		t.Error("Shutdown must unwind blocked goroutines (running their defers)")
-	}
-}
-
 func TestShutdownBeforeFirstDispatch(t *testing.T) {
 	s := New()
-	s.Spawn("neverran", func(p *Proc) {
+	s.Spawn("neverran", func(*Process) {
 		t.Error("body must not run")
 	})
-	s.Shutdown() // must not hang or run the body
+	s.Shutdown() // drops the spawn-time dispatch
+	if s.Pending() || !s.Stopped() {
+		t.Errorf("after Shutdown: Pending=%v Stopped=%v", s.Pending(), s.Stopped())
+	}
 }
 
+// A process that returns without re-arming is finished: nothing of it stays
+// queued and it is never dispatched again.
 func TestThreadDoneAndName(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
-	th := s.Spawn("worker", func(p *Proc) { p.Wait(5) })
-	if th.Name() != "worker" {
-		t.Errorf("Name() = %q", th.Name())
+	runs := 0
+	pr := s.Spawn("worker", seq(
+		func(p *Process) {
+			runs++
+			p.WakeAfter(5)
+		},
+		func(*Process) { runs++ },
+	))
+	if pr.Name() != "worker" {
+		t.Errorf("Name() = %q", pr.Name())
 	}
-	if th.Done() {
-		t.Error("thread must not be done before running")
+	if !s.Pending() {
+		t.Error("the spawn-time dispatch must be queued before Run")
 	}
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
-	if !th.Done() {
-		t.Error("thread must be done after body returns")
+	if runs != 2 || s.Pending() || s.Now() != 5 {
+		t.Errorf("runs=%d Pending=%v Now=%v, want 2 dispatches, nothing queued, clock at 5", runs, s.Pending(), s.Now())
 	}
 }
 
@@ -357,9 +376,11 @@ func TestNestedRunPanics(t *testing.T) {
 func TestProcAccessors(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
-	s.Spawn("x", func(p *Proc) {
-		if p.Simulator() != s {
-			t.Error("Simulator() mismatch")
+	ran := false
+	s.Spawn("x", func(p *Process) {
+		ran = true
+		if p.Name() != "x" {
+			t.Errorf("Name() = %q", p.Name())
 		}
 		if p.Now() != 0 {
 			t.Errorf("Now() = %v", p.Now())
@@ -368,4 +389,89 @@ func TestProcAccessors(t *testing.T) {
 	if err := s.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
+	if !ran {
+		t.Error("the process never ran")
+	}
+}
+
+// The scheduler runs every process on Run's own goroutine.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	before := runtime.NumGoroutine()
+	during := -1
+	s.Spawn("x", seq(
+		func(p *Process) { p.WakeAfter(1) },
+		func(*Process) { during = runtime.NumGoroutine() },
+	))
+	if err := s.Run(Forever); err != nil {
+		t.Fatal(err)
+	}
+	if during != before {
+		t.Errorf("NumGoroutine() = %d inside a process, %d before Spawn", during, before)
+	}
+}
+
+func panicInProcess(*Process) { panic("boom in process") }
+
+func panicInCallback() { panic("boom in callback") }
+
+func TestPanicInProcess(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	after := false
+	s.Spawn("bad", seq(
+		func(p *Process) { p.WakeAfter(7) },
+		panicInProcess,
+	))
+	s.At(8, func() { after = true })
+	pe := runPanics(t, s)
+	if pe.Process != "bad" || pe.Value != "boom in process" {
+		t.Errorf("PanicError = {Process: %q, Value: %v}, want bad / boom in process", pe.Process, pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "kernel.panicInProcess") {
+		t.Errorf("Stack lacks the panicking function:\n%s", pe.Stack)
+	}
+	if !strings.Contains(pe.Error(), "bad") || !strings.Contains(pe.Error(), "boom in process") {
+		t.Errorf("Error() = %q", pe.Error())
+	}
+	if s.Now() != 7 || after {
+		t.Errorf("Now=%v after=%v: the simulation must stop at the panic", s.Now(), after)
+	}
+}
+
+func TestPanicInCallback(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	s.Spawn("ticker", periodic(2, func(*Process) {}))
+	s.After(5, panicInCallback)
+	pe := runPanics(t, s)
+	if pe.Process != "" || pe.Value != "boom in callback" {
+		t.Errorf("PanicError = {Process: %q, Value: %v}, want a plain callback's boom", pe.Process, pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "kernel.panicInCallback") {
+		t.Errorf("Stack lacks the panicking function:\n%s", pe.Stack)
+	}
+	if s.Now() != 5 {
+		t.Errorf("Now = %v, want the panic's time 5", s.Now())
+	}
+}
+
+// runPanics runs s to completion and requires it to stop on a *PanicError,
+// stay stopped, and return the same error from a second Run.
+func runPanics(t *testing.T, s *Simulator) *PanicError {
+	t.Helper()
+	err := s.Run(Forever)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Run error = %v, want a *PanicError", err)
+	}
+	if !s.Stopped() || s.Err() != err {
+		t.Errorf("Stopped=%v Err=%v: a panic must stop the simulation", s.Stopped(), s.Err())
+	}
+	now := s.Now()
+	if again := s.Run(Forever); again != err || s.Now() != now {
+		t.Errorf("second Run = %v at %v, want the same error at %v", again, s.Now(), now)
+	}
+	return pe
 }

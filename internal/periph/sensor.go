@@ -18,8 +18,8 @@ const (
 // second, matching the paper's Fig. 4.
 const SensorPeriod = 25 * kernel.MS
 
-// Sensor is the paper's Fig. 4 peripheral: a SystemC-thread-driven sensor
-// with a memory-mapped 64-byte data frame. A run thread periodically fills
+// Sensor is the paper's Fig. 4 peripheral: a process-driven sensor with a
+// memory-mapped 64-byte data frame. A run process periodically fills
 // the frame with pseudo-random printable data tagged with the configurable
 // data_tag register, then raises an interrupt.
 //
@@ -33,12 +33,13 @@ type Sensor struct {
 	frame [SensorFrameSize]core.TByte
 	tag   core.Tag
 
-	seed   uint32
-	frames uint64
-	irq    func(level bool)
+	seed    uint32
+	frames  uint64
+	started bool
+	irq     func(level bool)
 }
 
-// NewSensor creates the sensor and spawns its generation thread. irq pulses
+// NewSensor creates the sensor and spawns its generation process. irq pulses
 // once per generated frame.
 func NewSensor(env *Env, name string, irq func(bool)) *Sensor {
 	s := &Sensor{env: env, name: name, tag: env.Default, seed: 0x5eed5eed, irq: irq}
@@ -53,10 +54,11 @@ func (s *Sensor) SetDataTag(t core.Tag) { s.tag = t }
 // Frames returns the number of frames generated so far.
 func (s *Sensor) Frames() uint64 { return s.frames }
 
-// run is the SC_THREAD equivalent of the paper's Fig. 4 run() loop.
-func (s *Sensor) run(p *kernel.Proc) {
-	for {
-		p.Wait(SensorPeriod)
+// run is the paper's Fig. 4 run() loop as a process: every SensorPeriod it
+// fills the frame and raises the interrupt. Its first dispatch, at spawn
+// time, only arms the first period.
+func (s *Sensor) run(p *kernel.Process) {
+	if s.started {
 		for i := range s.frame {
 			// Pseudo-random printable data, classified with data_tag
 			// (Fig. 4 line 21: rand() % 96 + 128 — printable range here).
@@ -68,6 +70,8 @@ func (s *Sensor) run(p *kernel.Proc) {
 			s.irq(true)
 		}
 	}
+	s.started = true
+	p.WakeAfter(SensorPeriod)
 }
 
 // Transport implements tlm.Target.

@@ -320,7 +320,7 @@ func (f *Factory) Key(spec telemetry.SessionSpec) (string, error) {
 
 // Build constructs the platform for a spec: soc.New with the resolved
 // policy, optional observer and sampler, the image loaded, and the drive
-// closure bound. Close releases the kernel goroutines at finalize.
+// closure bound. Close releases the platform at finalize.
 func (f *Factory) Build(spec telemetry.SessionSpec) (telemetry.SessionConfig, error) {
 	r, err := f.resolve(spec)
 	if err != nil {

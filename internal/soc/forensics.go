@@ -13,6 +13,7 @@ import (
 
 	"vpdift/internal/core"
 	"vpdift/internal/flight"
+	"vpdift/internal/kernel"
 	"vpdift/internal/rv32"
 	"vpdift/internal/telemetry"
 )
@@ -32,6 +33,7 @@ func (pl *Platform) noteForensics(err error) {
 		v  *core.Violation
 		be *rv32.BusError
 		te *rv32.TrapError
+		pe *kernel.PanicError
 	)
 	switch {
 	case errors.As(err, &v):
@@ -43,6 +45,8 @@ func (pl *Platform) noteForensics(err error) {
 	case errors.As(err, &te):
 		reason = "fault"
 		fr.MarkFault(pl.Instret(), te.PC, pl.insnAt(te.PC), te.Tval)
+	case errors.As(err, &pe):
+		reason = "panic"
 	}
 	if pl.cfg.Flight != nil {
 		pl.lastBundle = pl.buildBundle(reason, err)

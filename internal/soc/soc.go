@@ -106,8 +106,8 @@ type Config struct {
 	// keeps the VP+ core's post-retire hook on its one-branch fast path.
 	Cover *cover.Cover
 	// Telemetry, when non-nil, runs a periodic metrics sampler on a kernel
-	// daemon thread: every Sampler.Options().Every of simulated time it
-	// snapshots MetricsSnapshotInto into its bounded ring. Daemon threads
+	// daemon process: every Sampler.Options().Every of simulated time it
+	// snapshots MetricsSnapshotInto into its bounded ring. Daemon processes
 	// never keep an unbounded Run alive, so enabling telemetry does not
 	// change when a simulation ends. Nil (the default) spawns nothing.
 	Telemetry *telemetry.Sampler
@@ -224,7 +224,7 @@ func New(cfg Config) (*Platform, error) {
 	}
 	pl.irqEvent = pl.Sim.NewEvent("irq")
 
-	// Simulation-side tracing hooks in before any process spawns so thread
+	// Simulation-side tracing hooks in before any process spawns so process
 	// creation is part of the record; the bus hook lands every transaction on
 	// the same stream.
 	if cfg.Trace.Active() {
@@ -446,7 +446,7 @@ func New(cfg Config) (*Platform, error) {
 
 	pl.spawnCPU()
 
-	// Live telemetry rides on a daemon thread spawned after the CPU so the
+	// Live telemetry rides on a daemon process spawned after the CPU so the
 	// first tick observes a platform that has already started executing.
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Start(pl.Sim, pl.MetricsSnapshotInto)
@@ -515,14 +515,24 @@ func MustNew(cfg Config) *Platform {
 	return pl
 }
 
-// spawnCPU starts the CPU process: execute a quantum, advance simulated
-// time, repeat; on WFI sleep until an interrupt line rises. The flight
-// stream is flushed right after each quantum: only once the CPU yields can
-// another kernel thread (the telemetry sampler, a workload's drive loop,
-// Run's caller) read what the subscribers hold.
+// spawnCPU starts the CPU process. Each dispatch executes quanta until one
+// needs simulated time to pass: an ordinary quantum re-arms the process
+// after its duration; WFI puts it to sleep, and a sleeping CPU re-arms on the
+// IRQ event until an interrupt is pending. The flight stream is flushed right
+// after each quantum: only once the CPU returns can another process (the
+// telemetry sampler), a workload's drive loop or Run's caller read what the
+// subscribers hold.
 func (pl *Platform) spawnCPU() {
-	pl.Sim.Spawn("cpu", func(p *kernel.Proc) {
+	sleeping := false
+	pl.Sim.Spawn("cpu", func(p *kernel.Process) {
 		for {
+			if sleeping {
+				if !pl.pendingIRQ() && !pl.Sim.Stopped() {
+					p.WakeOn(pl.irqEvent)
+					return
+				}
+				sleeping = false
+			}
 			var delay kernel.Time
 			var n uint64
 			var st rv32.RunStatus
@@ -536,24 +546,28 @@ func (pl *Platform) spawnCPU() {
 				pl.fr.Flush()
 			}
 			if err != nil {
-				p.Fatal(err)
+				pl.Sim.Fatal(err)
+				return
 			}
 			advance := kernel.Time(n)*pl.cfg.InstrTime + delay
 			switch st {
 			case rv32.RunHalt:
-				p.Stop()
+				pl.Sim.Stop()
+				return
 			case rv32.RunWFI:
 				if fr := pl.fr; fr != nil {
 					fr.MarkEvent(pl.Instret(), "wfi-sleep")
 				}
+				sleeping = true
 				if advance > 0 {
-					p.Wait(advance)
+					p.WakeAfter(advance)
+					return
 				}
-				for !pl.pendingIRQ() && !pl.Sim.Stopped() {
-					p.WaitEvent(pl.irqEvent)
-				}
+				// A zero-length WFI checks for a pending interrupt in this
+				// same dispatch, and keeps running if one is.
 			default:
-				p.Wait(advance)
+				p.WakeAfter(advance)
+				return
 			}
 		}
 	})
@@ -689,7 +703,7 @@ func (pl *Platform) Run(horizon kernel.Time) error {
 		pl.lastErr = err
 		pl.noteForensics(err)
 	}
-	// Hand the subscribers what the CPU thread's last flush could not: the
+	// Hand the subscribers what the CPU process's last flush could not: the
 	// terminal record and marks appended after that quantum.
 	if pl.fr != nil {
 		pl.fr.Flush()

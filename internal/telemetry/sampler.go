@@ -7,7 +7,7 @@
 // The package follows the same disabled-by-default contract as obs, trace,
 // and cover: a platform built without a sampler pays nothing — no goroutine,
 // no per-instruction branch, no allocation. The sampler itself rides on a
-// kernel daemon thread (kernel.SpawnDaemon), so it never keeps an unbounded
+// kernel daemon process (kernel.SpawnDaemon), so it never keeps an unbounded
 // Run alive and never perturbs the deterministic event order of the
 // simulation proper: it only reads counters at quiescent points between
 // scheduled work.
@@ -80,7 +80,7 @@ type Sample struct {
 
 // Sampler captures periodic metric snapshots into a bounded ring. All
 // methods are safe for concurrent use; the simulation side only ever calls
-// TakeSample (via the daemon thread), readers use Samples, Last, Total, or
+// TakeSample (via the daemon process), readers use Samples, Last, Total, or
 // the Write* exporters.
 type Sampler struct {
 	opts Options
@@ -126,11 +126,13 @@ func (s *Sampler) Start(sim *kernel.Simulator, snapshot func(dst map[string]uint
 	}
 	s.mu.Unlock()
 	every := s.opts.Every
-	sim.SpawnDaemon("telemetry", func(p *kernel.Proc) {
-		for {
-			p.Wait(every)
+	started := false
+	sim.SpawnDaemon("telemetry", func(p *kernel.Process) {
+		if started {
 			s.takeSample(p.Now(), snapshot)
 		}
+		started = true
+		p.WakeAfter(every)
 	})
 }
 

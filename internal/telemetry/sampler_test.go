@@ -34,14 +34,17 @@ func TestSamplerDaemonCapture(t *testing.T) {
 	sim := kernel.New()
 	defer sim.Shutdown()
 	var fc fakeCounters
-	sim.Spawn("workload", func(p *kernel.Proc) {
-		for i := 0; i < 100; i++ {
-			p.Wait(1000) // 1µs
+	ticks := 0
+	sim.Spawn("workload", func(p *kernel.Process) {
+		if ticks > 0 {
 			fc.instret += 1000
 			fc.events += 100
 			fc.hits += 990
 			fc.misses += 10
 			fc.bus.read += 64
+		}
+		if ticks++; ticks <= 100 {
+			p.WakeAfter(1000) // 1µs
 		}
 	})
 	s := NewSampler(Options{Every: 10_000}) // 10µs cadence

@@ -216,6 +216,7 @@ type serverStats struct {
 	completed    atomic.Uint64
 	canceled     atomic.Uint64
 	timedOut     atomic.Uint64
+	panics       atomic.Uint64
 	cacheHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
 	forced       atomic.Uint64
@@ -229,6 +230,7 @@ type Stats struct {
 	Completed     uint64 `json:"completed"`
 	Canceled      uint64 `json:"canceled"`
 	TimedOut      uint64 `json:"timed_out"`
+	Panics        uint64 `json:"panics"`
 	CacheHits     uint64 `json:"cache_hits"`
 	CacheMisses   uint64 `json:"cache_misses"`
 	Forced        uint64 `json:"forced"`
@@ -324,6 +326,7 @@ func (sv *Server) Stats() Stats {
 		Completed:     sv.stats.completed.Load(),
 		Canceled:      sv.stats.canceled.Load(),
 		TimedOut:      sv.stats.timedOut.Load(),
+		Panics:        sv.stats.panics.Load(),
 		CacheHits:     sv.stats.cacheHits.Load(),
 		CacheMisses:   sv.stats.cacheMisses.Load(),
 		Forced:        sv.stats.forced.Load(),
@@ -627,6 +630,7 @@ func (sv *Server) finalize(s *session) {
 	if s.cfg.Sampler != nil {
 		r.Samples = s.cfg.Sampler.Total()
 	}
+	var pe *kernel.PanicError
 	if s.err != nil {
 		r.Error = s.err.Error()
 		r.Fault = faultDetail(s.err)
@@ -634,6 +638,7 @@ func (sv *Server) finalize(s *session) {
 		if errors.As(s.err, &v) {
 			r.Detected = true
 		}
+		r.Panicked = errors.As(s.err, &pe)
 	}
 	// Freeze the flight-recorder bundle now, while the platform is still
 	// alive — the Close hook below releases it.
@@ -647,6 +652,20 @@ func (sv *Server) finalize(s *session) {
 	cbs := s.callbacks
 	s.callbacks = nil
 	closeFn := s.cfg.Close
+	// Count before the result is readable (this unlock, the store, the
+	// callbacks): a client that reads it and then scrapes /metrics must find
+	// the session counted.
+	switch {
+	case s.canceled:
+		sv.stats.canceled.Add(1)
+	case s.timedOut:
+		sv.stats.timedOut.Add(1)
+	default:
+		sv.stats.completed.Add(1)
+	}
+	if r.Panicked {
+		sv.stats.panics.Add(1)
+	}
 	s.mu.Unlock()
 
 	if r.cacheable() {
@@ -663,14 +682,6 @@ func (sv *Server) finalize(s *session) {
 		}
 		sv.mu.Unlock()
 	}
-	switch {
-	case s.canceled:
-		sv.stats.canceled.Add(1)
-	case s.timedOut:
-		sv.stats.timedOut.Add(1)
-	default:
-		sv.stats.completed.Add(1)
-	}
 	if sv.log.Enabled(context.Background(), slog.LevelInfo) {
 		attrs := []slog.Attr{
 			slog.String("session", s.cfg.ID),
@@ -683,6 +694,11 @@ func (sv *Server) finalize(s *session) {
 		}
 		if r.Error != "" {
 			attrs = append(attrs, slog.String("error", r.Error))
+		}
+		if pe != nil {
+			// The one place the panic's stack is kept; the API shows only
+			// the message.
+			attrs = append(attrs, slog.String("stack", string(pe.Stack)))
 		}
 		sv.log.LogAttrs(context.Background(), slog.LevelInfo, "session finished", attrs...)
 	}
@@ -903,6 +919,7 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"serve.completed_total":     st.Completed,
 		"serve.canceled_total":      st.Canceled,
 		"serve.timeout_total":       st.TimedOut,
+		"serve.panics_total":        st.Panics,
 		"serve.cache_hits_total":    st.CacheHits,
 		"serve.cache_misses_total":  st.CacheMisses,
 		"serve.forced_total":        st.Forced,

@@ -52,6 +52,9 @@ type SessionResult struct {
 	// TimedOut marks sessions that hit their wall-clock timeout; never
 	// cached either.
 	TimedOut bool `json:"timed_out,omitempty"`
+	// Panicked marks sessions whose simulation panicked (Error carries the
+	// panic's message); never cached.
+	Panicked bool `json:"panicked,omitempty"`
 	// WallNs is host wall-clock time the session spent running (0 for
 	// results served from the store).
 	WallNs int64 `json:"wall_ns,omitempty"`
@@ -64,9 +67,10 @@ type SessionResult struct {
 }
 
 // cacheable reports whether the result may be served for future submissions
-// of the same key: only complete, uncanceled runs are.
+// of the same key: only complete runs that were neither canceled, timed out
+// nor ended by a panic are.
 func (r SessionResult) cacheable() bool {
-	return r.Key != "" && !r.Canceled && !r.TimedOut
+	return r.Key != "" && !r.Canceled && !r.TimedOut && !r.Panicked
 }
 
 // ResultStore is the dedup cache behind the campaign runner: results are

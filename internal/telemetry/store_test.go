@@ -96,6 +96,7 @@ func TestCacheable(t *testing.T) {
 		{SessionResult{}, false},
 		{SessionResult{Key: "k", Canceled: true}, false},
 		{SessionResult{Key: "k", TimedOut: true}, false},
+		{SessionResult{Key: "k", Panicked: true}, false},
 	}
 	for _, c := range cases {
 		if got := c.r.cacheable(); got != c.want {

@@ -17,7 +17,7 @@ const (
 	EvThreadSpawn EventKind = iota + 1
 	// EvThreadRun: the scheduler dispatched a process.
 	EvThreadRun
-	// EvThreadPause: a process yielded (Wait, WaitEvent, or body return).
+	// EvThreadPause: a process callback returned to the scheduler.
 	EvThreadPause
 	// EvThreadWake: a process was scheduled to resume at Event.To.
 	EvThreadWake

@@ -506,7 +506,7 @@ func WithoutFlightRecorder() Option {
 
 // WithTelemetry attaches a live-metrics sampler: every Every of simulated
 // time it snapshots the platform's merged metrics into its ring. The sampler
-// rides a kernel daemon thread, so it never extends a run. A typical setup:
+// rides a kernel daemon process, so it never extends a run. A typical setup:
 //
 //	smp := vpdift.NewSampler(vpdift.SamplerOptions{Every: vpdift.MS})
 //	pl, err := vpdift.NewPlatform(vpdift.WithPolicy(pol), vpdift.WithTelemetry(smp))
