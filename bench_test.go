@@ -26,13 +26,8 @@ import (
 	"vpdift/internal/wk"
 )
 
-// benchWorkload runs one Table II workload repeatedly on one platform
-// flavour, reporting simulated MIPS.
-func benchWorkload(b *testing.B, w perf.Workload, dift bool) {
-	benchWorkloadOpts(b, w, perf.Options{DIFT: dift})
-}
-
-// benchWorkloadOpts is benchWorkload with the full option set exposed.
+// benchWorkloadOpts runs one Table II workload repeatedly on the platform
+// the options select, reporting simulated MIPS.
 func benchWorkloadOpts(b *testing.B, w perf.Workload, o perf.Options) {
 	b.Helper()
 	var instr uint64
@@ -53,13 +48,13 @@ func benchWorkloadOpts(b *testing.B, w perf.Workload, o perf.Options) {
 
 func BenchmarkTable2VP(b *testing.B) {
 	for _, w := range perf.Workloads(perf.ScaleSmall) {
-		b.Run(w.Name, func(b *testing.B) { benchWorkload(b, w, false) })
+		b.Run(w.Name, func(b *testing.B) { benchWorkloadOpts(b, w, perf.Options{}) })
 	}
 }
 
 func BenchmarkTable2VPPlus(b *testing.B) {
 	for _, w := range perf.Workloads(perf.ScaleSmall) {
-		b.Run(w.Name, func(b *testing.B) { benchWorkload(b, w, true) })
+		b.Run(w.Name, func(b *testing.B) { benchWorkloadOpts(b, w, perf.Options{DIFT: true}) })
 	}
 }
 
@@ -93,7 +88,7 @@ func BenchmarkAblationTagPropagationOnly(b *testing.B) {
 		l := core.IFP2()
 		return core.NewPolicy(l, l.MustTag(core.ClassLI))
 	}
-	benchWorkload(b, w, true)
+	benchWorkloadOpts(b, w, perf.Options{DIFT: true})
 }
 
 // memBench builds a load/store-heavy guest touching either RAM (DMI-style
@@ -196,7 +191,7 @@ func BenchmarkAblationTaintMemViaTLM(b *testing.B) {
 	var instr uint64
 	var wall float64
 	for i := 0; i < b.N; i++ {
-		m, err := perf.RunOnceCfg(w, true, true)
+		m, err := perf.RunOnceOpts(w, perf.Options{DIFT: true, TLMMem: true})
 		if err != nil {
 			b.Fatal(err)
 		}

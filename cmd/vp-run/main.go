@@ -219,15 +219,17 @@ func main() {
 		os.Exit(1)
 	}
 	defer pl.Shutdown()
+	if err := pl.Load(img); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	// Load maps the RAM it sized to the guest, so the map is complete only
+	// now.
 	if *mapFlag {
 		fmt.Fprintln(os.Stderr, "memory map:")
 		for _, r := range pl.Bus.Ranges() {
 			fmt.Fprintln(os.Stderr, "  "+r)
 		}
-	}
-	if err := pl.Load(img); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 	for _, spec := range splitNonEmpty(*watch) {
 		name, probe := spec, spec

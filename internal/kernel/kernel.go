@@ -170,7 +170,8 @@ func (s *Simulator) After(d Time, fn func()) { s.At(s.now+d, fn) }
 // The simulation is stopped where the panic left it; its state stays
 // readable (a platform freezes its forensic bundle from it).
 type PanicError struct {
-	// Process names the panicking process, "" for a plain callback.
+	// Process names the panicking process, "" for a plain callback, or
+	// the work a Contain caller named.
 	Process string
 	// Value is the value passed to panic.
 	Value any
@@ -186,6 +187,19 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("kernel: process %s panicked: %v", e.Process, e.Value)
 }
 
+// Contain runs fn and returns the panic it raised as a *PanicError naming
+// proc, with the stack at the panic; nil if fn returned. Run contains the
+// simulation with it; a caller doing work outside Run names that work.
+func Contain(proc string, fn func()) (pe *PanicError) {
+	defer func() {
+		if v := recover(); v != nil {
+			pe = &PanicError{Process: proc, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
+
 // Run executes scheduled work until the horizon is passed, the queue drains,
 // or the simulation is stopped. It returns the fatal error, if any. The clock
 // never advances past `until`; work scheduled later stays queued for a
@@ -199,24 +213,25 @@ func (e *PanicError) Error() string {
 //
 // A panic in a process or callback does not escape: Run stops the
 // simulation and returns a *PanicError.
-func (s *Simulator) Run(until Time) (err error) {
+func (s *Simulator) Run(until Time) error {
 	if s.running {
 		panic("kernel: Run called from inside a process")
 	}
 	s.running = true
-	defer func() {
-		s.running = false
-		if r := recover(); r != nil {
-			pe := &PanicError{Value: r, Stack: debug.Stack()}
-			if s.current != nil {
-				pe.Process = s.current.name
-				s.current = nil
-			}
-			s.Fatal(pe)
-			err = s.err
+	pe := Contain("", func() { s.run(until) })
+	s.running = false
+	if pe != nil {
+		if s.current != nil {
+			pe.Process = s.current.name
+			s.current = nil
 		}
-	}()
+		s.Fatal(pe)
+	}
+	return s.err
+}
 
+// run is Run's scheduling loop.
+func (s *Simulator) run(until Time) {
 	for !s.stopped && len(s.queue) > 0 {
 		if s.live == 0 && until == Forever {
 			break // only daemon work left; an unbounded run would never end
@@ -250,7 +265,6 @@ func (s *Simulator) Run(until Time) (err error) {
 		}
 		s.now = until
 	}
-	return s.err
 }
 
 // dispatch runs one process callback, then yields to the Go scheduler. At

@@ -203,28 +203,13 @@ type Options struct {
 	FlightOff bool
 }
 
-// RunOnce executes the workload on one platform flavour (dift selects VP+)
-// and measures it.
-func RunOnce(w Workload, dift bool) (Measurement, error) {
-	return RunOnceOpts(w, Options{DIFT: dift})
-}
-
-// RunOnceCfg is RunOnce with the VP+ memory-interface choice exposed.
-func RunOnceCfg(w Workload, dift, tlmMem bool) (Measurement, error) {
-	return RunOnceOpts(w, Options{DIFT: dift, TLMMem: tlmMem})
-}
-
 // RunOnceOpts executes and measures the workload under the given options.
 func RunOnceOpts(w Workload, o Options) (Measurement, error) {
 	img := w.Build()
 	var pol *core.Policy
 	dift := o.DIFT
 	if dift {
-		if w.Policy != nil {
-			pol = w.Policy(img)
-		} else {
-			pol = codeInjectionPolicy(img)
-		}
+		pol = SessionPolicy(w, img)
 	}
 	pl, err := soc.New(soc.Config{Policy: pol, TaintMemViaTLM: o.TLMMem, NoDecodeCache: o.NoDecodeCache, Trace: o.Trace, Cover: o.Cover, Telemetry: o.Telemetry, FlightOff: o.FlightOff})
 	if err != nil {
@@ -306,17 +291,6 @@ func (r Row) Overhead() float64 {
 		return 0
 	}
 	return r.VPPlus.Wall.Seconds() / r.VP.Wall.Seconds()
-}
-
-// RunRow measures both flavours of one workload.
-func RunRow(w Workload) (Row, error) {
-	return RunRowCfg(w, false)
-}
-
-// RunRowCfg measures both flavours, optionally with the VP+ routed through
-// TLM memory transactions.
-func RunRowCfg(w Workload, tlmMem bool) (Row, error) {
-	return RunRowBest(w, tlmMem, 1)
 }
 
 // RunRowBest measures both flavours reps times each and keeps the fastest

@@ -39,7 +39,7 @@ func TestRunRowQsortTiny(t *testing.T) {
 	// A minimal end-to-end row: both flavours run, same instruction count,
 	// and VP+ is not faster than VP by construction of the metric.
 	w := Workloads(ScaleSmall)[0]
-	row, err := RunRow(w)
+	row, err := RunRowBest(w, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunRowBestKeepsFastest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := RunRow(w)
+	single, err := RunRowBest(w, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRunRowImmoTiny(t *testing.T) {
 	if w.Name != "immo-fixed" {
 		t.Fatal("expected immo-fixed last")
 	}
-	row, err := RunRow(w)
+	row, err := RunRowBest(w, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRunOnceFailurePaths(t *testing.T) {
 			return guest.MustProgram("main:\n\tli a0, 3\n\tret\n")
 		},
 	}
-	if _, err := RunOnce(failing, false); err == nil || !strings.Contains(err.Error(), "self-check") {
+	if _, err := RunOnceOpts(failing, Options{}); err == nil || !strings.Contains(err.Error(), "self-check") {
 		t.Errorf("err = %v, want self-check failure", err)
 	}
 
@@ -147,7 +147,7 @@ func TestRunOnceFailurePaths(t *testing.T) {
 		},
 		Horizon: kernel.MS,
 	}
-	if _, err := RunOnce(hanging, true); err == nil || !strings.Contains(err.Error(), "did not exit") {
+	if _, err := RunOnceOpts(hanging, Options{DIFT: true}); err == nil || !strings.Contains(err.Error(), "did not exit") {
 		t.Errorf("err = %v, want did-not-exit", err)
 	}
 }
@@ -156,11 +156,11 @@ func TestRunOnceTLMMemMatchesResults(t *testing.T) {
 	// The TLM-routed VP+ must produce identical guest results (instruction
 	// count), only slower.
 	w := Workloads(ScaleSmall)[2] // primes
-	direct, err := RunOnceCfg(w, true, false)
+	direct, err := RunOnceOpts(w, Options{DIFT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTLM, err := RunOnceCfg(w, true, true)
+	viaTLM, err := RunOnceOpts(w, Options{DIFT: true, TLMMem: true})
 	if err != nil {
 		t.Fatal(err)
 	}

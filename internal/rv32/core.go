@@ -81,32 +81,31 @@ type Core struct {
 	mmio tlm.Payload
 }
 
-// NewCore builds a baseline core over plain RAM and a bus for MMIO. The
-// core registers a write hook on the RAM so that bus-initiated writes (DMA,
-// TLM transactions) invalidate its predecoded-instruction cache. The cache
-// starts empty; SizeDecodeCache sizes it to the program.
-func NewCore(ram *mem.PlainMemory, ramBase uint32, bus *tlm.Bus) *Core {
-	c := &Core{
-		ram:     ram.Data(),
-		ramBase: ramBase,
-		ramSize: ram.Size(),
-		bus:     bus,
-		irqPoll: true,
-	}
-	ram.AddWriteHook(c.InvalidateDecodeCache)
-	return c
+// NewCore builds a baseline core over a bus for MMIO. It has no RAM until
+// AttachRAM; the decode cache starts empty.
+func NewCore(bus *tlm.Bus) *Core {
+	return &Core{bus: bus, irqPoll: true}
+}
+
+// AttachRAM gives the core its RAM at bus address base: fetches, loads and
+// stores inside it take the direct path, everything else the bus. The core
+// registers a write hook on the RAM so that bus-initiated writes (DMA, TLM
+// transactions) invalidate its predecoded-instruction cache. soc.Load
+// attaches the RAM it sized to the guest. Call it once, before Run.
+func (c *Core) AttachRAM(ram *mem.PlainMemory, base uint32) {
+	c.ram, c.ramBase, c.ramSize = ram.Data(), base, ram.Size()
+	ram.AddWriteHook(c.invalidateDecodeCache)
 }
 
 // SizeDecodeCache gives the predecoded-instruction cache one entry per RAM
 // word in byte offsets [0, end), dropping any entries it held; fetches past
 // end decode uncached, so end 0 turns the cache off. soc.Load sizes it to
-// the loaded image. Call it before Run.
+// the loaded image. Call it after AttachRAM, before Run.
 func (c *Core) SizeDecodeCache(end uint32) { c.ic = newICache(min(end, c.ramSize)) }
 
-// InvalidateDecodeCache drops predecoded entries covering RAM byte offsets
-// [start, end). It is registered as the RAM write hook and may be called by
-// platform code that mutates RAM behind the core's back.
-func (c *Core) InvalidateDecodeCache(start, end uint32) { c.ic.invalidate(start, end) }
+// invalidateDecodeCache, the RAM write hook, drops predecoded entries
+// covering RAM byte offsets [start, end).
+func (c *Core) invalidateDecodeCache(start, end uint32) { c.ic.invalidate(start, end) }
 
 // SetIRQ drives the machine interrupt-pending lines (mask of IntMTI /
 // IntMEI / IntMSI).

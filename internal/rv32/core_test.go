@@ -39,7 +39,8 @@ func buildPlain(t *testing.T, src string) (*Core, *asm.Image, *mem.PlainMemory) 
 		t.Fatal(err)
 	}
 	bus := tlm.NewBus()
-	c := NewCore(ram, testRAMBase, bus)
+	c := NewCore(bus)
+	c.AttachRAM(ram, testRAMBase)
 	c.SizeDecodeCache(img.End() - testRAMBase)
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 		if p.Cmd == tlm.Write {
@@ -523,7 +524,8 @@ _start:
 	if err := ram.Load(0, img2.Flatten()); err != nil {
 		t.Fatal(err)
 	}
-	c = NewCore(ram, testRAMBase, bus)
+	c = NewCore(bus)
+	c.AttachRAM(ram, testRAMBase)
 	c.SizeDecodeCache(img2.End() - testRAMBase)
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 		c.Halted = true
@@ -663,7 +665,8 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 			t.Fatal(err)
 		}
 		bus := tlm.NewBus()
-		tc := NewTaintCore(ram, testRAMBase, bus, pol)
+		tc := NewTaintCore(bus, pol)
+		tc.AttachRAM(ram, testRAMBase)
 		tc.SizeDecodeCache(img.End() - testRAMBase)
 		bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 			tc.Halted = true

@@ -28,7 +28,7 @@ package rv32
 // fires no hooks): every block starts Lazy and the register flags are
 // derived from the register file. After that, CPU writes keep the caches
 // exact inline, and every other RAM writer (mem.Memory's Load, Classify
-// and TLM/DMA writes) reaches InvalidateCaches through the RAM write hook,
+// and TLM/DMA writes) reaches invalidateCaches through the RAM write hook,
 // which marks the touched blocks Lazy again.
 //
 // Pinning: an attached observer counts every clearance check and LUB

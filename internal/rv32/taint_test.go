@@ -46,7 +46,8 @@ func buildTaint(t *testing.T, src string, pol *core.Policy) *taintRig {
 		}
 	}
 	bus := tlm.NewBus()
-	c := NewTaintCore(ram, testRAMBase, bus, pol)
+	c := NewTaintCore(bus, pol)
+	c.AttachRAM(ram, testRAMBase)
 	c.SizeDecodeCache(img.End() - testRAMBase)
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
 		c.Halted = true
@@ -514,7 +515,8 @@ _start:
 		t.Fatal(err)
 	}
 	bus := tlm.NewBus()
-	c := NewTaintCore(ram, testRAMBase, bus, pol)
+	c := NewTaintCore(bus, pol)
+	c.AttachRAM(ram, testRAMBase)
 	c.SizeDecodeCache(img.End() - testRAMBase)
 	var seenTag core.Tag
 	bus.MustMap("exit", testExit, 4, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {

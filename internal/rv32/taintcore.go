@@ -131,18 +131,15 @@ type TaintCore struct {
 	mmio tlm.Payload
 }
 
-// NewTaintCore builds a DIFT core over tainted RAM, enforcing the policy.
-// The policy must have been validated against its lattice. The decode
-// cache starts empty; SizeDecodeCache sizes it to the program.
-func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Policy) *TaintCore {
+// NewTaintCore builds a DIFT core over a bus for MMIO, enforcing the
+// policy. The policy must have been validated against its lattice. The core
+// has no RAM until AttachRAM; the decode cache starts empty.
+func NewTaintCore(bus *tlm.Bus, pol *core.Policy) *TaintCore {
 	c := &TaintCore{
-		ram:     ram.Data(),
-		ramBase: ramBase,
-		ramSize: ram.Size(),
-		bus:     bus,
-		lat:     pol.L,
-		pol:     pol,
-		def:     pol.Default,
+		bus: bus,
+		lat: pol.L,
+		pol: pol,
+		def: pol.Default,
 
 		checkFetch:   pol.Exec.CheckFetch,
 		fetchClear:   pol.Exec.Fetch,
@@ -157,7 +154,6 @@ func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Polic
 	for _, r := range pol.Regions {
 		c.checkStores = c.checkStores || r.CheckStore
 	}
-	ram.AddWriteHook(c.InvalidateCaches)
 	for i := range c.Regs {
 		c.Regs[i] = core.W(0, c.def)
 	}
@@ -169,6 +165,15 @@ func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Polic
 	c.mtval = core.W(0, c.def)
 	c.mscratch = core.W(0, c.def)
 	return c
+}
+
+// AttachRAM gives the core its tainted RAM at bus address base; see
+// Core.AttachRAM. The write hook also marks the flag-cache blocks a
+// bus-initiated write touched for a rescan; the flag caches size their
+// block arrays to this RAM when they arm at the first Run.
+func (c *TaintCore) AttachRAM(ram *mem.Memory, base uint32) {
+	c.ram, c.ramBase, c.ramSize = ram.Data(), base, ram.Size()
+	ram.AddWriteHook(c.invalidateCaches)
 }
 
 // SizeDecodeCache sizes the predecoded-instruction cache to the RAM words
@@ -186,11 +191,10 @@ func (c *TaintCore) DecodeCacheStats() (fills, uncached uint64) {
 	return c.ic.fills, c.uncachedFetch
 }
 
-// InvalidateCaches drops the predecoded entries (and their fetch-tag
-// summaries) and the flag-cache block summaries covering RAM byte offsets
-// [start, end). Registered as the tainted RAM's write hook; callers that
-// write RAM through the raw Data() slice call it themselves.
-func (c *TaintCore) InvalidateCaches(start, end uint32) {
+// invalidateCaches, the tainted RAM's write hook, drops the predecoded
+// entries (and their fetch-tag summaries) and the flag-cache block
+// summaries covering RAM byte offsets [start, end).
+func (c *TaintCore) invalidateCaches(start, end uint32) {
 	c.ic.invalidate(start, end)
 	c.markLazy(start, end)
 }

@@ -319,14 +319,15 @@ func (f *Factory) Key(spec telemetry.SessionSpec) (string, error) {
 }
 
 // Build constructs the platform for a spec: soc.New with the resolved
-// policy, optional observer and sampler, the image loaded, and the drive
-// closure bound. Close releases the platform at finalize.
+// policy, optional observer and sampler, the image loaded into RAM that
+// Load sizes to it, and the drive closure bound. Close releases the
+// platform at finalize.
 func (f *Factory) Build(spec telemetry.SessionSpec) (telemetry.SessionConfig, error) {
 	r, err := f.resolve(spec)
 	if err != nil {
 		return telemetry.SessionConfig{}, err
 	}
-	cfg := soc.Config{Policy: r.policy, RAMSize: ramFor(r.img)}
+	cfg := soc.Config{Policy: r.policy}
 	if spec.Observe {
 		cfg.Obs = obs.New()
 	}
@@ -362,22 +363,6 @@ func (f *Factory) Build(spec telemetry.SessionSpec) (telemetry.SessionConfig, er
 		sc.Drive = r.drive(pl)
 	}
 	return sc, nil
-}
-
-// ramFor sizes a session's tagged RAM to its guest instead of the 8 MiB
-// default: every guest in the repo carries its stack inside its own BSS
-// (crt0's __stack_top), so RAM only has to cover the image plus scratch
-// headroom. Under load this is the dominant per-session allocation — the VP+
-// tags every RAM byte — so right-sizing it is worth ~10x session throughput.
-func ramFor(img *asm.Image) uint32 {
-	const headroom = 1 << 20 // 1 MiB past the image for DMA scratch and slack
-	need := img.End() - soc.RAMBase + headroom
-	// Round up to a whole MiB, capped at the platform default.
-	need = (need + (1 << 20) - 1) &^ ((1 << 20) - 1)
-	if need > soc.DefaultRAMSize {
-		need = soc.DefaultRAMSize
-	}
-	return need
 }
 
 // seedByte derives the immobilizer round seed from the stimulus string, so

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"vpdift/internal/core"
 	"vpdift/internal/cover"
@@ -17,10 +18,14 @@ import (
 // wkRun is what one observed Wilander–Kamkar run leaves behind.
 type wkRun struct {
 	snapshot, heat, lcov, bundle []byte
+	// arrays is the bytes of RAM array the two platforms allocated: one
+	// per RAM byte on the VP, a value and a tag on the VP+.
+	arrays uint64
 }
 
 // runWK runs attack a on the VP and on an observed VP+ with ramSize bytes
-// of RAM, capturing the VP+ cover snapshot, reports and forensic bundle.
+// of RAM (0: sized to the guest), capturing the VP+ cover snapshot, reports
+// and forensic bundle.
 func runWK(t *testing.T, a *wk.Attack, ramSize uint32) wkRun {
 	t.Helper()
 	img, err := a.Build()
@@ -39,6 +44,11 @@ func runWK(t *testing.T, a *wk.Attack, ramSize uint32) wkRun {
 		if err := pl.Load(img); err != nil {
 			t.Fatal(err)
 		}
+		perByte := uint64(1)
+		if dift {
+			perByte = uint64(unsafe.Sizeof(core.TByte{}))
+		}
+		out.arrays += uint64(pl.RAMSize()) * perByte
 		pl.UART.Inject(a.Payload(img))
 		runErr := pl.Run(kernel.S)
 		if !dift {
@@ -64,40 +74,49 @@ func runWK(t *testing.T, a *wk.Attack, ramSize uint32) wkRun {
 }
 
 // TestFootprint is the guard for footprint-sized runs: a short observed
-// run allocates its RAM arrays plus a fixed few MiB, whatever the RAM
-// window, because the decode cache, the coverage views and the profiler
-// scale with what the guest touches. The same run on a 1 MiB RAM must give
-// byte-identical coverage output.
+// run allocates its RAM arrays plus a fixed few MiB, because the decode
+// cache, the coverage views and the profiler scale with what the guest
+// touches, and the RAM itself is sized to the guest unless RAMSize backs
+// the whole 8 MiB window. Runs on 8 MiB, on the sized RAM and on 1 MiB must
+// give byte-identical coverage output.
 func TestFootprint(t *testing.T) {
 	a := wk.Suite()[2]
 	if a.Num != 3 || !a.Applicable() {
 		t.Fatalf("want the applicable wk-3 attack, got wk-%d", a.Num)
 	}
-	runWK(t, &a, soc.DefaultRAMSize) // warm up lazily built package state
+	runWK(t, &a, 0) // warm up lazily built package state
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	big := runWK(t, &a, soc.DefaultRAMSize)
-	runtime.ReadMemStats(&after)
-	// The VP's RAM holds one byte per address, the VP+'s a value and a tag.
-	const ram = soc.DefaultRAMSize * 3
 	const slack = 4 << 20
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("allocated %.2f MiB", float64(got)/(1<<20))
-	if got > ram+slack {
-		t.Errorf("a VP and an observed VP+ on %d MiB RAM allocated %.1f MiB, want at most %.1f (RAM arrays + %d MiB)",
-			soc.DefaultRAMSize>>20, float64(got)/(1<<20), float64(ram+slack)/(1<<20), slack>>20)
+	measure := func(ramSize uint32) wkRun {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := runWK(t, &a, ramSize)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("RAMSize %#x: allocated %.2f MiB, RAM arrays %.2f MiB", ramSize, float64(got)/(1<<20), float64(r.arrays)/(1<<20))
+		if got > r.arrays+slack {
+			t.Errorf("a VP and an observed VP+ with RAMSize %#x allocated %.1f MiB, want at most %.1f (RAM arrays + %d MiB)",
+				ramSize, float64(got)/(1<<20), float64(r.arrays+slack)/(1<<20), slack>>20)
+		}
+		return r
+	}
+	big := measure(soc.DefaultRAMSize)
+	sized := measure(0)
+	if sized.arrays >= big.arrays {
+		t.Errorf("RAM sized to the guest takes %d bytes of arrays, the 8 MiB window %d", sized.arrays, big.arrays)
 	}
 
 	small := runWK(t, &a, 1<<20)
-	if !bytes.Equal(big.snapshot, small.snapshot) {
-		t.Errorf("cover snapshot differs between 8 MiB and 1 MiB RAM:\n%s\n---\n%s", big.snapshot, small.snapshot)
-	}
-	if !bytes.Equal(big.heat, small.heat) {
-		t.Errorf("heat report differs between 8 MiB and 1 MiB RAM:\n%s\n---\n%s", big.heat, small.heat)
-	}
-	if !bytes.Equal(big.lcov, small.lcov) {
-		t.Error("lcov differs between 8 MiB and 1 MiB RAM")
+	for name, r := range map[string]wkRun{"sized": sized, "1 MiB": small} {
+		if !bytes.Equal(big.snapshot, r.snapshot) {
+			t.Errorf("cover snapshot differs between 8 MiB and %s RAM:\n%s\n---\n%s", name, big.snapshot, r.snapshot)
+		}
+		if !bytes.Equal(big.heat, r.heat) {
+			t.Errorf("heat report differs between 8 MiB and %s RAM:\n%s\n---\n%s", name, big.heat, r.heat)
+		}
+		if !bytes.Equal(big.lcov, r.lcov) {
+			t.Errorf("lcov differs between 8 MiB and %s RAM", name)
+		}
 	}
 	if len(big.bundle) == 0 {
 		t.Error("no forensic bundle frozen")

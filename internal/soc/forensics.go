@@ -184,28 +184,20 @@ func (pl *Platform) insnAt(pc uint32) uint32 {
 }
 
 // memWindow is the bundle builder's RAM reader: values on both platform
-// flavours, per-byte tags on the VP+.
+// flavours, per-byte tags on the VP+. Nil outside the RAM Load sized.
 func (pl *Platform) memWindow(addr, size uint32) (data, tags []byte) {
-	if addr < RAMBase {
-		return nil, nil
-	}
 	off := addr - RAMBase
-	if pl.Core != nil {
-		d := pl.plainRAM.Data()
-		if uint64(off)+uint64(size) > uint64(len(d)) {
-			return nil, nil
-		}
-		return append([]byte(nil), d[off:off+size]...), nil
-	}
-	d := pl.ram.Data()
-	if uint64(off)+uint64(size) > uint64(len(d)) {
+	if addr < RAMBase || !pl.loaded || uint64(off)+uint64(size) > uint64(pl.cfg.RAMSize) {
 		return nil, nil
 	}
 	data = make([]byte, size)
+	if pl.Core != nil {
+		copy(data, pl.plainRAM.Data()[off:])
+		return data, nil
+	}
 	tags = make([]byte, size)
-	for i := uint32(0); i < size; i++ {
-		data[i] = d[off+i].V
-		tags[i] = byte(d[off+i].T)
+	for i, b := range pl.ram.Data()[off : off+size] {
+		data[i], tags[i] = b.V, byte(b.T)
 	}
 	return data, tags
 }

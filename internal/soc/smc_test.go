@@ -208,8 +208,10 @@ func TestDecodeCachePastImage(t *testing.T) {
 		return s, fills, uncached
 	}
 	for _, p := range []*core.Policy{nil, pol} {
-		on, fillsOn, uncachedOn := run(Config{Policy: p})
-		off, fillsOff, _ := run(Config{Policy: p, NoDecodeCache: true})
+		// The copy target lies 4 MiB into RAM, past what Load would size
+		// for this image, so back the whole window.
+		on, fillsOn, uncachedOn := run(Config{Policy: p, RAMSize: DefaultRAMSize})
+		off, fillsOff, _ := run(Config{Policy: p, RAMSize: DefaultRAMSize, NoDecodeCache: true})
 		if on.code != 0x17 {
 			t.Errorf("policy=%v: exit code %#x, want 0x17 (stale copy executed?)", p != nil, on.code)
 		}

@@ -52,8 +52,33 @@ const (
 	IRQDma    = 4
 )
 
-// DefaultRAMSize is 8 MiB, plenty for every guest in this repository.
+// DefaultRAMSize is the 8 MiB RAM window at RAMBase. Load sizes a
+// platform's RAM to its guest (see ramSize), counting classifying policy
+// regions only inside this window; a profiler built before the guest is
+// known covers it.
 const DefaultRAMSize = 8 << 20
+
+// ramSize is the platform's one RAM sizing rule, applied at Load unless
+// Config.RAMSize overrides it: the end of the image or of the highest
+// classifying policy region inside the RAM window, whichever is higher,
+// rounded up to 4 KiB. No headroom is added: every guest in this
+// repository keeps its stack inside its image (crt0's __stack_top) and has
+// no heap, and TestRAMSizeParity holds that none touches RAM past that
+// end. An access past the sized RAM is a guest bus fault; a guest that
+// uses RAM past its image sets Config.RAMSize.
+func ramSize(img *asm.Image, pol *core.Policy) uint32 {
+	const window = RAMBase + DefaultRAMSize
+	end := uint64(img.End())
+	if pol != nil {
+		for i := range pol.Regions {
+			if r := &pol.Regions[i]; r.Classify && r.Start < window && r.End > RAMBase {
+				end = max(end, min(uint64(r.End), window))
+			}
+		}
+	}
+	need := (end - RAMBase + 4095) &^ 4095
+	return uint32(min(need, 1<<32-RAMBase))
+}
 
 // DefaultQuantum is the number of instructions the CPU executes between
 // kernel synchronizations (the TLM loosely-timed quantum).
@@ -67,7 +92,9 @@ const DefaultInstrTime = 10 * kernel.NS
 type Config struct {
 	// Policy enables DIFT (VP+) when non-nil. It must validate.
 	Policy *core.Policy
-	// RAMSize defaults to DefaultRAMSize.
+	// RAMSize, when non-zero, is the RAM Load allocates instead of the
+	// size it derives from the guest (see ramSize). An image that does not
+	// fit fails Load.
 	RAMSize uint32
 	// Quantum defaults to DefaultQuantum instructions.
 	Quantum uint64
@@ -142,8 +169,8 @@ type Platform struct {
 	TaintCore *rv32.TaintCore
 
 	policy   *core.Policy
-	ram      *mem.Memory      // VP+ RAM
-	plainRAM *mem.PlainMemory // VP RAM
+	ram      *mem.Memory      // VP+ RAM, allocated by Load
+	plainRAM *mem.PlainMemory // VP RAM, allocated by Load
 
 	cfg      Config
 	irqEvent *kernel.Event
@@ -181,9 +208,6 @@ type namedMonitor struct {
 
 // New builds a platform. The baseline VP is built when cfg.Policy is nil.
 func New(cfg Config) (*Platform, error) {
-	if cfg.RAMSize == 0 {
-		cfg.RAMSize = DefaultRAMSize
-	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = DefaultQuantum
 	}
@@ -245,11 +269,10 @@ func New(cfg Config) (*Platform, error) {
 		env.Default = pol.Default
 	}
 
-	// CPU and RAM.
+	// CPU. Its RAM comes at Load, sized to the guest.
 	var setIRQ func(line uint32, level bool)
 	if pol == nil {
-		pl.plainRAM = mem.NewPlain(cfg.RAMSize)
-		pl.Core = rv32.NewCore(pl.plainRAM, RAMBase, pl.Bus)
+		pl.Core = rv32.NewCore(pl.Bus)
 		setIRQ = func(line uint32, level bool) {
 			pl.Core.SetIRQ(line, level)
 			if level {
@@ -260,8 +283,7 @@ func New(cfg Config) (*Platform, error) {
 			}
 		}
 	} else {
-		pl.ram = mem.New(cfg.RAMSize, pol.Default)
-		pl.TaintCore = rv32.NewTaintCore(pl.ram, RAMBase, pl.Bus, pol)
+		pl.TaintCore = rv32.NewTaintCore(pl.Bus, pol)
 		pl.TaintCore.ForceBusMem = cfg.TaintMemViaTLM
 		setIRQ = func(line uint32, level bool) {
 			pl.TaintCore.SetIRQ(line, level)
@@ -383,15 +405,10 @@ func New(cfg Config) (*Platform, error) {
 	mapData("sensor0", SensorBase, periph.SensorSize, pl.Sensor)
 	mapData("aes0", AESBase, periph.AESSize, pl.AES)
 	mapData("dma0", DMABase, periph.DMASize, pl.DMA)
-	if pol == nil {
-		pl.Bus.MustMap("ram", RAMBase, cfg.RAMSize, pl.plainRAM)
-	} else {
-		pl.Bus.MustMap("ram", RAMBase, cfg.RAMSize, pl.ram)
-	}
 
 	// Default waveform probes: the CPU program counter plus the externally
 	// visible peripheral state. Guests add memory and tag probes via
-	// AddMemProbe / AddTagProbe before Run.
+	// AddMemProbe / AddTagProbe between Load and Run.
 	if cfg.Trace != nil && cfg.Trace.VCD != nil {
 		v := cfg.Trace.VCD
 		if pl.Core != nil {
@@ -414,33 +431,19 @@ func New(cfg Config) (*Platform, error) {
 		v.AddProbe("dma0_transfers", 16, func() uint64 { return uint64(pl.DMA.Transfers()) })
 	}
 
-	// Coverage observability: size the requested views against this
-	// platform's geometry and hand the tag- and policy-dependent views to
+	// Coverage observability: hand the tag- and policy-dependent views to
 	// the VP+ core (guest coverage already subscribed to the flight
-	// stream). The audit installs its lattice counters here — after all
-	// wiring-time queries (Top, clearance encoding) — so setup noise does
-	// not pollute the run's per-edge counts.
-	if cv := cfg.Cover; cv.Active() {
-		if cv.Guest != nil {
-			cv.Guest.Configure(RAMBase, cfg.RAMSize)
+	// stream); Load sizes the views to the RAM it allocates. The audit
+	// installs its lattice counters here — after all wiring-time queries
+	// (Top, clearance encoding) — so setup noise does not pollute the run's
+	// per-edge counts.
+	if cv := cfg.Cover; cv.Active() && pol != nil {
+		if cv.Audit != nil {
+			cv.Audit.Configure(pol)
+			env.Audit = cv.Audit
 		}
-		if pol != nil {
-			if cv.Taint != nil {
-				cv.Taint.Configure(RAMBase, cfg.RAMSize, pol.L, pol.Default)
-				// CPU stores report through the core's cover hook; this hook
-				// catches the bus-initiated writes (DMA, TLM) that bypass it.
-				ram := pl.ram
-				pl.ram.AddWriteHook(func(start, end uint32) {
-					cv.Taint.OnMemWrite(ram.Data()[start:end], start)
-				})
-			}
-			if cv.Audit != nil {
-				cv.Audit.Configure(pol)
-				env.Audit = cv.Audit
-			}
-			if cv.Taint != nil || cv.Audit != nil {
-				pl.TaintCore.Cov = cv
-			}
+		if cv.Taint != nil || cv.Audit != nil {
+			pl.TaintCore.Cov = cv
 		}
 	}
 
@@ -462,7 +465,8 @@ func (pl *Platform) Cover() *cover.Cover { return pl.cfg.Cover }
 func (pl *Platform) Trace() *trace.Trace { return pl.cfg.Trace }
 
 // AddMemProbe registers a waveform probe on the 32-bit little-endian RAM
-// word at bus address addr. Call before Run; requires an attached VCD view.
+// word at bus address addr. Call after Load, which sizes the RAM, and
+// before Run; requires an attached VCD view.
 func (pl *Platform) AddMemProbe(name string, addr uint32) error {
 	if pl.cfg.Trace == nil || pl.cfg.Trace.VCD == nil {
 		return fmt.Errorf("soc: no VCD view attached")
@@ -488,12 +492,12 @@ func (pl *Platform) AddMemProbe(name string, addr uint32) error {
 
 // AddTagProbe registers a waveform probe on the security tag of the RAM
 // byte at bus address addr — the per-location DIFT state as a waveform. VP+
-// only; call before Run.
+// only; call after Load and before Run.
 func (pl *Platform) AddTagProbe(name string, addr uint32) error {
 	if pl.cfg.Trace == nil || pl.cfg.Trace.VCD == nil {
 		return fmt.Errorf("soc: no VCD view attached")
 	}
-	if pl.ram == nil {
+	if pl.policy == nil {
 		return fmt.Errorf("soc: tag probes need the VP+ (taint) platform")
 	}
 	off := addr - RAMBase
@@ -580,51 +584,76 @@ func (pl *Platform) pendingIRQ() bool {
 	return pl.TaintCore.PendingIRQ()
 }
 
-// Load places a program image into RAM and points the CPU at its entry. On
-// the DIFT platform every loaded byte is classified per the policy's region
-// rules (program text typically HI, key material HC/HI, everything else the
-// default class); classification rules also apply to untouched RAM such as
-// zero-initialized key buffers.
+// Load allocates the platform's RAM, sized to the guest by ramSize unless
+// Config.RAMSize overrides it, places a program image into it and points
+// the CPU at its entry. On the DIFT platform every loaded byte is
+// classified per the policy's region rules (program text typically HI, key
+// material HC/HI, everything else the default class); classification rules
+// also apply to untouched RAM such as zero-initialized key buffers.
 func (pl *Platform) Load(img *asm.Image) error {
 	if pl.loaded {
 		return fmt.Errorf("soc: image already loaded")
 	}
-	flat := img.Flatten()
 	if img.Base < RAMBase {
 		return fmt.Errorf("soc: image base 0x%x below RAM base 0x%x", img.Base, RAMBase)
 	}
-	pl.imgDigest = imageDigest(img, flat)
+	flat := img.Flatten()
 	offset := img.Base - RAMBase
+	size := pl.cfg.RAMSize
+	if size == 0 {
+		size = ramSize(img, pl.policy)
+	}
+	if uint64(offset)+uint64(len(flat)) > uint64(size) {
+		return fmt.Errorf("soc: image of %d bytes at 0x%08x does not fit %d bytes of RAM", len(flat), img.Base, size)
+	}
+	pl.cfg.RAMSize = size
+	pl.imgDigest = imageDigest(img, flat)
 	// The profiler and the coverage reports symbolize against the loaded
 	// image.
 	if pl.cfg.Trace != nil && pl.cfg.Trace.Prof != nil {
 		pl.cfg.Trace.Prof.SetImage(img)
 	}
 	if cv := pl.cfg.Cover; cv != nil && cv.Guest != nil {
+		cv.Guest.Configure(RAMBase, size)
 		cv.Guest.SetImage(img)
 	}
 	// The decode cache covers the image, where every guest keeps its code
 	// and stack; fetches past it decode uncached.
-	if !pl.cfg.NoDecodeCache {
-		if pl.Core != nil {
-			pl.Core.SizeDecodeCache(img.End() - RAMBase)
-		} else {
-			pl.TaintCore.SizeDecodeCache(img.End() - RAMBase)
-		}
+	icEnd := img.End() - RAMBase
+	if pl.cfg.NoDecodeCache {
+		icEnd = 0
 	}
+	var ram tlm.Target
 	if pl.Core != nil {
-		if err := pl.plainRAM.Load(offset, flat); err != nil {
-			return err
-		}
+		pl.plainRAM = mem.NewPlain(size)
+		pl.Core.AttachRAM(pl.plainRAM, RAMBase)
+		pl.Core.SizeDecodeCache(icEnd)
+		copy(pl.plainRAM.Data()[offset:], flat)
 		pl.Core.PC = img.Entry
-		pl.loaded = true
-		return nil
+		ram = pl.plainRAM
+	} else {
+		pl.ram = mem.New(size, pl.policy.Default)
+		pl.TaintCore.AttachRAM(pl.ram, RAMBase)
+		pl.TaintCore.SizeDecodeCache(icEnd)
+		pl.classify(img, flat)
+		pl.TaintCore.PC = img.Entry
+		ram = pl.ram
 	}
+	if err := pl.Bus.Map("ram", RAMBase, size, ram); err != nil {
+		return fmt.Errorf("soc: %w", err)
+	}
+	pl.loaded = true
+	return nil
+}
+
+// classify writes the image into the VP+ RAM with each byte's class, tags
+// the classifying regions outside it, and seeds the observer's provenance
+// roots and the taint heatmap. The raw Data() writes fire no write hook;
+// the core has not run yet, so no cache holds a stale word or tag.
+func (pl *Platform) classify(img *asm.Image, flat []byte) {
 	pol := pl.policy
 	data := pl.ram.Data()
-	if uint64(offset)+uint64(len(flat)) > uint64(len(data)) {
-		return fmt.Errorf("soc: image of %d bytes does not fit RAM", len(flat))
-	}
+	offset := img.Base - RAMBase
 	for i, b := range flat {
 		addr := img.Base + uint32(i)
 		data[offset+uint32(i)] = core.TByte{V: b, T: pol.ClassifyAt(addr)}
@@ -653,30 +682,33 @@ func (pl *Platform) Load(img *asm.Image) error {
 			}
 		}
 	}
-	// Seed the taint heatmap's shadow tags from the classified RAM so the
+	cv := pl.cfg.Cover
+	if cv == nil || cv.Taint == nil {
+		return
+	}
+	// Size the taint heatmap to this RAM. CPU stores report through the
+	// core's cover hook; the write hook catches the bus-initiated writes
+	// (DMA, TLM) that bypass it.
+	n := uint32(len(data))
+	cv.Taint.Configure(RAMBase, n, pol.L, pol.Default)
+	ram := pl.ram
+	ram.AddWriteHook(func(start, end uint32) {
+		cv.Taint.OnMemWrite(ram.Data()[start:end], start)
+	})
+	// Seed the heatmap's shadow tags from the classified RAM so the
 	// classification roots count as ever-tainted without counting as churn.
 	// The image and the classification regions are the only bytes tagged
 	// above; the rest of RAM holds the default tag the heatmap assumes.
-	if cv := pl.cfg.Cover; cv != nil && cv.Taint != nil {
-		cv.Taint.InitFromRAM(data[offset:offset+uint32(len(flat))], offset)
-		n := uint32(len(data))
-		for i := range pol.Regions {
-			if r := &pol.Regions[i]; r.Classify {
-				lo := min(max(r.Start, RAMBase)-RAMBase, n)
-				hi := min(max(r.End, RAMBase)-RAMBase, n)
-				if lo < hi {
-					cv.Taint.InitFromRAM(data[lo:hi], lo)
-				}
+	cv.Taint.InitFromRAM(data[offset:offset+uint32(len(flat))], offset)
+	for i := range pol.Regions {
+		if r := &pol.Regions[i]; r.Classify {
+			lo := min(max(r.Start, RAMBase)-RAMBase, n)
+			hi := min(max(r.End, RAMBase)-RAMBase, n)
+			if lo < hi {
+				cv.Taint.InitFromRAM(data[lo:hi], lo)
 			}
 		}
 	}
-	// The image and classification rules were written through the raw Data()
-	// slice, which bypasses the RAM write hooks; drop the core's caches
-	// explicitly.
-	pl.TaintCore.InvalidateCaches(0, pl.ram.Size())
-	pl.TaintCore.PC = img.Entry
-	pl.loaded = true
-	return nil
 }
 
 // Run advances the simulation until the guest exits, a violation or error
@@ -730,6 +762,14 @@ func (pl *Platform) Instret() uint64 {
 
 // IsDIFT reports whether this is the VP+ (taint-tracking) flavour.
 func (pl *Platform) IsDIFT() bool { return pl.TaintCore != nil }
+
+// RAMSize returns the bytes of RAM Load allocated, zero before Load.
+func (pl *Platform) RAMSize() uint32 {
+	if !pl.loaded {
+		return 0
+	}
+	return pl.cfg.RAMSize
+}
 
 // MetricsSnapshot returns the platform's simulation gauges merged with the
 // observer's counters (when one is attached): instructions retired,
@@ -856,7 +896,7 @@ func (pl *Platform) Now() kernel.Time { return pl.Sim.Now() }
 
 // TaintSummary counts RAM bytes per security class — a debugging aid for
 // policy development ("how far did the secret spread?"). It returns nil on
-// the baseline platform.
+// the baseline platform and before Load.
 func (pl *Platform) TaintSummary() map[string]uint64 {
 	if pl.ram == nil {
 		return nil
@@ -878,7 +918,7 @@ func (pl *Platform) TaintSummary() map[string]uint64 {
 
 // TaintedRanges lists the maximal RAM ranges whose bytes carry a class
 // other than the policy default, as "[start, end) CLASS" strings in address
-// order. Empty on the baseline platform.
+// order. Empty on the baseline platform and before Load.
 func (pl *Platform) TaintedRanges() []string {
 	if pl.ram == nil {
 		return nil
@@ -908,21 +948,9 @@ func (pl *Platform) ReadRAM(addr, size uint32) ([]byte, error) {
 	if addr < RAMBase {
 		return nil, fmt.Errorf("soc: 0x%x below RAM", addr)
 	}
-	off := addr - RAMBase
-	if pl.Core != nil {
-		d := pl.plainRAM.Data()
-		if uint64(off)+uint64(size) > uint64(len(d)) {
-			return nil, fmt.Errorf("soc: read beyond RAM")
-		}
-		return append([]byte(nil), d[off:off+size]...), nil
-	}
-	d := pl.ram.Data()
-	if uint64(off)+uint64(size) > uint64(len(d)) {
+	data, _ := pl.memWindow(addr, size)
+	if data == nil {
 		return nil, fmt.Errorf("soc: read beyond RAM")
 	}
-	out := make([]byte, size)
-	for i := range out {
-		out[i] = d[off+uint32(i)].V
-	}
-	return out, nil
+	return data, nil
 }

@@ -552,9 +552,17 @@ func (sv *Server) runSession(s *session) {
 		if s.cfg.Horizon != 0 && target > s.cfg.Horizon {
 			target = s.cfg.Horizon
 		}
-		err := pl.Run(target)
-		if err == nil && s.cfg.Drive != nil {
-			err = s.cfg.Drive()
+		// The platform's work around its simulation and the drive step run
+		// outside Simulator.Run; a panic there fails the session as one
+		// inside it does.
+		var err error
+		if pe := kernel.Contain("drive", func() {
+			err = pl.Run(target)
+			if err == nil && s.cfg.Drive != nil {
+				err = s.cfg.Drive()
+			}
+		}); pe != nil {
+			err = pe
 		}
 		exited, _ := pl.Exited()
 		finished := err != nil || exited || (s.cfg.Horizon != 0 && pl.Now() >= s.cfg.Horizon)
@@ -601,12 +609,24 @@ func (sv *Server) finalize(s *session) {
 		s.state = StateDone
 	}
 	s.done = true
+	// The captures below call into the platform and the factory's closures
+	// outside Simulator.Run. A panic in one fails the session as a panic in
+	// Run does, and finalizing goes on.
+	capture := func(fn func()) {
+		if pe := kernel.Contain("finalize", fn); pe != nil {
+			s.err = errors.Join(s.err, pe)
+		}
+	}
 	pl := s.cfg.Platform
 	m := make(map[string]uint64, 64)
-	pl.MetricsSnapshotInto(m)
+	var exited bool
+	var code uint32
+	capture(func() {
+		pl.MetricsSnapshotInto(m)
+		s.simNs = uint64(pl.Now())
+		exited, code = pl.Exited()
+	})
 	s.final = m
-	s.simNs = uint64(pl.Now())
-	exited, code := pl.Exited()
 	var violations uint64
 	for k, n := range m {
 		if strings.HasPrefix(k, "violations.") {
@@ -630,6 +650,14 @@ func (sv *Server) finalize(s *session) {
 	if s.cfg.Sampler != nil {
 		r.Samples = s.cfg.Sampler.Total()
 	}
+	// Freeze the flight-recorder bundle now, while the platform is still
+	// alive — the Close hook below releases it.
+	capture(func() { s.forensics = s.captureForensics(violations) })
+	r.Forensics = s.forensics != nil
+	// Likewise the coverage snapshot: capture before Close.
+	if s.cfg.CoverSnapshot != nil {
+		capture(func() { r.Cover = s.cfg.CoverSnapshot() })
+	}
 	var pe *kernel.PanicError
 	if s.err != nil {
 		r.Error = s.err.Error()
@@ -639,14 +667,6 @@ func (sv *Server) finalize(s *session) {
 			r.Detected = true
 		}
 		r.Panicked = errors.As(s.err, &pe)
-	}
-	// Freeze the flight-recorder bundle now, while the platform is still
-	// alive — the Close hook below releases it.
-	s.forensics = s.captureForensics(violations)
-	r.Forensics = s.forensics != nil
-	// Likewise the coverage snapshot: capture before Close.
-	if s.cfg.CoverSnapshot != nil {
-		r.Cover = s.cfg.CoverSnapshot()
 	}
 	s.result = r
 	cbs := s.callbacks
@@ -705,8 +725,11 @@ func (sv *Server) finalize(s *session) {
 	for _, cb := range cbs {
 		cb(r)
 	}
+	// The result is out by now, so a panic in Close can only be logged.
 	if closeFn != nil {
-		closeFn()
+		if pe := kernel.Contain("close", closeFn); pe != nil {
+			sv.log.Error("session close panicked", "session", s.cfg.ID, "error", pe.Error(), "stack", string(pe.Stack))
+		}
 	}
 }
 

@@ -429,35 +429,8 @@ func WithCoverage(cv *Cover) Option {
 	return optionFunc(func(c *soc.Config) { c.Cover = cv })
 }
 
-// Scale selects a platform sizing preset (RAM and TLM quantum).
-type Scale int
-
-// Platform sizing presets.
-const (
-	// ScaleSmall: 1 MiB RAM, 1024-instruction quantum — unit-test sized.
-	ScaleSmall Scale = iota
-	// ScaleMedium: the defaults (8 MiB RAM, 4096-instruction quantum).
-	ScaleMedium
-	// ScaleLarge: 32 MiB RAM, 16384-instruction quantum — long benchmarks.
-	ScaleLarge
-)
-
-// WithScale applies a sizing preset. Individual WithRAMSize / WithQuantum
-// options applied after it still override the preset.
-func WithScale(s Scale) Option {
-	return optionFunc(func(c *soc.Config) {
-		switch s {
-		case ScaleSmall:
-			c.RAMSize, c.Quantum = 1<<20, 1024
-		case ScaleLarge:
-			c.RAMSize, c.Quantum = 32<<20, 16384
-		default:
-			c.RAMSize, c.Quantum = soc.DefaultRAMSize, soc.DefaultQuantum
-		}
-	})
-}
-
-// WithRAMSize overrides the RAM size in bytes.
+// WithRAMSize overrides the RAM size in bytes, which Load otherwise sizes to
+// the guest's image; an image that does not fit fails Load.
 func WithRAMSize(bytes uint32) Option {
 	return optionFunc(func(c *soc.Config) { c.RAMSize = bytes })
 }
