@@ -9,8 +9,8 @@
 // Each argument is a JSON file holding a coverage snapshot in any of the
 // shapes the platform emits:
 //
-//   - a raw snapshot (vp-run -cover-snapshot, wk-suite -cover-out,
-//     vp-load -cover-dir, or GET .../coverage?format=snapshot)
+//   - a raw snapshot (vp-run -cover-snapshot, wk-suite -cover-out, or
+//     GET .../coverage?format=snapshot)
 //   - a v1 API envelope whose data carries a campaign rollup ("merged")
 //     or a session result ("cover")
 //   - a bare session result or campaign rollup saved without the envelope

@@ -22,8 +22,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"vpdift/internal/asm"
@@ -260,20 +263,7 @@ func main() {
 	os.Stdout.Write(pl.UART.Output())
 
 	if *taintMap && pl.IsDIFT() {
-		fmt.Fprintln(os.Stderr, "\ntaint census (RAM bytes per class):")
-		for class, n := range pl.TaintSummary() {
-			fmt.Fprintf(os.Stderr, "  %-12s %d\n", class, n)
-		}
-		ranges := pl.TaintedRanges()
-		fmt.Fprintf(os.Stderr, "tainted ranges (%d):\n", len(ranges))
-		const maxShown = 32
-		for i, r := range ranges {
-			if i == maxShown {
-				fmt.Fprintf(os.Stderr, "  ... and %d more\n", len(ranges)-maxShown)
-				break
-			}
-			fmt.Fprintln(os.Stderr, "  "+r)
-		}
+		writeTaintMap(os.Stderr, pl)
 	}
 
 	writeExports(pl, observer, *metricsOut, *eventsOut, *chromeOut)
@@ -394,6 +384,26 @@ func exportTo(path string, fn func(*os.File) error) {
 	}
 	if closeit {
 		f.Close()
+	}
+}
+
+// writeTaintMap prints the per-class RAM census, classes in name order, and
+// the first tainted ranges in address order.
+func writeTaintMap(w io.Writer, pl *soc.Platform) {
+	fmt.Fprintln(w, "\ntaint census (RAM bytes per class):")
+	census := pl.TaintSummary()
+	for _, class := range slices.Sorted(maps.Keys(census)) {
+		fmt.Fprintf(w, "  %-12s %d\n", class, census[class])
+	}
+	ranges := pl.TaintedRanges()
+	fmt.Fprintf(w, "tainted ranges (%d):\n", len(ranges))
+	const maxShown = 32
+	for i, r := range ranges {
+		if i == maxShown {
+			fmt.Fprintf(w, "  ... and %d more\n", len(ranges)-maxShown)
+			break
+		}
+		fmt.Fprintln(w, "  "+r)
 	}
 }
 

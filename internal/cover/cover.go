@@ -18,7 +18,8 @@
 // A platform built without a Cover (or with unused views left nil) pays
 // nothing for it: GuestCov is a stream subscriber the platform only adds
 // when requested, and TaintCov and PolicyAudit share the VP+ core's one
-// nil-guarded post-retire hook — the contract the CI perf guard pins.
+// nil-guarded post-retire hook — the contract the benchmark's toggle rows
+// price.
 package cover
 
 // Cover bundles the enabled views. Leave a field nil to disable that view;

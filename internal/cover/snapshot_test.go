@@ -109,6 +109,46 @@ func TestSnapshotSchemaRejected(t *testing.T) {
 	}
 }
 
+// FuzzParseSnapshot feeds ParseSnapshot arbitrary bytes, starting from the
+// golden snapshot, one seed per section of it and the rejected inputs above.
+// It must never panic, and a snapshot it accepts exports canonical bytes:
+// they re-parse and re-export to themselves.
+func FuzzParseSnapshot(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := ParseSnapshot(golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, part := range []*Snapshot{
+		{Schema: s.Schema, Runs: s.Runs, Guest: s.Guest},
+		{Schema: s.Schema, Runs: s.Runs, Taint: s.Taint},
+		{Schema: s.Schema, Runs: s.Runs, Audit: s.Audit},
+		{Schema: s.Schema, Runs: s.Runs, Verdicts: s.Verdicts},
+	} {
+		f.Add(part.JSON())
+	}
+	f.Add([]byte(`{"schema":"vpdift.cover/v0","runs":[]}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSnapshot(data)
+		if err != nil {
+			return
+		}
+		first := s.JSON()
+		again, err := ParseSnapshot(first)
+		if err != nil {
+			t.Fatalf("an accepted snapshot's export does not parse: %v\n%s", err, first)
+		}
+		if second := again.JSON(); !bytes.Equal(first, second) {
+			t.Fatalf("re-export differs:\n%s\n---\n%s", first, second)
+		}
+	})
+}
+
 func TestMergeIdempotent(t *testing.T) {
 	s := captureFull(t, "w1")
 	m, err := Merge(s, s)

@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// SchemaV1 identifies the forensic-bundle JSON layout. Consumers (vp-load
-// -verify, the CI forensics job) match it exactly before trusting any field.
+// SchemaV1 identifies the forensic-bundle JSON layout. Consumers (vp-load,
+// the CI forensics job) match it exactly before trusting any field.
 const SchemaV1 = "vpdift.forensics/v1"
 
 // memHalo is how many bytes of context a memory window extends on each side
@@ -305,8 +305,8 @@ func (b *Bundle) JSON() []byte {
 // ValidateBundle parses raw bundle JSON and checks its structural
 // invariants: the schema identity, a non-empty reason, a full register
 // file, kind-tagged trace records (retires carrying disassembly), and a
-// capture count consistent with the window. This is what vp-load -verify
-// and the CI forensics job assert.
+// capture count consistent with the window. This is what vp-load and the
+// CI forensics job assert.
 func ValidateBundle(raw []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(raw, &b); err != nil {

@@ -165,10 +165,10 @@ func (r *Recorder) Flush() {
 
 // Slot claims the next overwrite-oldest slot and advances the ring. It is
 // deliberately tiny so it inlines into the interpreter hot loops (the alloc
-// guard and the perf -flight guard both depend on the capture staying a
-// handful of instructions); a flush call would push it over the inlining
-// budget, so callers check Full and Flush after filling the slot. Slots are
-// recycled: the caller must overwrite every field.
+// guard and the benchmark's flight.ns_per_insn row both depend on the
+// capture staying a handful of instructions); a flush call would push it
+// over the inlining budget, so callers check Full and Flush after filling
+// the slot. Slots are recycled: the caller must overwrite every field.
 func (r *Recorder) Slot() *Rec {
 	rec := &r.recs[r.n&r.mask]
 	r.n++

@@ -175,15 +175,19 @@ func TestBundleMergesMemWindows(t *testing.T) {
 	}
 }
 
+// corruptions each break one invariant ValidateBundle checks, applied to a
+// valid bundle's JSON as a single replacement.
+var corruptions = []struct{ name, from, to string }{
+	{"bad schema", SchemaV1, "nope/v9"},
+	{"no reason", `"reason": "violation"`, `"reason": ""`},
+	{"missing disasm", `"disasm": "insn"`, `"disasm": ""`},
+}
+
 func TestValidateBundleRejects(t *testing.T) {
 	r := New(16)
 	retire(r, 0x80000100, 0x13, 0, 1, 0)
 	good := r.Bundle(testSnapshot()).JSON()
-	for _, tc := range []struct{ name, from, to string }{
-		{"bad schema", SchemaV1, "nope/v9"},
-		{"no reason", `"reason": "violation"`, `"reason": ""`},
-		{"missing disasm", `"disasm": "insn"`, `"disasm": ""`},
-	} {
+	for _, tc := range corruptions {
 		raw := strings.Replace(string(good), tc.from, tc.to, 1)
 		if _, err := ValidateBundle([]byte(raw)); err == nil {
 			t.Errorf("%s: ValidateBundle accepted a corrupt bundle", tc.name)
@@ -192,6 +196,27 @@ func TestValidateBundleRejects(t *testing.T) {
 	if _, err := ValidateBundle([]byte("not json")); err == nil {
 		t.Error("ValidateBundle accepted non-JSON input")
 	}
+}
+
+// FuzzValidateBundle feeds ValidateBundle arbitrary bytes, starting from a
+// valid bundle and its corruptions: it must reject or accept, never panic.
+func FuzzValidateBundle(f *testing.F) {
+	r := New(16)
+	retire(r, 0x80000100, 0x00a50533, 0, 40, 0)
+	retire(r, 0x80000104, 0x0005a583, 0x80001000, 41, FlagLoad)
+	r.MarkViolation(42, 0x80000120, 0xdeadbeef, 0)
+	good := r.Bundle(testSnapshot()).JSON()
+	f.Add(good)
+	for _, tc := range corruptions {
+		f.Add([]byte(strings.Replace(string(good), tc.from, tc.to, 1)))
+	}
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		b, err := ValidateBundle(raw)
+		if (b == nil) == (err == nil) {
+			t.Fatalf("ValidateBundle returned bundle %v with error %v", b != nil, err)
+		}
+	})
 }
 
 func TestReportIsDeterministicAndComplete(t *testing.T) {

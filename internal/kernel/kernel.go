@@ -336,8 +336,10 @@ type Process struct {
 	s      *Simulator
 	name   string
 	fn     func(p *Process)
-	daemon bool
 	queued bool
+	// item is the process's one wake-up; queued keeps it in the queue at
+	// most once, so every re-arm reuses it.
+	item workItem
 }
 
 // Spawn creates a process and schedules its first dispatch at the current
@@ -358,7 +360,8 @@ func (s *Simulator) SpawnDaemon(name string, fn func(p *Process)) *Process {
 }
 
 func (s *Simulator) spawn(name string, fn func(p *Process), daemon bool) *Process {
-	p := &Process{s: s, name: name, fn: fn, daemon: daemon}
+	p := &Process{s: s, name: name, fn: fn}
+	p.item = workItem{proc: p, daemon: daemon}
 	if s.trace != nil {
 		s.trace.ThreadSpawn(name, s.now)
 	}
@@ -389,5 +392,6 @@ func (p *Process) wake(at Time) {
 	if p.s.trace != nil {
 		p.s.trace.ThreadWake(p.name, p.s.now, at)
 	}
-	p.s.push(&workItem{at: at, proc: p, daemon: p.daemon})
+	p.item.at = at
+	p.s.push(&p.item)
 }

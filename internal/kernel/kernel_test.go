@@ -412,6 +412,29 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// A re-arm reuses the process's one work item: a CPU-style process that
+// re-arms every quantum allocates nothing per quantum.
+func TestWakeAfterAllocatesNothing(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	n := 0
+	s.Spawn("cpu", func(p *Process) {
+		n++
+		p.WakeAfter(US)
+	})
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Run(s.Now() + 1000*US); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per 1000 re-arms, want 0", allocs)
+	}
+	if n < 6000 {
+		t.Errorf("process ran %d times, want one per re-arm", n)
+	}
+}
+
 func panicInProcess(*Process) { panic("boom in process") }
 
 func panicInCallback() { panic("boom in callback") }

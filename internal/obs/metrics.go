@@ -57,8 +57,8 @@ func (m *Metrics) SnapshotInto(dst map[string]uint64) {
 	}
 }
 
-// WriteMetricsJSON writes a counter map as stable, indented JSON — the
-// format cmd/perf consumes and the CI perf guard archives. encoding/json
+// WriteMetricsJSON writes a counter map as stable, indented JSON, the
+// format of vp-run -metrics and the archived metrics files. encoding/json
 // already marshals map keys in sorted order, so the output is deterministic
 // without any pre-sorting. Metric names are written verbatim: the dotted
 // names are legal JSON keys as-is, and SanitizeMetricName maps the same

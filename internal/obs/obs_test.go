@@ -284,7 +284,7 @@ func TestWriteMetricsJSON(t *testing.T) {
 
 func TestWriteMetricsJSONDeterministic(t *testing.T) {
 	// The export must be byte-identical across snapshots of the same state:
-	// the CI perf guard diffs archived metrics files, so map-iteration order
+	// archived metrics files are diffed, so map-iteration order
 	// must never leak into the output.
 	m := NewMetrics()
 	for _, name := range []string{"z.last", "a.first", "m.middle", "core.instret", "cover.edges"} {

@@ -17,7 +17,6 @@ import (
 
 	"vpdift/internal/asm"
 	"vpdift/internal/core"
-	"vpdift/internal/cover"
 	"vpdift/internal/guest"
 	"vpdift/internal/immo"
 	"vpdift/internal/kernel"
@@ -186,21 +185,13 @@ type Options struct {
 	NoDecodeCache bool
 	// Trace attaches the simulation-side trace layer (profiler, waveform
 	// probes, kernel trace) to the measured platform; nil measures the
-	// undisturbed fast path. Used by the -profile smoke run of the CI perf
-	// guard.
+	// undisturbed fast path. The kernel schedule golden test records its
+	// kernel trace through it.
 	Trace *trace.Trace
-	// Cover attaches the coverage subsystem (guest coverage, taint heatmap,
-	// policy audit) to the measured platform; nil measures the undisturbed
-	// fast path. Used by the -cover smoke run of the CI perf guard.
-	Cover *cover.Cover
 	// Telemetry attaches a live-metrics sampler to the measured platform;
-	// nil measures the undisturbed fast path. Used by the -telemetry smoke
-	// run of the CI perf guard.
+	// nil measures the undisturbed fast path. The kernel schedule golden
+	// test samples through it.
 	Telemetry *telemetry.Sampler
-	// FlightOff disables the always-on flight recorder for this
-	// measurement. The default measures the platform as shipped (recorder
-	// on); the -flight guard uses this to price the recorder.
-	FlightOff bool
 }
 
 // RunOnceOpts executes and measures the workload under the given options.
@@ -211,7 +202,7 @@ func RunOnceOpts(w Workload, o Options) (Measurement, error) {
 	if dift {
 		pol = SessionPolicy(w, img)
 	}
-	pl, err := soc.New(soc.Config{Policy: pol, TaintMemViaTLM: o.TLMMem, NoDecodeCache: o.NoDecodeCache, Trace: o.Trace, Cover: o.Cover, Telemetry: o.Telemetry, FlightOff: o.FlightOff})
+	pl, err := soc.New(soc.Config{Policy: pol, TaintMemViaTLM: o.TLMMem, NoDecodeCache: o.NoDecodeCache, Trace: o.Trace, Telemetry: o.Telemetry})
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -241,41 +232,6 @@ func RunOnceOpts(w Workload, o Options) (Measurement, error) {
 	return Measurement{Instr: pl.Instret(), Wall: wall}, nil
 }
 
-// ProfileSmoke runs one workload with the trace layer (kernel trace +
-// profiler) attached and returns the profiler for inspection. It is the CI
-// guard's check that tracing coexists with the hot loop: the run must exit
-// cleanly and the profiler must attribute the retired cycles.
-func ProfileSmoke(w Workload, dift bool) (*trace.Profiler, Measurement, error) {
-	tr := &trace.Trace{
-		Kernel: trace.NewKernelTrace(0),
-		Prof:   trace.NewProfiler(soc.RAMBase, soc.DefaultRAMSize),
-	}
-	m, err := RunOnceOpts(w, Options{DIFT: dift, Trace: tr})
-	return tr.Prof, m, err
-}
-
-// CoverSmoke runs one workload with all three coverage views attached and
-// returns them for inspection. It is the CI guard's check that coverage
-// coexists with the hot loop: the run must exit cleanly, the views must have
-// recorded data, and the measured MIPS must stay within a (generous) band of
-// the archived Table II VP+ figure.
-func CoverSmoke(w Workload, dift bool) (*cover.Cover, Measurement, error) {
-	cv := cover.New()
-	m, err := RunOnceOpts(w, Options{DIFT: dift, Cover: cv})
-	return cv, m, err
-}
-
-// TelemetrySmoke runs one workload with a live-telemetry sampler ticking at
-// the given simulated-time period and returns the sampler for inspection. It
-// is the CI guard's check that the sampler daemon coexists with the hot
-// loop: the run must exit cleanly and the captured timeseries must be
-// well-formed (checked by the caller).
-func TelemetrySmoke(w Workload, dift bool, every kernel.Time) (*telemetry.Sampler, Measurement, error) {
-	smp := telemetry.NewSampler(telemetry.Options{Every: every})
-	m, err := RunOnceOpts(w, Options{DIFT: dift, Telemetry: smp})
-	return smp, m, err
-}
-
 // Row is one completed Table II row.
 type Row struct {
 	Name   string
@@ -297,33 +253,15 @@ func (r Row) Overhead() float64 {
 // measurement per flavour. The simulator is deterministic, so repeated runs
 // execute identical instruction streams; wall-clock differences are host
 // noise (shared runners, frequency scaling), and best-of-N measures what the
-// code can do rather than what the host happened to allow. The CI perf
-// guard uses reps=3 so a single contended run cannot fail the build.
+// code can do rather than what the host happened to allow. Each repetition
+// runs the VP and the VP+ back to back, so host drift between repetitions
+// hits both flavours alike instead of landing in the overhead factor.
 func RunRowBest(w Workload, tlmMem bool, reps int) (Row, error) {
-	vp, err := bestOf(w, reps, Options{})
+	m, err := bestOf(w, reps, Options{}, Options{DIFT: true, TLMMem: tlmMem})
 	if err != nil {
 		return Row{}, err
 	}
-	vpp, err := bestOf(w, reps, Options{DIFT: true, TLMMem: tlmMem})
-	if err != nil {
-		return Row{}, err
-	}
-	return newRow(w, vp[0], vpp[0]), nil
-}
-
-// RunRowFlightPair measures one workload's flavours with the flight
-// recorder on (as shipped) and off. Each repetition runs all four
-// configurations back to back, alternating their order, so they see the
-// same host conditions and the on/off difference prices the recorder
-// rather than host drift between two phases.
-func RunRowFlightPair(w Workload, tlmMem bool, reps int) (on, off Row, err error) {
-	m, err := bestOf(w, reps,
-		Options{}, Options{FlightOff: true},
-		Options{DIFT: true, TLMMem: tlmMem}, Options{DIFT: true, TLMMem: tlmMem, FlightOff: true})
-	if err != nil {
-		return Row{}, Row{}, err
-	}
-	return newRow(w, m[0], m[2]), newRow(w, m[1], m[3]), nil
+	return newRow(w, m[0], m[1]), nil
 }
 
 func newRow(w Workload, vp, vpp Measurement) Row {
@@ -381,32 +319,30 @@ type ReportRow struct {
 	Overhead   float64 `json:"overhead_factor"`
 }
 
-// ReportMeta records the conditions a report was measured under, so a
-// baseline diff can tell a code regression from a host change. SampleEveryNS
-// is the telemetry smoke's sampling period (0 when the smoke did not run).
+// ReportMeta records the conditions a report was measured under, so two
+// reports from different hosts are never compared silently.
 type ReportMeta struct {
-	GoVersion     string `json:"go_version"`
-	OS            string `json:"os"`
-	Arch          string `json:"arch"`
-	NumCPU        int    `json:"num_cpu"`
-	Reps          int    `json:"reps"`
-	SampleEveryNS uint64 `json:"sample_every_ns,omitempty"`
+	GoVersion string `json:"go_version"`
+	OS        string `json:"os"`
+	Arch      string `json:"arch"`
+	NumCPU    int    `json:"num_cpu"`
+	Reps      int    `json:"reps"`
 }
 
 // NewReportMeta captures the current host and run configuration.
-func NewReportMeta(reps int, sampleEvery kernel.Time) ReportMeta {
+func NewReportMeta(reps int) ReportMeta {
 	return ReportMeta{
-		GoVersion:     runtime.Version(),
-		OS:            runtime.GOOS,
-		Arch:          runtime.GOARCH,
-		NumCPU:        runtime.NumCPU(),
-		Reps:          reps,
-		SampleEveryNS: uint64(sampleEvery),
+		GoVersion: runtime.Version(),
+		OS:        runtime.GOOS,
+		Arch:      runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		Reps:      reps,
 	}
 }
 
 // Report is the machine-readable Table II comparison, written next to the
-// human-readable table so CI or plotting scripts can diff runs.
+// human-readable table for plotting scripts and the BENCH_table2.json
+// record.
 type Report struct {
 	Scale           string      `json:"scale"`
 	TLMMem          bool        `json:"tlm_mem"`
@@ -446,48 +382,6 @@ func (rep Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadFile loads a report previously written with WriteFile (the CI perf
-// guard's archived baseline).
-func ReadFile(path string) (Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return Report{}, fmt.Errorf("perf: %s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// CheckRegression compares measured rows against a baseline report and
-// returns one message per workload whose VP or VP+ MIPS fell more than
-// tolerance (e.g. 0.10 for 10%) below the baseline. Workloads missing from
-// either side are skipped — the guard must not fail on renamed benchmarks.
-func CheckRegression(baseline Report, rows []Row, tolerance float64) []string {
-	base := make(map[string]ReportRow, len(baseline.Rows))
-	for _, r := range baseline.Rows {
-		base[r.Name] = r
-	}
-	var msgs []string
-	check := func(name, flavour string, got, want float64) {
-		if want > 0 && got < want*(1-tolerance) {
-			msgs = append(msgs, fmt.Sprintf(
-				"%s: %s %.1f MIPS is %.1f%% below baseline %.1f MIPS (tolerance %.0f%%)",
-				name, flavour, got, (1-got/want)*100, want, tolerance*100))
-		}
-	}
-	for _, r := range rows {
-		b, ok := base[r.Name]
-		if !ok {
-			continue
-		}
-		check(r.Name, "VP", r.VP.MIPS(), b.VPMIPS)
-		check(r.Name, "VP+", r.VPPlus.MIPS(), b.VPPlusMIPS)
-	}
-	return msgs
 }
 
 // group3 formats an integer with thousands separators, as in the paper.

@@ -145,7 +145,8 @@ type Config struct {
 	// per-retire tap: the profiler and guest coverage subscribe to it, as
 	// may the caller before New. Nil selects a default-sized recorder.
 	// FlightOff freezes no bundle; with no subscriber it also disables
-	// capture entirely (the recorder-off flavour of the perf guard).
+	// capture entirely (the recorder-off flavour the benchmark prices the
+	// recorder against).
 	Flight    *flight.Recorder
 	FlightOff bool
 }

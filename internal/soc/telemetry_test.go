@@ -71,6 +71,14 @@ func TestTelemetrySamplerOnPlatform(t *testing.T) {
 	if mips := samples[len(samples)-1].Derived.MIPS; mips < 50 || mips > 200 {
 		t.Errorf("MIPS = %v, want ~100", mips)
 	}
+	// A real platform's sampled snapshot exports as valid exposition.
+	var prom bytes.Buffer
+	if err := telemetry.WritePrometheus(&prom, samples[len(samples)-1].Metrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateExposition(prom.String()); err != nil {
+		t.Errorf("sampled snapshot's exposition is invalid: %v", err)
+	}
 }
 
 // The merged snapshot's precedence: platform gauges overwrite observer
