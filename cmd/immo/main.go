@@ -247,7 +247,8 @@ func run() error {
 	observer, tr := traceSetup()
 	cov := coverSetup()
 	smp := telemetrySetup()
-	e, err := immo.NewECUSampled(immo.VariantFixed, immo.PolicyBase, observer, tr, cov, smp)
+	e, err := immo.NewECUWithConfig(immo.VariantFixed, immo.PolicyBase,
+		immo.ECUConfig{Obs: observer, Trace: tr, Cover: cov, Telemetry: smp})
 	if err != nil {
 		return err
 	}

@@ -20,19 +20,12 @@ type Lattice struct {
 	allowed []bool // n*n closure matrix: allowed[x*n+y] == AllowedFlow(x, y)
 	lub     []Tag  // n*n join table: lub[x*n+y] == LUB(x, y)
 
-	// lubCount, when non-nil, is incremented on every LUB — the observer's
-	// join-operation counter. Set once at platform wiring time (before the
-	// simulation starts); nil in normal operation so the hot path pays only
-	// a predictable not-taken branch.
-	lubCount *uint64
-
-	// lubPair/flowPair, when non-nil, are n*n per-edge hit-count matrices
-	// maintained by the coverage subsystem's policy audit: lubPair[a*n+b]
-	// counts LUB(a, b) calls and flowPair[from*n+to] counts AllowedFlow
-	// queries. Like lubCount they are installed once at wiring time and nil
-	// in normal operation (one predictable not-taken branch per call).
-	lubPair  []uint64
-	flowPair []uint64
+	// lubHits/flowHits, when non-nil, are the installed counter set's
+	// per-pair matrices (see Count). Installed once at wiring time and nil
+	// in normal operation, so the hot path pays one predictable not-taken
+	// branch per query.
+	lubHits  []uint64
+	flowHits []uint64
 }
 
 // NewLattice builds an IFP from named security classes and directed flow
@@ -194,47 +187,60 @@ func (l *Lattice) MustTag(name string) Tag {
 // LUB returns the least upper bound of two security classes: the class of
 // data produced by combining data of classes a and b (paper Section IV-A).
 func (l *Lattice) LUB(a, b Tag) Tag {
-	if l.lubCount != nil {
-		*l.lubCount++
+	i := int(a)*len(l.names) + int(b)
+	if l.lubHits != nil {
+		l.lubHits[i]++
 	}
-	n := len(l.names)
-	if l.lubPair != nil {
-		l.lubPair[int(a)*n+int(b)]++
-	}
-	return l.lub[int(a)*n+int(b)]
-}
-
-// SetLUBCounter installs (or, with nil, removes) the join-operation counter.
-// It must be called before the simulation starts; counter installation is
-// the only permitted post-construction mutation of a Lattice.
-func (l *Lattice) SetLUBCounter(c *uint64) { l.lubCount = c }
-
-// SetAuditCounters installs (or, with nil, removes) the policy audit's
-// per-pair hit matrices: lubPair[a*n+b] counts LUB(a, b) calls and
-// flowPair[from*n+to] counts AllowedFlow(from, to) queries. Each slice must
-// be nil or of length Size()*Size(). Like SetLUBCounter it must be called
-// before the simulation starts.
-func (l *Lattice) SetAuditCounters(lubPair, flowPair []uint64) {
-	n := len(l.names)
-	if lubPair != nil && len(lubPair) != n*n {
-		panic(fmt.Sprintf("lattice: lubPair length %d, want %d", len(lubPair), n*n))
-	}
-	if flowPair != nil && len(flowPair) != n*n {
-		panic(fmt.Sprintf("lattice: flowPair length %d, want %d", len(flowPair), n*n))
-	}
-	l.lubPair = lubPair
-	l.flowPair = flowPair
+	return l.lub[i]
 }
 
 // AllowedFlow reports whether data of class from may flow to a sink with
 // clearance to — the paper's allowedFlow(X, Y) predicate. It holds iff there
 // is a (possibly empty) directed path from `from` to `to` in the IFP.
 func (l *Lattice) AllowedFlow(from, to Tag) bool {
-	n := len(l.names)
-	if l.flowPair != nil {
-		l.flowPair[int(from)*n+int(to)]++
+	i := int(from)*len(l.names) + int(to)
+	if l.flowHits != nil {
+		l.flowHits[i]++
 	}
-	return l.allowed[int(from)*n+int(to)]
+	return l.allowed[i]
+}
+
+// PeekLUB is LUB without counting: the join for bookkeeping that is not
+// the DIFT engine's own (an observer's record of a join already made, a
+// report), so attaching it leaves the counts alone.
+func (l *Lattice) PeekLUB(a, b Tag) Tag { return l.lub[int(a)*len(l.names)+int(b)] }
+
+// PeekFlow is AllowedFlow without counting; see PeekLUB.
+func (l *Lattice) PeekFlow(from, to Tag) bool {
+	return l.allowed[int(from)*len(l.names)+int(to)]
+}
+
+// LatticeCounts is a lattice's counter set: per ordered class pair, how
+// many LUB calls (LUB[a*n+b]) and AllowedFlow queries (Flow[from*n+to]) the
+// lattice answered while the set was installed.
+type LatticeCounts struct {
+	LUB, Flow []uint64
+}
+
+// Joins returns the number of LUB calls counted, the sum of the join
+// matrix.
+func (c *LatticeCounts) Joins() uint64 {
+	var n uint64
+	for _, v := range c.LUB {
+		n += v
+	}
+	return n
+}
+
+// Count installs a fresh counter set, replacing any installed before, and
+// returns it. Install it before the simulation starts and after the
+// wiring-time queries (Top, clearance lookups), so set-up does not count;
+// it is the only permitted post-construction mutation of a Lattice.
+func (l *Lattice) Count() *LatticeCounts {
+	n := len(l.names)
+	c := &LatticeCounts{LUB: make([]uint64, n*n), Flow: make([]uint64, n*n)}
+	l.lubHits, l.flowHits = c.LUB, c.Flow
+	return c
 }
 
 // Top returns the greatest class — the one every class may flow to — if the

@@ -40,7 +40,8 @@ const (
 	// EvCheck: a clearance check failed; the terminal event of a violation's
 	// provenance chain.
 	EvCheck
-	// EvBusRead / EvBusWrite: a monitored TLM transaction completed. Value 11
+	// EvBusRead / EvBusWrite: a TLM transaction on a data-carrying
+	// peripheral completed (from the bus's trace hook). Value 11
 	// belonged to a removed per-retire kind; the gap keeps these kinds'
 	// numbers, which Chrome-trace exports use as thread ids, stable.
 	EvBusRead TaintEventKind = iota + 2

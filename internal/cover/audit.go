@@ -19,8 +19,8 @@ type PointStat struct {
 func (p PointStat) exercised() bool { return p.Checks != 0 || p.Violations != 0 }
 
 // PolicyAudit records which parts of a security policy a run exercised:
-// per-lattice-edge LUB and AllowedFlow hit counts (installed into the
-// lattice via SetAuditCounters), check/violation counts per execution
+// per-lattice-edge LUB and AllowedFlow hit counts (the lattice's counter
+// set, see core.Lattice.Count), check/violation counts per execution
 // clearance point and per output sink, and region store-rule hits. Its
 // dead-rule report flags classes and rules no execution ever touched — the
 // policy-completeness audit the survey literature asks for.
@@ -33,8 +33,8 @@ type PolicyAudit struct {
 	lat *core.Lattice
 	pol *core.Policy
 
-	lubPair  []uint64
-	flowPair []uint64
+	// lubPair/flowPair are the lattice counter set's matrices (Configure).
+	lubPair, flowPair []uint64
 
 	// Fetch/Branch/MemAddr are incremented directly by the VP+ core's cover
 	// hook (exported to keep the enabled path a field increment).
@@ -50,17 +50,13 @@ func NewAudit() *PolicyAudit {
 	return &PolicyAudit{outputs: make(map[string]*PointStat)}
 }
 
-// Configure binds the audit to the platform's policy and installs the
-// per-pair hit matrices into the lattice. Call it after all wiring-time
-// lattice queries (Top, clearance lookups) so setup noise does not pollute
-// the run's counts.
-func (a *PolicyAudit) Configure(pol *core.Policy) {
+// Configure binds the audit to the platform's policy and to the counter
+// set installed on its lattice (pol.L.Count()), whose per-pair matrices the
+// audit reports.
+func (a *PolicyAudit) Configure(pol *core.Policy, counts *core.LatticeCounts) {
 	a.pol = pol
 	a.lat = pol.L
-	n := pol.L.Size()
-	a.lubPair = make([]uint64, n*n)
-	a.flowPair = make([]uint64, n*n)
-	pol.L.SetAuditCounters(a.lubPair, a.flowPair)
+	a.lubPair, a.flowPair = counts.LUB, counts.Flow
 	a.regions = make([]PointStat, len(pol.Regions))
 	for port := range pol.Outputs {
 		a.outputs[port] = &PointStat{}
@@ -68,7 +64,7 @@ func (a *PolicyAudit) Configure(pol *core.Policy) {
 }
 
 // Output returns (creating on demand) the stat cell for a named sink port.
-// Peripherals call it once at wiring time and cache the pointer.
+// Peripherals call it at a port's first check and keep the pointer.
 func (a *PolicyAudit) Output(port string) *PointStat {
 	s, ok := a.outputs[port]
 	if !ok {
@@ -390,7 +386,7 @@ func (a *PolicyAudit) WriteReport(w io.Writer) error {
 		verdict := "allowed"
 		from, _ := a.lat.TagOf(p.From)
 		to, _ := a.lat.TagOf(p.To)
-		if !a.flowAllowed(from, to) {
+		if !a.lat.PeekFlow(from, to) {
 			verdict = "DENIED"
 		}
 		fmt.Fprintf(w, "  flow %-8s → %-8s %10d  %s\n", p.From, p.To, p.Count, verdict)
@@ -407,13 +403,4 @@ func (a *PolicyAudit) WriteReport(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// flowAllowed queries the closure without touching the installed counters.
-func (a *PolicyAudit) flowAllowed(from, to core.Tag) bool {
-	saved := a.flowPair
-	a.lat.SetAuditCounters(a.lubPair, nil)
-	ok := a.lat.AllowedFlow(from, to)
-	a.lat.SetAuditCounters(a.lubPair, saved)
-	return ok
 }

@@ -224,7 +224,7 @@ func TestAuditCountsAndDeadRules(t *testing.T) {
 	if a.Configured() {
 		t.Fatal("unconfigured audit claims to be configured")
 	}
-	a.Configure(pol)
+	a.Configure(pol, l.Count())
 
 	// The lattice now feeds the pair matrices.
 	l.LUB(hi, li)
@@ -251,8 +251,8 @@ func TestAuditCountsAndDeadRules(t *testing.T) {
 		t.Errorf("dead rules flag exercised points: %q", dead)
 	}
 
-	// Report generation must not pollute the counters (flowAllowed
-	// temporarily reinstalls them to query the lattice closure).
+	// Report generation must not pollute the counters: its verdicts read
+	// the lattice closure uncounted.
 	var before uint64
 	for _, c := range a.flowPair {
 		before += c

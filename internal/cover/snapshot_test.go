@@ -35,7 +35,7 @@ func fullCover(t *testing.T) *Cover {
 			CheckStore: true, Clearance: hi,
 		}).
 		WithOutput("uart0.tx", li)
-	c.Audit.Configure(pol)
+	c.Audit.Configure(pol, l.Count())
 	l.LUB(hi, li)
 	l.AllowedFlow(hi, li)
 	c.Audit.Fetch.Checks++

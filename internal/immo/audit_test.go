@@ -86,7 +86,7 @@ func TestPolicyAuditFlagsDeadRules(t *testing.T) {
 // external data) must land on the pin region's store rule.
 func TestPolicyAuditViolationAttribution(t *testing.T) {
 	cov := &cover.Cover{Audit: cover.NewAudit()}
-	e, err := NewECUCovered(VariantFixed, PolicyBase, nil, nil, cov)
+	e, err := NewECUWithConfig(VariantFixed, PolicyBase, ECUConfig{Cover: cov})
 	if err != nil {
 		t.Fatal(err)
 	}

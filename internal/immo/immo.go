@@ -134,39 +134,15 @@ type ECU struct {
 // NewECU builds the immobilizer with the chosen firmware variant and
 // policy.
 func NewECU(v Variant, kind PolicyKind) (*ECU, error) {
-	return NewECUObserved(v, kind, nil)
+	return NewECUWithConfig(v, kind, ECUConfig{})
 }
 
-// NewECUObserved is NewECU with a taint-provenance observer wired into the
-// platform; o may be nil.
-func NewECUObserved(v Variant, kind PolicyKind, o *obs.Observer) (*ECU, error) {
-	return NewECUTraced(v, kind, o, nil)
-}
-
-// NewECUTraced is NewECUObserved with the simulation-side trace layer also
-// attached; either of o and tr may be nil.
-func NewECUTraced(v Variant, kind PolicyKind, o *obs.Observer, tr *trace.Trace) (*ECU, error) {
-	return NewECUCovered(v, kind, o, tr, nil)
-}
-
-// NewECUCovered is NewECUTraced with the coverage subsystem also attached;
-// any of o, tr and cov may be nil. The policy-audit view makes the ECU the
-// paper's policy-validation workbench: after a run, cov.Audit reports which
-// rules of the immobilizer policy were never exercised.
-func NewECUCovered(v Variant, kind PolicyKind, o *obs.Observer, tr *trace.Trace, cov *cover.Cover) (*ECU, error) {
-	return NewECUSampled(v, kind, o, tr, cov, nil)
-}
-
-// NewECUSampled is NewECUCovered with a live-telemetry sampler also
-// attached; any of o, tr, cov and smp may be nil. The sampler ticks on
-// simulated time, so the captured timeseries is deterministic for a given
+// ECUConfig collects every optional attachment for an ECU platform; any
+// field may be nil. The policy-audit view of Cover makes the ECU the
+// paper's policy-validation workbench: after a run, Cover.Audit reports
+// which rules of the immobilizer policy were never exercised. Telemetry
+// ticks on simulated time, so its timeseries is deterministic for a given
 // challenge schedule.
-func NewECUSampled(v Variant, kind PolicyKind, o *obs.Observer, tr *trace.Trace, cov *cover.Cover, smp *telemetry.Sampler) (*ECU, error) {
-	return NewECUWithConfig(v, kind, ECUConfig{Obs: o, Trace: tr, Cover: cov, Telemetry: smp})
-}
-
-// ECUConfig collects every optional attachment for an ECU platform in one
-// struct (the NewECU* constructor chain stays for compatibility).
 type ECUConfig struct {
 	Obs       *obs.Observer
 	Trace     *trace.Trace

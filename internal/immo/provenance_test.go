@@ -1,16 +1,19 @@
 package immo
 
 import (
+	"fmt"
 	"testing"
 
 	"vpdift/internal/core"
 	"vpdift/internal/obs"
+	"vpdift/internal/periph"
+	"vpdift/internal/soc"
 )
 
 // mustECUObserved builds an observed ECU or fails the test.
 func mustECUObserved(t *testing.T, v Variant, kind PolicyKind, o *obs.Observer) *ECU {
 	t.Helper()
-	e, err := NewECUObserved(v, kind, o)
+	e, err := NewECUWithConfig(v, kind, ECUConfig{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +103,33 @@ func TestObserverMetricsCounted(t *testing.T) {
 	}
 	if m["obs.pinned"] == 0 {
 		t.Error("PIN classification must be pinned as a provenance root")
+	}
+}
+
+// Under the per-byte policy each PIN byte carries its own class, and the
+// firmware's sb stores of the AES key (the PIN repeated four times) carry
+// them to the engine one byte at a time. The observer's aes0 bus-write
+// event for key byte j must report the stored byte's class, (HC,K<j%4>),
+// not a join with some other class.
+func TestPerByteKeyBusWritesCarryByteClasses(t *testing.T) {
+	o := obs.New()
+	e := mustECUObserved(t, VariantFixed, PolicyPerByte, o)
+	if _, err := e.Authenticate([8]byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	key := uint32(soc.AESBase + periph.AESKey)
+	n := 0
+	for _, ev := range o.Events() {
+		if ev.Kind != core.EvBusWrite || ev.Port != "aes0" || ev.Addr < key || ev.Addr >= key+16 {
+			continue
+		}
+		n++
+		if got, want := o.Lattice().Name(ev.Tag), fmt.Sprintf("(HC,K%d)", (ev.Addr-key)%4); got != want {
+			t.Errorf("key byte %d written as %s, want %s", ev.Addr-key, got, want)
+		}
+	}
+	if n != 16 {
+		t.Errorf("%d aes0 key writes recorded, want 16", n)
 	}
 }
 

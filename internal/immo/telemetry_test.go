@@ -14,7 +14,7 @@ import (
 // simulated timestamps and monotone sim.instret.
 func TestImmoTelemetryTimeseries(t *testing.T) {
 	smp := telemetry.NewSampler(telemetry.Options{Every: kernel.MS})
-	e, err := NewECUSampled(VariantFixed, PolicyBase, nil, nil, nil, smp)
+	e, err := NewECUWithConfig(VariantFixed, PolicyBase, ECUConfig{Telemetry: smp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestImmoTelemetryTimeseries(t *testing.T) {
 // and identical final instruction counts.
 func TestImmoTelemetryNonIntrusive(t *testing.T) {
 	run := func(smp *telemetry.Sampler) ([8]byte, uint64) {
-		e, err := NewECUSampled(VariantFixed, PolicyBase, nil, nil, nil, smp)
+		e, err := NewECUWithConfig(VariantFixed, PolicyBase, ECUConfig{Telemetry: smp})
 		if err != nil {
 			t.Fatal(err)
 		}

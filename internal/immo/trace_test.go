@@ -17,7 +17,7 @@ var immoChallenge = [8]byte{0xCA, 0xFE, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06}
 // closes it.
 func tracedAuthRun(t *testing.T, tr *trace.Trace) *immo.ECU {
 	t.Helper()
-	e, err := immo.NewECUTraced(immo.VariantFixed, immo.PolicyBase, nil, tr)
+	e, err := immo.NewECUWithConfig(immo.VariantFixed, immo.PolicyBase, immo.ECUConfig{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,58 +5,6 @@ import (
 	"io"
 )
 
-// Metrics is a named-counter registry. Counters are created on first use;
-// callers on hot paths should cache the *uint64 from Counter instead of
-// paying a map lookup per increment. Add and Get are single-threaded like
-// the rest of the simulation: concurrent readers (a live metrics scraper)
-// must not call them while the kernel runs — take a snapshot under whatever
-// lock serializes access to the platform, via Snapshot or the
-// allocation-free SnapshotInto.
-type Metrics struct {
-	counters map[string]*uint64
-}
-
-// NewMetrics creates an empty registry.
-func NewMetrics() *Metrics { return &Metrics{counters: make(map[string]*uint64)} }
-
-// Counter returns the counter cell for name, creating it at zero.
-func (m *Metrics) Counter(name string) *uint64 {
-	c, ok := m.counters[name]
-	if !ok {
-		c = new(uint64)
-		m.counters[name] = c
-	}
-	return c
-}
-
-// Add increments a named counter by n.
-func (m *Metrics) Add(name string, n uint64) { *m.Counter(name) += n }
-
-// Get returns a counter's current value (0 if it was never touched).
-func (m *Metrics) Get(name string) uint64 {
-	if c, ok := m.counters[name]; ok {
-		return *c
-	}
-	return 0
-}
-
-// Snapshot copies all counters into a plain map.
-func (m *Metrics) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(m.counters))
-	m.SnapshotInto(out)
-	return out
-}
-
-// SnapshotInto copies every counter into dst, overwriting colliding keys
-// and leaving other entries alone (clear dst first for an exact copy). It
-// allocates nothing once dst has seen the counter set before — the variant
-// a periodic sampler uses so a long run does not churn one map per sample.
-func (m *Metrics) SnapshotInto(dst map[string]uint64) {
-	for k, c := range m.counters {
-		dst[k] = *c
-	}
-}
-
 // WriteMetricsJSON writes a counter map as stable, indented JSON, the
 // format of vp-run -metrics and the archived metrics files. encoding/json
 // already marshals map keys in sorted order, so the output is deterministic

@@ -1,13 +1,17 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
+
+	"vpdift/internal/core"
+	"vpdift/internal/tlm"
 )
 
 func TestSanitizeMetricName(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"sim.instret", "sim_instret"},
-		{"bus.monitor_dropped.uart0", "bus_monitor_dropped_uart0"},
+		{"bus.read_bytes", "bus_read_bytes"},
 		{"violations.output-clearance", "violations_output_clearance"},
 		{"io.uart0.tx.bytes", "io_uart0_tx_bytes"},
 		{"lub_ops", "lub_ops"},
@@ -28,64 +32,53 @@ func TestSanitizeMetricName(t *testing.T) {
 	}
 }
 
+// observedCounters gives an observer one of each counter kind: events, a
+// check, bus traffic, an output port's bytes and a violation.
+func observedCounters() *Observer {
+	o := New()
+	leakChain(o)
+	o.RegisterPort("uart0", 0x4000_1000, 12)
+	p := tlm.Payload{Cmd: tlm.Write, Addr: 0x4000_1000, Data: []core.TByte{{V: 'x'}}}
+	o.OnBus("uart0", &p)
+	o.OnOutput("uart0.tx", 'x', 0)
+	return o
+}
+
 func TestMetricsSnapshotInto(t *testing.T) {
-	m := NewMetrics()
-	m.Add("a.one", 1)
-	m.Add("b.two", 2)
-	dst := map[string]uint64{"stale": 99, "a.one": 77}
-	m.SnapshotInto(dst)
-	if dst["a.one"] != 1 || dst["b.two"] != 2 {
-		t.Errorf("SnapshotInto = %v", dst)
+	o := observedCounters()
+	dst := map[string]uint64{"stale": 99, "obs.events": 77}
+	o.MetricsSnapshotInto(dst)
+	want := map[string]uint64{
+		"stale":                       99, // unrelated keys are left alone
+		"obs.events":                  o.EventCount(),
+		"obs.evicted":                 0,
+		"obs.pinned":                  1,
+		"checks.branch":               0,
+		"checks.mem_addr":             0,
+		"checks.store":                0,
+		"checks.output":               1,
+		"checks.input":                0,
+		"bus.txns":                    1,
+		"bus.read_bytes":              0,
+		"bus.write_bytes":             1,
+		"io.uart0.tx.bytes":           1,
+		"violations.output-clearance": 1,
 	}
-	if dst["stale"] != 99 {
-		t.Error("SnapshotInto must leave unrelated keys alone")
-	}
-	// Snapshot and SnapshotInto agree.
-	snap := m.Snapshot()
-	if len(snap) != 2 || snap["a.one"] != 1 || snap["b.two"] != 2 {
-		t.Errorf("Snapshot = %v", snap)
+	if !reflect.DeepEqual(dst, want) {
+		t.Errorf("MetricsSnapshotInto =\n%v\nwant\n%v", dst, want)
 	}
 }
 
 // The sampler contract: once dst has seen the counter set, re-snapshotting
 // into it allocates nothing.
 func TestMetricsSnapshotIntoZeroAlloc(t *testing.T) {
-	m := NewMetrics()
-	for _, name := range []string{"sim.instret", "checks.fetch", "bus.txns", "io.uart0.tx.bytes"} {
-		m.Add(name, 3)
-	}
-	dst := make(map[string]uint64, 8)
-	m.SnapshotInto(dst) // warm: keys exist, map sized
+	o := observedCounters()
+	dst := make(map[string]uint64, 16)
+	o.MetricsSnapshotInto(dst) // warm: keys exist, map sized
 	allocs := testing.AllocsPerRun(200, func() {
-		m.SnapshotInto(dst)
+		o.MetricsSnapshotInto(dst)
 	})
 	if allocs != 0 {
-		t.Errorf("SnapshotInto allocates %.1f per call, want 0", allocs)
-	}
-}
-
-func BenchmarkMetricsSnapshotInto(b *testing.B) {
-	m := NewMetrics()
-	for i := 0; i < 40; i++ {
-		m.Add(string(rune('a'+i%26))+".counter", uint64(i))
-	}
-	dst := make(map[string]uint64, 64)
-	m.SnapshotInto(dst)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SnapshotInto(dst)
-	}
-}
-
-func BenchmarkMetricsSnapshot(b *testing.B) {
-	m := NewMetrics()
-	for i := 0; i < 40; i++ {
-		m.Add(string(rune('a'+i%26))+".counter", uint64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Snapshot()
+		t.Errorf("MetricsSnapshotInto allocates %.1f per call, want 0", allocs)
 	}
 }

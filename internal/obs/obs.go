@@ -1,6 +1,6 @@
 // Package obs is the platform's structured observability subsystem: it
-// records tag-propagation provenance, bus/peripheral events, and simulation
-// metrics across every layer of the virtual prototype.
+// records tag-propagation provenance, bus/peripheral events, and the
+// counters of both across every layer of the virtual prototype.
 //
 // The paper's headline use case (Section VI-A) is debugging — the VP+ flags
 // the UART debug-dump leak, but the engineer still has to work backwards by
@@ -13,10 +13,11 @@
 // clearance check.
 //
 // Everything here follows the existing Tracer nil-check discipline: the
-// cores, peripherals, and bus monitors call Observer methods only behind an
-// `if obs != nil` guard, so a platform without an observer pays one
-// predictable not-taken branch per hook site and records nothing. Table II
-// overhead numbers are therefore unchanged when observability is off.
+// cores, peripherals, and the platform's bus trace hook call Observer
+// methods only behind an `if obs != nil` guard, so a platform without an
+// observer pays one predictable not-taken branch per hook site and records
+// nothing. Table II overhead numbers are therefore unchanged when
+// observability is off.
 //
 // Ring-buffer eviction: events are stored in a circular buffer of
 // Options.RingCapacity entries; once full, each new event overwrites the
@@ -52,11 +53,10 @@ type Options struct {
 	MaxChain int
 }
 
-// Checks counts performed clearance checks by site. Fetch counts only
-// uncached fetch checks: on a decode-cache hit the check is a memoized
-// verdict (see DESIGN.md section 5.6), not a re-evaluation.
+// Checks counts performed clearance checks by site. Fetch checks are not
+// among them: one runs on every decode-cache miss, so the platform reports
+// them from the decode cache (see DESIGN.md section 5.6).
 type Checks struct {
-	Fetch   uint64
 	Branch  uint64
 	MemAddr uint64
 	Store   uint64
@@ -64,10 +64,11 @@ type Checks struct {
 	Input   uint64
 }
 
-// Observer records taint provenance, platform events, and metrics. Create
-// one with New, pass it to the platform (soc.Config.Obs or
+// Observer records taint provenance, platform events, and their counters.
+// Create one with New, pass it to the platform (soc.Config.Obs or
 // vpdift.WithObserver), run, then inspect Events, violation provenance, and
-// MetricsSnapshot. An Observer must not be shared between platforms.
+// the platform's MetricsSnapshot. An Observer must not be shared between
+// platforms.
 type Observer struct {
 	opts Options
 
@@ -92,20 +93,30 @@ type Observer struct {
 	curInsn  uint32
 	attached bool
 
-	ports map[string]uint32 // device name -> bus base address
+	ports map[string]window // device name -> its bus register window
 
 	// Checks are the clearance-check counters, incremented by the cores and
 	// peripherals while the observer is attached.
 	Checks Checks
 
-	lubs     uint64 // wired into the policy lattice's LUB counter
-	busRead  uint64 // bytes moved by monitored bus reads
-	busWrite uint64 // bytes moved by monitored bus writes
+	busRead  uint64 // bytes moved by bus reads on registered ports
+	busWrite uint64 // bytes moved by bus writes on registered ports
 	busTxns  uint64
 
-	violations map[string]uint64 // violation kind -> count
+	// io counts the bytes each output port passed, under the port's metric
+	// name, built on its first byte.
+	io map[string]*ioCount
 
-	m *Metrics
+	violations map[string]uint64 // violation kind -> count
+}
+
+// window is a peripheral's register window on the bus.
+type window struct{ base, size uint32 }
+
+// ioCount is one output port's byte count and its "io.<port>.bytes" name.
+type ioCount struct {
+	key string
+	n   uint64
 }
 
 // New creates an Observer with default options.
@@ -123,9 +134,9 @@ func NewWithOptions(o Options) *Observer {
 		opts:       o,
 		ring:       make([]core.TaintEvent, 0, min(o.RingCapacity, 4096)),
 		memSrc:     make(map[uint32]uint64),
-		ports:      make(map[string]uint32),
+		ports:      make(map[string]window),
+		io:         make(map[string]*ioCount),
 		violations: make(map[string]uint64),
-		m:          NewMetrics(),
 	}
 }
 
@@ -146,15 +157,13 @@ func (o *Observer) Attached() bool { return o.attached }
 // baseline VP or before attachment). Exporters use it for class names.
 func (o *Observer) Lattice() *core.Lattice { return o.lat }
 
-// RegisterPort records a peripheral's bus base address so input events can
-// be associated with the memory-mapped register the CPU will read.
-func (o *Observer) RegisterPort(dev string, base uint32) { o.ports[dev] = base }
-
-// LUBCounter exposes the join-operation counter for lattice wiring.
-func (o *Observer) LUBCounter() *uint64 { return &o.lubs }
-
-// Metrics returns the observer's named-counter registry.
-func (o *Observer) Metrics() *Metrics { return o.m }
+// RegisterPort records a peripheral's bus register window [base,
+// base+size), so input events can be associated with the memory-mapped
+// register the CPU will read and the device's transactions recorded as bus
+// events (OnBus).
+func (o *Observer) RegisterPort(dev string, base, size uint32) {
+	o.ports[dev] = window{base, size}
+}
 
 // EventCount returns the total number of events recorded (including evicted
 // and pinned ones).
@@ -431,8 +440,8 @@ func (o *Observer) PinClassify(region string, start, end uint32, t core.Tag) {
 func (o *Observer) OnInput(dev string, off, n uint32, port string, v uint32, t core.Tag) {
 	o.Checks.Input++
 	ev := core.TaintEvent{Kind: core.EvInput, Port: port, Value: v, Tag: t}
-	if base, ok := o.ports[dev]; ok {
-		ev.Addr = base + off
+	if w, ok := o.ports[dev]; ok {
+		ev.Addr = w.base + off
 		s := o.emit(ev)
 		for a := ev.Addr &^ 3; a < ev.Addr+n; a += 4 {
 			o.memSrc[a>>2] = s
@@ -446,7 +455,12 @@ func (o *Observer) OnInput(dev string, off, n uint32, port string, v uint32, t c
 // clearance check, linked to the store (or DMA burst) that delivered it.
 func (o *Observer) OnOutput(port string, v byte, t core.Tag) {
 	o.Checks.Output++
-	o.m.Add("io."+port+".bytes", 1)
+	c := o.io[port]
+	if c == nil {
+		c = &ioCount{key: "io." + port + ".bytes"}
+		o.io[port] = c
+	}
+	c.n++
 	o.emit(core.TaintEvent{
 		Kind: core.EvOutput, Port: port, Value: uint32(v), Tag: t, Prev: o.lastOut,
 	})
@@ -469,7 +483,8 @@ func (o *Observer) OnDMA(dev string, src, dst, n uint32, t core.Tag) {
 // block, linked to the provenance of its input block.
 func (o *Observer) OnDeclassify(dev string, inOff, inLen, outOff, outLen uint32, from, to core.Tag) {
 	ev := core.TaintEvent{Kind: core.EvDeclassify, Tag: to, Value: uint32(from), Port: dev}
-	base, ok := o.ports[dev]
+	w, ok := o.ports[dev]
+	base := w.base
 	if ok {
 		ev.Addr = base + outOff
 		for a := base + inOff; a < base+inOff+inLen; a += 4 {
@@ -486,58 +501,55 @@ func (o *Observer) OnDeclassify(dev string, inOff, inLen, outOff, outLen uint32,
 	}
 }
 
-// BusSink returns a tlm.Monitor callback recording the device's completed
-// transactions as bus events and counting moved bytes.
-func (o *Observer) BusSink(dev string) func(tlm.Transaction) {
-	base := o.ports[dev]
-	return func(tr tlm.Transaction) {
-		o.busTxns++
-		kind := core.EvBusRead
-		if tr.Cmd == tlm.Write {
-			kind = core.EvBusWrite
-			o.busWrite += uint64(len(tr.Data))
-		} else {
-			o.busRead += uint64(len(tr.Data))
-		}
-		ev := core.TaintEvent{Kind: kind, Addr: base + tr.Addr, Port: dev}
-		var t core.Tag
-		for i, b := range tr.Data {
-			if i < 4 {
-				ev.Value |= uint32(b.V) << (8 * i)
-			}
-			if o.lat != nil {
-				t = o.lat.LUB(t, b.T)
-			} else if b.T > t {
-				t = b.T
-			}
-		}
-		ev.Tag = t
-		o.emit(ev)
+// OnBus records a completed transaction inside a registered port's window
+// as a bus event, its class the join of the payload's byte classes, and
+// counts its bytes. The platform calls it from the bus's trace hook with
+// the decoded range name and the payload at its global address; a
+// transaction on any other range, or one the bus rejected before it
+// reached the device (crossing the end of the window), records nothing.
+func (o *Observer) OnBus(dev string, p *tlm.Payload) {
+	w, ok := o.ports[dev]
+	if !ok || uint64(p.Addr)+uint64(len(p.Data)) > uint64(w.base)+uint64(w.size) {
+		return
 	}
-}
-
-// MetricsSnapshot returns every counter the observer holds — the named
-// registry plus the built-in event, check, LUB, bus, and violation
-// counters — as a flat map. The platform adds its own gauges (instructions
-// retired, simulated time, decode-cache fills) on top; use
-// soc.Platform.MetricsSnapshot or vpdift.Result.Metrics for the full set.
-func (o *Observer) MetricsSnapshot() map[string]uint64 {
-	m := make(map[string]uint64, len(o.violations)+16)
-	o.MetricsSnapshotInto(m)
-	return m
+	o.busTxns++
+	kind := core.EvBusRead
+	if p.Cmd == tlm.Write {
+		kind = core.EvBusWrite
+		o.busWrite += uint64(len(p.Data))
+	} else {
+		o.busRead += uint64(len(p.Data))
+	}
+	ev := core.TaintEvent{Kind: kind, Addr: p.Addr, Port: dev}
+	for i, b := range p.Data {
+		switch {
+		case i == 0:
+			ev.Tag = b.T
+		case o.lat != nil:
+			// The observer's own join: uncounted, so lub_ops and the
+			// audit count the engine's joins only.
+			ev.Tag = o.lat.PeekLUB(ev.Tag, b.T)
+		case b.T > ev.Tag:
+			ev.Tag = b.T
+		}
+		if i < 4 {
+			ev.Value |= uint32(b.V) << (8 * i)
+		}
+	}
+	o.emit(ev)
 }
 
 // MetricsSnapshotInto writes every counter the observer holds into dst,
 // overwriting colliding keys and allocating nothing once dst has seen the
-// key set before. The telemetry sampler calls this once per simulated
-// sampling period, so a multi-hour run must not churn one map per sample.
+// key set before. soc.Platform.MetricsSnapshotInto, the one place a
+// platform's metrics are assembled, calls it and adds the counts the
+// observer does not keep (lub_ops, checks.fetch); the telemetry sampler
+// snapshots that once per simulated sampling period, so a multi-hour run
+// must not churn one map per sample.
 func (o *Observer) MetricsSnapshotInto(dst map[string]uint64) {
-	o.m.SnapshotInto(dst)
 	dst["obs.events"] = o.seq
 	dst["obs.evicted"] = o.evicted
 	dst["obs.pinned"] = uint64(len(o.pinned))
-	dst["lub_ops"] = o.lubs
-	dst["checks.fetch"] = o.Checks.Fetch
 	dst["checks.branch"] = o.Checks.Branch
 	dst["checks.mem_addr"] = o.Checks.MemAddr
 	dst["checks.store"] = o.Checks.Store
@@ -546,6 +558,9 @@ func (o *Observer) MetricsSnapshotInto(dst map[string]uint64) {
 	dst["bus.txns"] = o.busTxns
 	dst["bus.read_bytes"] = o.busRead
 	dst["bus.write_bytes"] = o.busWrite
+	for _, c := range o.io {
+		dst[c.key] = c.n
+	}
 	for k, n := range o.violations {
 		dst[k] = n
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -151,12 +152,12 @@ func TestRingEviction(t *testing.T) {
 // one more ring, and it ends at exactly the capacity.
 func TestRingGrowthDoubles(t *testing.T) {
 	o := New()
-	sink := o.BusSink("dev")
-	tr := tlm.Transaction{Cmd: tlm.Read, Data: []core.TByte{{V: 1}}}
+	o.RegisterPort("dev", 0x4000_0000, 16)
+	p := tlm.Payload{Cmd: tlm.Read, Addr: 0x4000_0000, Data: []core.TByte{{V: 1}}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < DefaultRingCapacity; i++ {
-		sink(tr)
+		o.OnBus("dev", &p)
 	}
 	runtime.ReadMemStats(&after)
 	if len(o.ring) != DefaultRingCapacity || cap(o.ring) != DefaultRingCapacity {
@@ -167,6 +168,42 @@ func TestRingGrowthDoubles(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2*ring {
 		t.Errorf("filling the ring allocated %.1f MiB, want at most %.1f (twice the ring)",
 			float64(got)/(1<<20), float64(2*ring)/(1<<20))
+	}
+}
+
+// The bus's trace hook reports every transaction; OnBus records only those
+// inside a registered port's window, with the global address, the first
+// four data bytes and the join of the bytes' classes (a lone byte keeps
+// its own class, whatever tag 0 is).
+func TestOnBusRecordsPortWindowOnly(t *testing.T) {
+	l, err := core.PerByteKeyIntegrity(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, k1 := l.MustTag("K0"), l.MustTag("K1")
+	o := New()
+	o.Attach(nil, l, l.MustTag(core.ClassLI))
+	o.RegisterPort("uart0", 0x1000_0000, 12)
+	bus := func(dev string, cmd tlm.Command, addr uint32, data ...core.TByte) {
+		o.OnBus(dev, &tlm.Payload{Cmd: cmd, Addr: addr, Data: data})
+	}
+	bus("uart0", tlm.Write, 0x1000_0000, core.TByte{V: 0x41, T: k0})
+	bus("uart0", tlm.Read, 0x1000_0008, core.TByte{V: 1, T: k0}, core.TByte{V: 2, T: k1})
+	bus("clint", tlm.Read, 0x0200_0000, core.TByte{V: 3})         // not a port
+	bus("", tlm.Read, 0x3000_0000, core.TByte{V: 4})              // unmapped
+	bus("uart0", tlm.Read, 0x1000_000a, make([]core.TByte, 4)...) // crosses the end
+	want := []core.TaintEvent{
+		{Seq: 1, Kind: core.EvBusWrite, Addr: 0x1000_0000, Value: 0x41, Tag: k0, Port: "uart0"},
+		{Seq: 2, Kind: core.EvBusRead, Addr: 0x1000_0008, Value: 0x0201, Tag: l.MustTag(core.ClassHI), Port: "uart0"},
+	}
+	if got := o.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("events =\n%+v\nwant\n%+v", got, want)
+	}
+	m := map[string]uint64{}
+	o.MetricsSnapshotInto(m)
+	if m["bus.txns"] != 2 || m["bus.write_bytes"] != 1 || m["bus.read_bytes"] != 2 {
+		t.Errorf("bus counters txns=%d write=%d read=%d, want 2, 1, 2",
+			m["bus.txns"], m["bus.write_bytes"], m["bus.read_bytes"])
 	}
 }
 
@@ -260,8 +297,10 @@ func TestWriteChromeTrace(t *testing.T) {
 func TestWriteMetricsJSON(t *testing.T) {
 	o := New()
 	leakChain(o)
+	snap := map[string]uint64{}
+	o.MetricsSnapshotInto(snap)
 	var buf bytes.Buffer
-	if err := WriteMetricsJSON(&buf, o.MetricsSnapshot()); err != nil {
+	if err := WriteMetricsJSON(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	var m map[string]uint64
@@ -286,15 +325,15 @@ func TestWriteMetricsJSONDeterministic(t *testing.T) {
 	// The export must be byte-identical across snapshots of the same state:
 	// archived metrics files are diffed, so map-iteration order
 	// must never leak into the output.
-	m := NewMetrics()
+	m := map[string]uint64{}
 	for _, name := range []string{"z.last", "a.first", "m.middle", "core.instret", "cover.edges"} {
-		m.Add(name, 7)
+		m[name] = 7
 	}
 	var first, second bytes.Buffer
-	if err := WriteMetricsJSON(&first, m.Snapshot()); err != nil {
+	if err := WriteMetricsJSON(&first, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMetricsJSON(&second, m.Snapshot()); err != nil {
+	if err := WriteMetricsJSON(&second, m); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -306,23 +345,6 @@ func TestWriteMetricsJSONDeterministic(t *testing.T) {
 	if !(idx("a.first") < idx("cover.edges") && idx("cover.edges") < idx("m.middle") &&
 		idx("m.middle") < idx("z.last")) {
 		t.Errorf("keys are not sorted:\n%s", first.String())
-	}
-}
-
-func TestMetricsRegistry(t *testing.T) {
-	m := NewMetrics()
-	c := m.Counter("x")
-	*c += 41
-	m.Add("x", 1)
-	if got := m.Get("x"); got != 42 {
-		t.Errorf("x = %d", got)
-	}
-	if got := m.Get("missing"); got != 0 {
-		t.Errorf("missing = %d", got)
-	}
-	snap := m.Snapshot()
-	if snap["x"] != 42 {
-		t.Errorf("snapshot x = %d", snap["x"])
 	}
 }
 
@@ -347,7 +369,7 @@ func TestInputPortProvenance(t *testing.T) {
 	// An input event on a registered device defines the MMIO word's source,
 	// so the CPU's subsequent load links to it.
 	o := New()
-	o.RegisterPort("uart0", 0x4000_1000)
+	o.RegisterPort("uart0", 0x4000_1000, 12)
 	o.OnInput("uart0", 8, 4, "uart0.rx", 0x41, secret)
 	if o.MemSource(0x4000_1008) == 0 {
 		t.Fatal("input did not define the RX register's provenance")

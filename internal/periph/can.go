@@ -37,8 +37,10 @@ const (
 // passed to OnTransmit after the output-clearance check, and Deliver queues
 // frames for the guest, classified by the configured RX class.
 type CAN struct {
-	env  *Env
-	name string
+	env    *Env
+	name   string
+	txPort port   // name+".tx"
+	rxPort string // name+".rx", the input port
 
 	txClearanceSet bool
 	txClearance    core.Tag
@@ -59,7 +61,8 @@ type CAN struct {
 
 // NewCAN creates the endpoint; irq is the RX-available line.
 func NewCAN(env *Env, name string, irq func(bool)) *CAN {
-	return &CAN{env: env, name: name, rxClass: env.Default, irq: irq}
+	return &CAN{env: env, name: name, txPort: port{name: name + ".tx"}, rxPort: name + ".rx",
+		rxClass: env.Default, irq: irq}
 }
 
 // SetTxClearance enables the TX output-clearance check.
@@ -91,11 +94,7 @@ func (c *CAN) noteDelivery(f CANFrame) {
 	if c.env.Obs == nil {
 		return
 	}
-	t := c.env.Default
-	for _, b := range f.Data {
-		t = c.env.lub(t, b.T)
-	}
-	c.env.Obs.OnInput(c.name, CANRxData, 8, c.name+".rx", f.ID, t)
+	c.env.Obs.OnInput(c.name, CANRxData, 8, c.rxPort, f.ID, c.env.foldTags(f.Data))
 }
 
 func (c *CAN) updateIRQ() {
@@ -192,7 +191,7 @@ func (c *CAN) writeByte(off uint32, b core.TByte) bool {
 func (c *CAN) transmit() {
 	f := CANFrame{ID: c.txID, Data: append([]core.TByte(nil), c.txBuf[:c.txLen]...)}
 	for _, b := range f.Data {
-		if !c.env.checkOutput(c.name+".tx", b, c.txClearanceSet, c.txClearance) {
+		if !c.env.checkOutput(&c.txPort, b, c.txClearanceSet, c.txClearance) {
 			return
 		}
 	}

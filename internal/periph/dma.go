@@ -132,11 +132,7 @@ func (d *DMA) start() {
 			return
 		}
 		if d.env.Obs != nil {
-			t := d.env.Default
-			for _, b := range buf[:chunk] {
-				t = d.env.lub(t, b.T)
-			}
-			d.env.Obs.OnDMA(d.name, src, dst, chunk, t)
+			d.env.Obs.OnDMA(d.name, src, dst, chunk, d.env.foldTags(buf[:chunk]))
 		}
 		src += chunk
 		dst += chunk

@@ -49,24 +49,43 @@ type Env struct {
 	Audit *cover.PolicyAudit
 }
 
+// port is one of a peripheral's clearance points: its policy name
+// ("uart0.tx"), built once with the peripheral, and its policy-audit stat
+// cell, resolved at the port's first check — resolving it eagerly would
+// list a port that is never checked among the audit's dead rules.
+type port struct {
+	name string
+	stat *cover.PointStat
+}
+
+// countCheck counts one clearance check on p in the policy audit, if one
+// is attached.
+func (e *Env) countCheck(p *port) {
+	if e.Audit == nil {
+		return
+	}
+	if p.stat == nil {
+		p.stat = e.Audit.Output(p.name)
+	}
+	p.stat.Checks++
+}
+
 // checkOutput enforces an output port clearance on one byte, stopping the
 // simulation on violation. enabled is false when the port has no clearance
 // assigned (or the platform is the baseline).
-func (e *Env) checkOutput(port string, b core.TByte, enabled bool, required core.Tag) bool {
+func (e *Env) checkOutput(p *port, b core.TByte, enabled bool, required core.Tag) bool {
 	if !enabled || e.Lat == nil {
 		return true
 	}
-	if e.Audit != nil {
-		e.Audit.Output(port).Checks++
-	}
+	e.countCheck(p)
 	if e.Lat.AllowedFlow(b.T, required) {
 		if e.Obs != nil {
-			e.Obs.OnOutput(port, b.V, b.T)
+			e.Obs.OnOutput(p.name, b.V, b.T)
 		}
 		return true
 	}
 	v := core.NewViolation(e.Lat, core.KindOutputClearance, b.T, required).
-		WithPort(port).WithValue(uint32(b.V))
+		WithPort(p.name).WithValue(uint32(b.V))
 	if e.Obs != nil {
 		// The byte just reached the port from the CPU's store (or a DMA
 		// write); chain the check through that last sink event.
@@ -83,6 +102,19 @@ func (e *Env) lub(a, b core.Tag) core.Tag {
 		return 0
 	}
 	return e.Lat.LUB(a, b)
+}
+
+// foldTags joins the tags of data onto the policy default for the
+// observer's record of a transfer. It is the observer's join, not the
+// engine's, so it is not counted; zero on the baseline platform.
+func (e *Env) foldTags(data []core.TByte) core.Tag {
+	t := e.Default
+	if e.Lat != nil {
+		for _, b := range data {
+			t = e.Lat.PeekLUB(t, b.T)
+		}
+	}
+	return t
 }
 
 // byteDevice is a byte-addressable register file; the shared transport

@@ -22,8 +22,10 @@ const UARTRxEmpty = 1 << 31
 // an output interface in the sense of the paper: each transmitted byte is
 // checked against the port's clearance.
 type UART struct {
-	env  *Env
-	name string
+	env    *Env
+	name   string
+	txPort port   // name+".tx"
+	rxPort string // name+".rx", the input port
 
 	txClearanceSet bool
 	txClearance    core.Tag
@@ -44,7 +46,8 @@ type UART struct {
 // clearance comes from policy.Outputs[name+".tx"] via the platform builder,
 // rxClass is the classification assigned to injected input.
 func NewUART(env *Env, name string, irq func(bool)) *UART {
-	return &UART{env: env, name: name, rxClass: env.Default, irq: irq}
+	return &UART{env: env, name: name, txPort: port{name: name + ".tx"}, rxPort: name + ".rx",
+		rxClass: env.Default, irq: irq}
 }
 
 // SetTxClearance enables the TX output-clearance check.
@@ -120,8 +123,7 @@ func (u *UART) readByte(off uint32) (core.TByte, bool) {
 				u.rxFIFO = u.rxFIFO[1:]
 				u.rxLatch, u.rxLatchTag = uint32(head.V), head.T
 				if u.env.Obs != nil {
-					u.env.Obs.OnInput(u.name, UARTRxData, 4, u.name+".rx",
-						uint32(head.V), head.T)
+					u.env.Obs.OnInput(u.name, UARTRxData, 4, u.rxPort, uint32(head.V), head.T)
 				}
 				u.updateIRQ()
 			}
@@ -143,7 +145,7 @@ func (u *UART) readByte(off uint32) (core.TByte, bool) {
 func (u *UART) writeByte(off uint32, b core.TByte) bool {
 	switch {
 	case off == UARTTxData:
-		if !u.env.checkOutput(u.name+".tx", b, u.txClearanceSet, u.txClearance) {
+		if !u.env.checkOutput(&u.txPort, b, u.txClearanceSet, u.txClearance) {
 			return true // simulation is stopping; complete the transaction
 		}
 		u.tx = append(u.tx, b)

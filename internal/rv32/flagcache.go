@@ -31,13 +31,15 @@ package rv32
 // and TLM/DMA writes) reaches invalidateCaches through the RAM write hook,
 // which marks the touched blocks Lazy again.
 //
-// Pinning: an attached observer counts every clearance check and LUB
-// (checks.*, lub_ops), and the policy audit counts every lattice query
-// per edge, so with either attached the caches are pinned to "maybe
-// tainted": every register flag stays set and every block stays Exact, and
-// step performs exactly the checks and lattice queries of an uncached
-// interpreter. The parity test pins them the same way (the pinned field)
-// to hold cache on against cache off.
+// Pinning: an attached observer counts clearance checks (checks.*) and
+// the lattice counter set counts every LUB and flow query per edge
+// (lub_ops, the policy audit), so with an observer or the audit attached
+// the caches are pinned to "maybe tainted": every register flag stays set
+// and every block stays Exact, and step performs exactly the checks and
+// lattice queries of an uncached interpreter. Fetch checks need no pin:
+// one runs on every decode-cache miss, so the platform reports them from
+// the cache. The parity test pins the caches the same way (the pinned
+// field) to hold cache on against cache off.
 
 import "vpdift/internal/core"
 

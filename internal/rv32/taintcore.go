@@ -401,9 +401,6 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 			w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
 			e.tag, e.allowed = 0, true
 			if c.checkFetch {
-				if c.Obs != nil {
-					c.Obs.Checks.Fetch++
-				}
 				e.tag = c.foldFetchTag(b0, b1, b2, b3)
 				e.allowed = c.lat.AllowedFlow(e.tag, c.fetchClear)
 			}
@@ -425,9 +422,6 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
 		w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
 		if c.checkFetch {
-			if c.Obs != nil {
-				c.Obs.Checks.Fetch++
-			}
 			t := c.foldFetchTag(b0, b1, b2, b3)
 			if !c.lat.AllowedFlow(t, c.fetchClear) {
 				return RunOK, c.fetchViolation(pc, w, t)
@@ -782,7 +776,8 @@ func (c *TaintCore) observeStep(i Inst, pc, next uint32) {
 		o.AssignReg(i.Rd)
 	case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
 		OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU:
-		o.OnOp(i.Rs1, i.Rs2, c.Regs[i.Rd].V, c.lat.LUB(s1.T, s2.T))
+		// The join alu already counted; the observer's copy is uncounted.
+		o.OnOp(i.Rs1, i.Rs2, c.Regs[i.Rd].V, c.lat.PeekLUB(s1.T, s2.T))
 		o.AssignReg(i.Rd)
 	case OpLUI, OpAUIPC, OpJAL,
 		OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:

@@ -56,7 +56,8 @@ func TestObserverGolden(t *testing.T) {
 	}
 	for _, kind := range []immo.PolicyKind{immo.PolicyBase, immo.PolicyPerByte} {
 		for _, cmd := range []string{"a", "b", "c", "e", "o\x42"} {
-			e, err := immo.NewECUCovered(immo.VariantFixed, kind, obs.New(), nil, cover.New())
+			e, err := immo.NewECUWithConfig(immo.VariantFixed, kind,
+				immo.ECUConfig{Obs: obs.New(), Cover: cover.New()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -115,8 +115,8 @@ type Config struct {
 	NoDecodeCache bool
 	// Obs, when non-nil, is attached to the platform and wired through every
 	// layer: core hooks, peripheral I/O, load-time classification roots, and
-	// bus monitors on the data-carrying peripherals. Nil (the default) keeps
-	// all hook sites on their one-branch fast path.
+	// the bus's trace hook for the data-carrying peripherals' transactions.
+	// Nil (the default) keeps all hook sites on their one-branch fast path.
 	Obs *obs.Observer
 	// Trace, when non-nil with at least one view enabled, wires the
 	// simulation-side observability layer: kernel/bus event recording
@@ -179,10 +179,10 @@ type Platform struct {
 	exitCode uint32
 	loaded   bool
 
-	// monitors are the TLM monitors wrapped around data-carrying peripherals
-	// when an observer is attached, kept so MetricsSnapshot can report how
-	// many transactions each one dropped past its log limit.
-	monitors []namedMonitor
+	// counts is the counter set installed on the policy lattice when an
+	// observer or the policy audit is attached: lub_ops is the sum of its
+	// join matrix, and the audit reports both matrices.
+	counts *core.LatticeCounts
 
 	// fr is the record stream the core captures into and the marks land on:
 	// cfg.Flight, or a recorder kept only for subscribers under FlightOff,
@@ -199,12 +199,6 @@ type Platform struct {
 	// first terminal Run error.
 	imgDigest string
 	lastErr   error
-}
-
-type namedMonitor struct {
-	name string
-	key  string // "bus.monitor_dropped."+name, precomputed so snapshots don't concat
-	m    *tlm.Monitor
 }
 
 // New builds a platform. The baseline VP is built when cfg.Policy is nil.
@@ -250,13 +244,9 @@ func New(cfg Config) (*Platform, error) {
 	pl.irqEvent = pl.Sim.NewEvent("irq")
 
 	// Simulation-side tracing hooks in before any process spawns so process
-	// creation is part of the record; the bus hook lands every transaction on
-	// the same stream.
+	// creation is part of the record.
 	if cfg.Trace.Active() {
 		pl.Sim.SetTracer(cfg.Trace)
-		if kt := cfg.Trace.Kernel; kt != nil {
-			pl.Bus.Trace = kt.BusHook(pl.Sim)
-		}
 	}
 
 	env := &periph.Env{Sim: pl.Sim}
@@ -296,36 +286,24 @@ func New(cfg Config) (*Platform, error) {
 			}
 		}
 	}
-	// Flight recorder: wire the retire path into whichever core was built
-	// and chain an MMIO mark onto the TLM trace hook. RAM-range traffic is
-	// filtered out — under TaintMemViaTLM every data access is a bus
-	// transaction and would evict the instruction window the bundle is for.
+	// Flight recorder: wire the retire path into whichever core was built;
+	// its MMIO marks come from the bus trace hook below.
 	if fr != nil {
 		if pl.Core != nil {
 			pl.Core.FR = fr
 		} else {
 			pl.TaintCore.FR = fr
 		}
-		prev := pl.Bus.Trace
-		pl.Bus.Trace = func(name string, p *tlm.Payload) {
-			if prev != nil {
-				prev(name, p)
-			}
-			if name != "ram" {
-				fr.MarkBus(pl.Instret(), name, p.Addr, p.Cmd == tlm.Write, len(p.Data))
-			}
-		}
 	}
 
 	// Observability: attach the observer to simulated time and the security
-	// context, register peripheral base addresses for MMIO provenance, and
-	// route the lattice's LUB counter into the metrics.
+	// context, and register the data-carrying peripherals' register windows
+	// for MMIO provenance and bus events.
 	if o := cfg.Obs; o != nil {
 		var lat *core.Lattice
 		var def core.Tag
 		if pol != nil {
 			lat, def = pol.L, pol.Default
-			pol.L.SetLUBCounter(o.LUBCounter())
 		}
 		o.Attach(func() uint64 { return uint64(pl.Sim.Now()) }, lat, def)
 		env.Obs = o
@@ -334,12 +312,13 @@ func New(cfg Config) (*Platform, error) {
 		if pl.TaintCore != nil {
 			pl.TaintCore.Obs = o
 		}
-		o.RegisterPort("uart0", UARTBase)
-		o.RegisterPort("can0", CANBase)
-		o.RegisterPort("sensor0", SensorBase)
-		o.RegisterPort("aes0", AESBase)
-		o.RegisterPort("dma0", DMABase)
+		o.RegisterPort("uart0", UARTBase, periph.UARTSize)
+		o.RegisterPort("can0", CANBase, periph.CANSize)
+		o.RegisterPort("sensor0", SensorBase, periph.SensorSize)
+		o.RegisterPort("aes0", AESBase, periph.AESSize)
+		o.RegisterPort("dma0", DMABase, periph.DMASize)
 	}
+	pl.traceBus()
 
 	// Interrupt fabric.
 	pl.CLINT = periph.NewCLINT(env,
@@ -384,28 +363,15 @@ func New(cfg Config) (*Platform, error) {
 		pl.AES.SetOutputClass(pol.InputClass("aes0.out"))
 	}
 
-	// Memory map. With an observer attached, the data-carrying peripherals
-	// get a TLM monitor in front so their transactions land in the event
-	// stream; the interrupt fabric and SysCtrl stay unwrapped (pure control).
-	mapData := func(name string, base, size uint32, t tlm.Target) {
-		if cfg.Obs != nil {
-			m := tlm.NewMonitor(t, pl.Sim, 1)
-			m.OnTransaction = cfg.Obs.BusSink(name)
-			pl.monitors = append(pl.monitors, namedMonitor{
-				name: name, key: "bus.monitor_dropped." + name, m: m,
-			})
-			t = m
-		}
-		pl.Bus.MustMap(name, base, size, t)
-	}
+	// Memory map.
 	pl.Bus.MustMap("clint", CLINTBase, periph.CLINTSize, pl.CLINT)
 	pl.Bus.MustMap("intc", IntCBase, periph.IntCSize, pl.IntC)
-	mapData("uart0", UARTBase, periph.UARTSize, pl.UART)
+	pl.Bus.MustMap("uart0", UARTBase, periph.UARTSize, pl.UART)
 	pl.Bus.MustMap("sysctrl", SysCtrlBase, periph.SysCtrlSize, pl.SysCtrl)
-	mapData("can0", CANBase, periph.CANSize, pl.CAN)
-	mapData("sensor0", SensorBase, periph.SensorSize, pl.Sensor)
-	mapData("aes0", AESBase, periph.AESSize, pl.AES)
-	mapData("dma0", DMABase, periph.DMASize, pl.DMA)
+	pl.Bus.MustMap("can0", CANBase, periph.CANSize, pl.CAN)
+	pl.Bus.MustMap("sensor0", SensorBase, periph.SensorSize, pl.Sensor)
+	pl.Bus.MustMap("aes0", AESBase, periph.AESSize, pl.AES)
+	pl.Bus.MustMap("dma0", DMABase, periph.DMASize, pl.DMA)
 
 	// Default waveform probes: the CPU program counter plus the externally
 	// visible peripheral state. Guests add memory and tag probes via
@@ -432,15 +398,19 @@ func New(cfg Config) (*Platform, error) {
 		v.AddProbe("dma0_transfers", 16, func() uint64 { return uint64(pl.DMA.Transfers()) })
 	}
 
+	// Lattice counters: one set, installed here — after all wiring-time
+	// queries (Top, clearance encoding) — so set-up does not count. The
+	// observer's lub_ops and the audit's per-edge counts read it.
+	if pol != nil && (cfg.Obs != nil || (cfg.Cover != nil && cfg.Cover.Audit != nil)) {
+		pl.counts = pol.L.Count()
+	}
+
 	// Coverage observability: hand the tag- and policy-dependent views to
 	// the VP+ core (guest coverage already subscribed to the flight
-	// stream); Load sizes the views to the RAM it allocates. The audit
-	// installs its lattice counters here — after all wiring-time queries
-	// (Top, clearance encoding) — so setup noise does not pollute the run's
-	// per-edge counts.
+	// stream); Load sizes the views to the RAM it allocates.
 	if cv := cfg.Cover; cv.Active() && pol != nil {
 		if cv.Audit != nil {
-			cv.Audit.Configure(pol)
+			cv.Audit.Configure(pol, pl.counts)
 			env.Audit = cv.Audit
 		}
 		if cv.Taint != nil || cv.Audit != nil {
@@ -456,6 +426,37 @@ func New(cfg Config) (*Platform, error) {
 		cfg.Telemetry.Start(pl.Sim, pl.MetricsSnapshotInto)
 	}
 	return pl, nil
+}
+
+// traceBus assigns the bus's trace hook, the one source of every bus event:
+// the kernel trace records each routed transaction, and the flight
+// recorder's MMIO marks and the observer's bus events take those outside
+// RAM. RAM traffic is left out of both because under TaintMemViaTLM every
+// data access is a bus transaction: it would evict the instruction window
+// a bundle is for, and the observer records RAM flows per instruction.
+func (pl *Platform) traceBus() {
+	var kt *trace.KernelTrace
+	if t := pl.cfg.Trace; t.Active() {
+		kt = t.Kernel
+	}
+	fr, o := pl.fr, pl.cfg.Obs
+	if kt == nil && fr == nil && o == nil {
+		return
+	}
+	pl.Bus.Trace = func(name string, p *tlm.Payload) {
+		if kt != nil {
+			kt.OnBus(pl.Sim.Now(), name, p)
+		}
+		if name == "ram" {
+			return
+		}
+		if fr != nil {
+			fr.MarkBus(pl.Instret(), name, p.Addr, p.Cmd == tlm.Write, len(p.Data))
+		}
+		if o != nil {
+			o.OnBus(name, p)
+		}
+	}
 }
 
 // Cover returns the attached coverage bundle, nil when coverage is off.
@@ -772,30 +773,26 @@ func (pl *Platform) RAMSize() uint32 {
 	return pl.cfg.RAMSize
 }
 
-// MetricsSnapshot returns the platform's simulation gauges merged with the
-// observer's counters (when one is attached): instructions retired,
-// simulated nanoseconds, decode-cache hit/miss statistics, per-monitor
-// dropped-transaction counts, trace-subsystem gauges, plus every obs.* /
-// checks.* / bus.* / violations.* counter. The decode-cache and monitor
-// gauges are also pushed into the observer's Metrics registry so they ride
-// along wherever that registry is exported.
+// MetricsSnapshot returns every metric of the platform, assembled here and
+// nowhere else: instructions retired, simulated nanoseconds, decode-cache
+// hit/miss statistics, flight-recorder, trace-subsystem and coverage
+// gauges, and with an observer attached its obs.* / checks.* / bus.* /
+// io.* / violations.* counters plus lub_ops (the lattice counter set's
+// joins) and checks.fetch (the decode cache's misses when the policy
+// checks fetch: each miss runs the one fetch check, a hit reuses its
+// verdict). Each key has one source.
 func (pl *Platform) MetricsSnapshot() map[string]uint64 {
 	m := make(map[string]uint64, 64)
 	pl.MetricsSnapshotInto(m)
 	return m
 }
 
-// MetricsSnapshotInto fills dst with the same merged view as MetricsSnapshot
-// without allocating: every key written here is either a constant, a
-// pre-concatenated monitor key, or comes from the observer's own
-// allocation-free SnapshotInto. The telemetry sampler calls this once per
-// tick into a reused map, so a long run must not churn garbage per sample.
-// Platform gauges are written after the observer's counters, so on a key
-// collision the platform's value wins.
+// MetricsSnapshotInto fills dst with the same view as MetricsSnapshot
+// without allocating once dst has seen the key set: every key written here
+// is a constant or comes from the observer's allocation-free
+// MetricsSnapshotInto. The telemetry sampler calls this once per tick into
+// a reused map, so a long run must not churn garbage per sample.
 func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
-	if pl.cfg.Obs != nil {
-		pl.cfg.Obs.MetricsSnapshotInto(m)
-	}
 	m["sim.instret"] = pl.Instret()
 	m["sim.time_ns"] = uint64(pl.Sim.Now())
 
@@ -818,6 +815,19 @@ func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 	m["sim.decode_cache_hits"] = hits
 	m["sim.decode_cache_misses"] = misses
 
+	if o := pl.cfg.Obs; o != nil {
+		o.MetricsSnapshotInto(m)
+		var fetchChecks, joins uint64
+		if pl.policy != nil && pl.policy.Exec.CheckFetch {
+			fetchChecks = misses
+		}
+		if pl.counts != nil {
+			joins = pl.counts.Joins()
+		}
+		m["checks.fetch"] = fetchChecks
+		m["lub_ops"] = joins
+	}
+
 	// Flight-recorder statistics. The capture cost is calibrated once per
 	// process (a timed loop over a throwaway ring), not measured in the hot
 	// path — measuring would cost more than the capture.
@@ -828,17 +838,6 @@ func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 		m["flight.dropped_total"] = fr.Dropped()
 		m["flight.bundles_total"] = fr.Bundles()
 		m["flight.capture_cost_ns"] = flight.CaptureCostNs()
-	}
-
-	// Bus-monitor drop counts (observer-attached platforms only).
-	var dropped uint64
-	for _, nm := range pl.monitors {
-		d := nm.m.Dropped()
-		m[nm.key] = d
-		dropped += d
-	}
-	if pl.monitors != nil {
-		m["bus.monitor_dropped"] = dropped
 	}
 
 	if t := pl.cfg.Trace; t.Active() {
@@ -874,15 +873,6 @@ func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 			m["cover.audit_memaddr_checks"] = cv.Audit.MemAddr.Checks
 			m["cover.audit_dead_rules"] = uint64(cv.Audit.DeadRuleCount())
 		}
-	}
-
-	// Mirror the derived gauges into the observer's registry.
-	if o := pl.cfg.Obs; o != nil {
-		reg := o.Metrics()
-		*reg.Counter("sim.decode_cache_fills") = fills
-		*reg.Counter("sim.decode_cache_hits") = hits
-		*reg.Counter("sim.decode_cache_misses") = misses
-		*reg.Counter("bus.monitor_dropped") = dropped
 	}
 }
 

@@ -81,8 +81,9 @@ func TestTelemetrySamplerOnPlatform(t *testing.T) {
 	}
 }
 
-// The merged snapshot's precedence: platform gauges overwrite observer
-// registry counters of the same name, and cover gauges overwrite both.
+// Each key of the snapshot has one source: the observer's counters pass
+// through as the observer holds them, and the platform's and the cover
+// layer's gauges come from their own state, never from the observer.
 func TestMetricsSnapshotPrecedence(t *testing.T) {
 	img, err := guest.Program(coverSrc)
 	if err != nil {
@@ -101,14 +102,19 @@ func TestMetricsSnapshotPrecedence(t *testing.T) {
 	if err := pl.Run(kernel.Forever); err != nil {
 		t.Fatal(err)
 	}
-	// Poison the observer registry with names the platform and the cover
-	// layer own.
-	reg := o.Metrics()
-	reg.Add("sim.instret", 0xDEAD_BEEF)
-	reg.Add("sim.time_ns", 0xDEAD_BEEF)
-	reg.Add("cover.guest_blocks", 0xDEAD_BEEF)
-
+	own := map[string]uint64{}
+	o.MetricsSnapshotInto(own)
 	m := pl.MetricsSnapshot()
+	for k, v := range own {
+		if m[k] != v {
+			t.Errorf("%s = %d, want the observer's %d", k, m[k], v)
+		}
+	}
+	for _, k := range []string{"sim.instret", "sim.time_ns", "cover.guest_blocks", "lub_ops", "checks.fetch"} {
+		if _, ok := own[k]; ok {
+			t.Errorf("the observer writes %s, which the platform owns", k)
+		}
+	}
 	if m["sim.instret"] != pl.Instret() {
 		t.Errorf("sim.instret = %d, want the platform's %d", m["sim.instret"], pl.Instret())
 	}
@@ -117,11 +123,6 @@ func TestMetricsSnapshotPrecedence(t *testing.T) {
 	}
 	if want := uint64(cv.Guest.Stats().Blocks); m["cover.guest_blocks"] != want {
 		t.Errorf("cover.guest_blocks = %d, want the cover view's %d", m["cover.guest_blocks"], want)
-	}
-	// A name nobody else owns passes through from the registry untouched.
-	reg.Add("custom.counter", 7)
-	if m2 := pl.MetricsSnapshot(); m2["custom.counter"] != 7 {
-		t.Errorf("custom.counter = %d, want 7", m2["custom.counter"])
 	}
 }
 

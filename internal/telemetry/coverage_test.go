@@ -31,7 +31,7 @@ func syntheticSnapshot(workload, policy string) *cover.Snapshot {
 	l := core.IFP2()
 	hi, li := l.MustTag(core.ClassHI), l.MustTag(core.ClassLI)
 	pol := core.NewPolicy(l, li).WithFetchClearance(hi).WithOutput("uart0.tx", li)
-	c.Audit.Configure(pol)
+	c.Audit.Configure(pol, l.Count())
 	l.LUB(hi, li)
 	c.Audit.Fetch.Checks++
 	if len(workload)%2 == 0 {

@@ -28,7 +28,6 @@ var promHelp = []struct{ prefix, help string }{
 	{"sim.", "Simulation gauge sampled from the platform."},
 	{"checks.", "DIFT clearance checks performed, by check point."},
 	{"violations.", "Policy violations detected, by violation kind."},
-	{"bus.monitor", "TLM bus-monitor transaction accounting."},
 	{"bus.", "TLM bus traffic counter."},
 	{"flight.", "Flight-recorder statistic."},
 	{"io.", "Peripheral I/O counter."},

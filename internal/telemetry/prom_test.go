@@ -76,7 +76,7 @@ func TestWritePrometheusValid(t *testing.T) {
 		"sim.instret":                 1,
 		"sim.time_ns":                 2,
 		"violations.sanitize-taint":   3,
-		"bus.monitor_dropped.uart0":   4,
+		"bus.txns":                    4,
 		"9weird name":                 5,
 		"cover.audit_dead_rules":      6,
 		"io.can0.rx.frames":           7,

@@ -144,17 +144,15 @@ func (k *KernelTrace) TimeAdvance(from, to kernel.Time) {
 	k.emit(Event{Kind: EvTimeAdvance, At: uint64(from), To: uint64(to)})
 }
 
-// BusHook returns the tlm.Bus trace callback recording every routed
-// transaction with its decoded range name, initiator, and completion status,
-// timestamped from sim.
-func (k *KernelTrace) BusHook(sim *kernel.Simulator) func(rangeName string, p *tlm.Payload) {
-	return func(rangeName string, p *tlm.Payload) {
-		k.emit(Event{
-			Kind: EvBusTxn, At: uint64(sim.Now()), Name: rangeName,
-			From: p.From, Cmd: p.Cmd.String(), Addr: p.Addr,
-			Len: len(p.Data), Resp: p.Resp.String(),
-		})
-	}
+// OnBus records one routed bus transaction, at simulated time at, with its
+// decoded range name, initiator, and completion status. The platform calls
+// it from the bus's trace hook.
+func (k *KernelTrace) OnBus(at kernel.Time, rangeName string, p *tlm.Payload) {
+	k.emit(Event{
+		Kind: EvBusTxn, At: uint64(at), Name: rangeName,
+		From: p.From, Cmd: p.Cmd.String(), Addr: p.Addr,
+		Len: len(p.Data), Resp: p.Resp.String(),
+	})
 }
 
 // Events returns the live events in sequence order.

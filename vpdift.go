@@ -397,8 +397,8 @@ func WithPolicy(p *Policy) Option {
 }
 
 // WithObserver attaches an observability recorder to every layer of the
-// platform: core hooks, peripheral I/O, bus monitors, and load-time
-// classification roots.
+// platform: core hooks, peripheral I/O, the bus's trace hook, and
+// load-time classification roots.
 func WithObserver(o *Observer) Option {
 	return optionFunc(func(c *soc.Config) { c.Obs = o })
 }
