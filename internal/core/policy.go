@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // ExecClearance configures the three execution-clearance points the paper
 // identifies inside the CPU core (Section V-B2): branch execution,
@@ -73,6 +76,10 @@ type Policy struct {
 	// overlap; on classification the first matching rule wins, on store
 	// checks every matching rule is enforced.
 	Regions []RegionRule
+
+	// counts, when non-nil, is the installed enforcement counter set (see
+	// Count); CheckStore counts its region rules into it.
+	counts *EnforcementCounts
 }
 
 // NewPolicy creates a policy over lattice l with the given default class and
@@ -215,12 +222,20 @@ func (p *Policy) ClassifyAt(addr uint32) Tag {
 }
 
 // CheckStore enforces all store-clearance rules covering addr against a
-// datum of class have. It returns nil when no rule matches or all flows are
-// allowed.
+// datum of class have, in rule order up to the first that fails, counting
+// each rule it checks in the installed counter set. It returns nil when no
+// rule matches or all flows are allowed.
 func (p *Policy) CheckStore(addr uint32, have Tag) error {
 	for i := range p.Regions {
 		r := &p.Regions[i]
-		if r.CheckStore && r.Contains(addr) && !p.L.AllowedFlow(have, r.Clearance) {
+		if !r.CheckStore || !r.Contains(addr) {
+			continue
+		}
+		ok := p.L.AllowedFlow(have, r.Clearance)
+		if p.counts != nil {
+			p.counts.Stores[i].Tally(ok)
+		}
+		if !ok {
 			return NewViolation(p.L, KindStoreClearance, have, r.Clearance).WithAddr(addr)
 		}
 	}
@@ -244,4 +259,93 @@ func (p *Policy) CheckOutput(port string, have Tag) error {
 		return nil
 	}
 	return NewViolation(p.L, KindOutputClearance, have, required).WithPort(port)
+}
+
+// PointCounts counts one clearance point's checks and the violations they
+// raised.
+type PointCounts struct {
+	Checks     uint64 `json:"checks"`
+	Violations uint64 `json:"violations"`
+}
+
+// Tally counts one check, and a violation when it failed.
+func (p *PointCounts) Tally(ok bool) {
+	p.Checks++
+	if !ok {
+		p.Violations++
+	}
+}
+
+// PortCounts is a port clearance point's counts under its policy name.
+type PortCounts struct {
+	Name string
+	PointCounts
+}
+
+// EnforcementCounts is a policy's enforcement counter set (Policy.Count):
+// per clearance point, the checks run and the violations raised while it
+// is installed, each counted where the point is enforced — the VP+ core's
+// fetch, branch and memory-address checks, CheckStore's region rules, the
+// peripherals' ports — plus the input ports' deliveries. A check and its
+// violation count where the check runs, so a memoized verdict (the decode
+// cache's fetch check) counts once. The platform's checks.*, violations.*
+// and io.* metrics and the policy audit all read this set.
+type EnforcementCounts struct {
+	Fetch, Branch, MemAddr PointCounts
+	Stores                 []PointCounts // parallel to the policy's Regions
+	// Ports are the policy's Outputs in name order, then any other port a
+	// peripheral checks (the sensor's data_tag cast) from its first check.
+	Ports  []*PortCounts
+	Inputs uint64 // input port deliveries
+}
+
+// Count installs a fresh enforcement counter set, replacing any installed
+// before, and returns it. Like Lattice.Count it is installed once, on a
+// complete policy before the simulation starts, for one platform.
+func (p *Policy) Count() *EnforcementCounts {
+	names := make([]string, 0, len(p.Outputs))
+	for name := range p.Outputs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	c := &EnforcementCounts{Stores: make([]PointCounts, len(p.Regions))}
+	for _, name := range names {
+		c.Ports = append(c.Ports, &PortCounts{Name: name})
+	}
+	p.counts = c
+	return c
+}
+
+// Port returns the named port's counts, adding the port at its first check
+// when the policy gives it no clearance.
+func (c *EnforcementCounts) Port(name string) *PointCounts {
+	for _, p := range c.Ports {
+		if p.Name == name {
+			return &p.PointCounts
+		}
+	}
+	p := &PortCounts{Name: name}
+	c.Ports = append(c.Ports, p)
+	return &p.PointCounts
+}
+
+// Kind sums the counts of the points whose violations are of kind k.
+func (c *EnforcementCounts) Kind(k ViolationKind) (s PointCounts) {
+	switch k {
+	case KindFetchClearance:
+		return c.Fetch
+	case KindBranchClearance:
+		return c.Branch
+	case KindMemAddrClearance:
+		return c.MemAddr
+	case KindStoreClearance:
+		for _, p := range c.Stores {
+			s.Checks, s.Violations = s.Checks+p.Checks, s.Violations+p.Violations
+		}
+	case KindOutputClearance:
+		for _, p := range c.Ports {
+			s.Checks, s.Violations = s.Checks+p.Checks, s.Violations+p.Violations
+		}
+	}
+	return s
 }

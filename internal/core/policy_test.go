@@ -53,6 +53,7 @@ func TestPolicyClassifyFirstRuleWins(t *testing.T) {
 
 func TestPolicyCheckStore(t *testing.T) {
 	p, hi, li := testPolicy(t)
+	counts := p.Count()
 	if err := p.CheckStore(0x100, hi); err != nil {
 		t.Errorf("HI store into pin must pass: %v", err)
 	}
@@ -66,6 +67,11 @@ func TestPolicyCheckStore(t *testing.T) {
 	var v *Violation
 	if !errors.As(err, &v) || v.Kind != KindStoreClearance || v.Addr != 0x102 {
 		t.Errorf("violation = %+v", err)
+	}
+	// Each store into the rule counts a check, the rejected one a
+	// violation too; the store outside it checks no rule.
+	if got := counts.Stores[0]; got != (PointCounts{Checks: 2, Violations: 1}) {
+		t.Errorf("pin rule counts %+v, want 2 checks and 1 violation", got)
 	}
 }
 

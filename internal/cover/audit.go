@@ -9,110 +9,94 @@ import (
 	"vpdift/internal/core"
 )
 
-// PointStat counts enforcement activity at one clearance point.
-type PointStat struct {
-	Checks     uint64 `json:"checks"`
-	Violations uint64 `json:"violations"`
-}
+// PointStat counts enforcement activity at one clearance point, as the
+// enforcement counter set holds it and the audit's JSON and the coverage
+// snapshot serialize it.
+type PointStat = core.PointCounts
 
 // exercised reports whether the point was touched at all.
-func (p PointStat) exercised() bool { return p.Checks != 0 || p.Violations != 0 }
+func exercised(p PointStat) bool { return p.Checks != 0 || p.Violations != 0 }
 
-// PolicyAudit records which parts of a security policy a run exercised:
-// per-lattice-edge LUB and AllowedFlow hit counts (the lattice's counter
-// set, see core.Lattice.Count), check/violation counts per execution
-// clearance point and per output sink, and region store-rule hits. Its
-// dead-rule report flags classes and rules no execution ever touched — the
-// policy-completeness audit the survey literature asks for.
-//
-// Check counting is approximate at the edges: a retired instruction counts
-// as one enforcement per enabled point (the cached fetch verdict counts as
-// enforcement even when the LUB was memoized), while the final violating
-// instruction never retires and is accounted through NoteViolation instead.
+// PolicyAudit reports which parts of a security policy a run exercised.
+// It records nothing itself: it reads the platform's two counter sets, the
+// lattice's per-edge LUB and AllowedFlow hit counts (core.Lattice.Count)
+// and the policy's check and violation counts per clearance point
+// (core.Policy.Count), which the core, the policy's store check and the
+// peripherals count where they enforce. Its dead-rule report flags classes
+// and rules no execution ever touched — the policy-completeness audit the
+// survey literature asks for.
 type PolicyAudit struct {
 	lat *core.Lattice
 	pol *core.Policy
 
-	// lubPair/flowPair are the lattice counter set's matrices (Configure).
+	// lubPair/flowPair are the lattice counter set's matrices and enf the
+	// enforcement counter set (Configure).
 	lubPair, flowPair []uint64
-
-	// Fetch/Branch/MemAddr are incremented directly by the VP+ core's cover
-	// hook (exported to keep the enabled path a field increment).
-	Fetch, Branch, MemAddr PointStat
-
-	outputs map[string]*PointStat
-	regions []PointStat // parallel to pol.Regions
+	enf               *core.EnforcementCounts
 }
 
 // NewAudit returns an unconfigured policy audit; the platform binds it to
-// the policy via Configure at wiring time.
-func NewAudit() *PolicyAudit {
-	return &PolicyAudit{outputs: make(map[string]*PointStat)}
-}
+// the policy and its counter sets via Configure at wiring time.
+func NewAudit() *PolicyAudit { return &PolicyAudit{} }
 
 // Configure binds the audit to the platform's policy and to the counter
-// set installed on its lattice (pol.L.Count()), whose per-pair matrices the
-// audit reports.
-func (a *PolicyAudit) Configure(pol *core.Policy, counts *core.LatticeCounts) {
+// sets installed on its lattice (pol.L.Count()) and on the policy
+// (pol.Count()), which the audit reports.
+func (a *PolicyAudit) Configure(pol *core.Policy, lattice *core.LatticeCounts, enf *core.EnforcementCounts) {
 	a.pol = pol
 	a.lat = pol.L
-	a.lubPair, a.flowPair = counts.LUB, counts.Flow
-	a.regions = make([]PointStat, len(pol.Regions))
-	for port := range pol.Outputs {
-		a.outputs[port] = &PointStat{}
-	}
-}
-
-// Output returns (creating on demand) the stat cell for a named sink port.
-// Peripherals call it at a port's first check and keep the pointer.
-func (a *PolicyAudit) Output(port string) *PointStat {
-	s, ok := a.outputs[port]
-	if !ok {
-		s = &PointStat{}
-		a.outputs[port] = s
-	}
-	return s
-}
-
-// NoteStore counts region store-clearance rule hits for a retired store to
-// addr. Mirrors Policy.CheckStore: every matching rule is enforced, so every
-// matching rule counts a check.
-func (a *PolicyAudit) NoteStore(addr uint32) {
-	for i := range a.pol.Regions {
-		r := &a.pol.Regions[i]
-		if r.CheckStore && r.Contains(addr) {
-			a.regions[i].Checks++
-		}
-	}
+	a.lubPair, a.flowPair = lattice.LUB, lattice.Flow
+	a.enf = enf
 }
 
 // Configured reports whether the audit was bound to a policy.
 func (a *PolicyAudit) Configured() bool { return a.pol != nil }
 
-// NoteViolation attributes a terminal violation to its clearance point. The
-// violating instruction never retires (the core returns early), so the
-// platform records it here when the run error carries a *core.Violation.
-func (a *PolicyAudit) NoteViolation(v *core.Violation) {
-	if a.pol == nil {
-		return
+// cpuPoint is one of the CPU's execution clearance points.
+type cpuPoint struct {
+	name    string
+	enabled bool
+	clear   core.Tag
+	stat    PointStat
+}
+
+// execPoints lists the three execution clearance points in report order.
+func (a *PolicyAudit) execPoints() [3]cpuPoint {
+	e := a.pol.Exec
+	return [3]cpuPoint{
+		{"fetch", e.CheckFetch, e.Fetch, a.enf.Fetch},
+		{"branch", e.CheckBranch, e.Branch, a.enf.Branch},
+		{"mem-addr", e.CheckMemAddr, e.MemAddr, a.enf.MemAddr},
 	}
-	switch v.Kind {
-	case core.KindFetchClearance:
-		a.Fetch.Violations++
-	case core.KindBranchClearance:
-		a.Branch.Violations++
-	case core.KindMemAddrClearance:
-		a.MemAddr.Violations++
-	case core.KindStoreClearance:
-		for i := range a.pol.Regions {
-			r := &a.pol.Regions[i]
-			if r.CheckStore && r.Contains(v.Addr) {
-				a.regions[i].Violations++
-			}
+}
+
+// ports returns the port clearance points in name order.
+func (a *PolicyAudit) ports() []*core.PortCounts {
+	ports := append([]*core.PortCounts(nil), a.enf.Ports...)
+	sort.Slice(ports, func(i, j int) bool { return ports[i].Name < ports[j].Name })
+	return ports
+}
+
+// Points returns every clearance point's counts, keyed as in the coverage
+// snapshot: "exec:fetch", "exec:branch" and "exec:mem-addr" when enabled
+// or exercised, "output:<port>" for each port, and "region:<name>" for
+// each region store rule.
+func (a *PolicyAudit) Points() map[string]PointStat {
+	points := map[string]PointStat{}
+	for _, p := range a.execPoints() {
+		if p.enabled || exercised(p.stat) {
+			points["exec:"+p.name] = p.stat
 		}
-	case core.KindOutputClearance:
-		a.Output(v.Port).Violations++
 	}
+	for _, p := range a.enf.Ports {
+		points["output:"+p.Name] = p.PointCounts
+	}
+	for i := range a.pol.Regions {
+		if r := &a.pol.Regions[i]; r.CheckStore {
+			points["region:"+r.Name] = a.enf.Stores[i]
+		}
+	}
+	return points
 }
 
 // pairs lists the nonzero cells of an n*n hit matrix as (from, to, count).
@@ -163,30 +147,20 @@ func (a *PolicyAudit) DeadRules() []string {
 			dead = append(dead, fmt.Sprintf("class %q never touched by any LUB or flow query", a.lat.Name(core.Tag(i))))
 		}
 	}
-	e := a.pol.Exec
-	if e.CheckFetch && !a.Fetch.exercised() {
-		dead = append(dead, fmt.Sprintf("fetch clearance (%s) enabled but never checked", a.lat.Name(e.Fetch)))
-	}
-	if e.CheckBranch && !a.Branch.exercised() {
-		dead = append(dead, fmt.Sprintf("branch clearance (%s) enabled but never checked", a.lat.Name(e.Branch)))
-	}
-	if e.CheckMemAddr && !a.MemAddr.exercised() {
-		dead = append(dead, fmt.Sprintf("mem-addr clearance (%s) enabled but never checked", a.lat.Name(e.MemAddr)))
+	for _, p := range a.execPoints() {
+		if p.enabled && !exercised(p.stat) {
+			dead = append(dead, fmt.Sprintf("%s clearance (%s) enabled but never checked", p.name, a.lat.Name(p.clear)))
+		}
 	}
 	for i := range a.pol.Regions {
 		r := &a.pol.Regions[i]
-		if r.CheckStore && !a.regions[i].exercised() {
+		if r.CheckStore && !exercised(a.enf.Stores[i]) {
 			dead = append(dead, fmt.Sprintf("region %q store clearance (%s) never exercised", r.Name, a.lat.Name(r.Clearance)))
 		}
 	}
-	ports := make([]string, 0, len(a.outputs))
-	for port := range a.outputs {
-		ports = append(ports, port)
-	}
-	sort.Strings(ports)
-	for _, port := range ports {
-		if !a.outputs[port].exercised() {
-			dead = append(dead, fmt.Sprintf("output clearance on %q never checked", port))
+	for _, p := range a.enf.Ports {
+		if !exercised(p.PointCounts) {
+			dead = append(dead, fmt.Sprintf("output clearance on %q never checked", p.Name))
 		}
 	}
 	// Globally sorted so every consumer — report, JSON export, snapshot
@@ -206,23 +180,18 @@ func (a *PolicyAudit) DeadRuleCount() int {
 			n++
 		}
 	}
-	e := a.pol.Exec
-	if e.CheckFetch && !a.Fetch.exercised() {
-		n++
-	}
-	if e.CheckBranch && !a.Branch.exercised() {
-		n++
-	}
-	if e.CheckMemAddr && !a.MemAddr.exercised() {
-		n++
-	}
-	for i := range a.pol.Regions {
-		if a.pol.Regions[i].CheckStore && !a.regions[i].exercised() {
+	for _, p := range a.execPoints() {
+		if p.enabled && !exercised(p.stat) {
 			n++
 		}
 	}
-	for _, p := range a.outputs {
-		if !p.exercised() {
+	for i := range a.pol.Regions {
+		if a.pol.Regions[i].CheckStore && !exercised(a.enf.Stores[i]) {
+			n++
+		}
+	}
+	for _, p := range a.enf.Ports {
+		if !exercised(p.PointCounts) {
 			n++
 		}
 	}
@@ -264,30 +233,17 @@ func (a *PolicyAudit) export() auditJSON {
 		}
 		return out
 	}
-	e := a.pol.Exec
-	exec := map[string]execPoint{
-		"fetch":    {Enabled: e.CheckFetch, PointStat: a.Fetch},
-		"branch":   {Enabled: e.CheckBranch, PointStat: a.Branch},
-		"mem-addr": {Enabled: e.CheckMemAddr, PointStat: a.MemAddr},
+	exec := make(map[string]execPoint, 3)
+	for _, p := range a.execPoints() {
+		x := execPoint{Enabled: p.enabled, PointStat: p.stat}
+		if p.enabled {
+			x.Clearance = a.lat.Name(p.clear)
+		}
+		exec[p.name] = x
 	}
-	if e.CheckFetch {
-		p := exec["fetch"]
-		p.Clearance = a.lat.Name(e.Fetch)
-		exec["fetch"] = p
-	}
-	if e.CheckBranch {
-		p := exec["branch"]
-		p.Clearance = a.lat.Name(e.Branch)
-		exec["branch"] = p
-	}
-	if e.CheckMemAddr {
-		p := exec["mem-addr"]
-		p.Clearance = a.lat.Name(e.MemAddr)
-		exec["mem-addr"] = p
-	}
-	outs := make(map[string]PointStat, len(a.outputs))
-	for port, s := range a.outputs {
-		outs[port] = *s
+	outs := make(map[string]PointStat, len(a.enf.Ports))
+	for _, p := range a.enf.Ports {
+		outs[p.Name] = p.PointCounts
 	}
 	regs := make([]regionPoint, 0, len(a.pol.Regions))
 	for i := range a.pol.Regions {
@@ -297,7 +253,7 @@ func (a *PolicyAudit) export() auditJSON {
 		}
 		regs = append(regs, regionPoint{
 			Name: r.Name, Start: r.Start, End: r.End,
-			Clearance: a.lat.Name(r.Clearance), PointStat: a.regions[i],
+			Clearance: a.lat.Name(r.Clearance), PointStat: a.enf.Stores[i],
 		})
 	}
 	return auditJSON{
@@ -331,36 +287,26 @@ func (a *PolicyAudit) WriteReport(w io.Writer) error {
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "execution clearance points (checks / violations):")
-	e := a.pol.Exec
-	point := func(name string, enabled bool, clear core.Tag, s PointStat) {
-		if !enabled {
-			fmt.Fprintf(w, "  %-10s disabled\n", name)
-			return
+	for _, p := range a.execPoints() {
+		if !p.enabled {
+			fmt.Fprintf(w, "  %-10s disabled\n", p.name)
+			continue
 		}
-		fmt.Fprintf(w, "  %-10s clearance %-8s %10d / %d\n", name, a.lat.Name(clear), s.Checks, s.Violations)
+		fmt.Fprintf(w, "  %-10s clearance %-8s %10d / %d\n", p.name, a.lat.Name(p.clear), p.stat.Checks, p.stat.Violations)
 	}
-	point("fetch", e.CheckFetch, e.Fetch, a.Fetch)
-	point("branch", e.CheckBranch, e.Branch, a.Branch)
-	point("mem-addr", e.CheckMemAddr, e.MemAddr, a.MemAddr)
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "output sinks (checks / violations):")
-	ports := make([]string, 0, len(a.outputs))
-	for port := range a.outputs {
-		ports = append(ports, port)
-	}
-	sort.Strings(ports)
-	for _, port := range ports {
-		s := a.outputs[port]
+	for _, p := range a.ports() {
 		clear := ""
-		if t, ok := a.pol.OutputClearance(port); ok {
+		if t, ok := a.pol.OutputClearance(p.Name); ok {
 			clear = a.lat.Name(t)
 		}
-		fmt.Fprintf(w, "  %-16s clearance %-8s %10d / %d\n", port, clear, s.Checks, s.Violations)
+		fmt.Fprintf(w, "  %-16s clearance %-8s %10d / %d\n", p.Name, clear, p.Checks, p.Violations)
 	}
 	fmt.Fprintln(w)
 
-	if len(a.regions) > 0 {
+	if len(a.pol.Regions) > 0 {
 		fmt.Fprintln(w, "region store rules (checks / violations):")
 		for i := range a.pol.Regions {
 			r := &a.pol.Regions[i]
@@ -368,7 +314,7 @@ func (a *PolicyAudit) WriteReport(w io.Writer) error {
 				continue
 			}
 			fmt.Fprintf(w, "  %-16s [0x%08x, 0x%08x) clearance %-8s %10d / %d\n",
-				r.Name, r.Start, r.End, a.lat.Name(r.Clearance), a.regions[i].Checks, a.regions[i].Violations)
+				r.Name, r.Start, r.End, a.lat.Name(r.Clearance), a.enf.Stores[i].Checks, a.enf.Stores[i].Violations)
 		}
 		fmt.Fprintln(w)
 	}

@@ -11,14 +11,16 @@
 //   - TaintCov: per-byte memory taint heatmaps (ever-tainted bitmap, taint
 //     churn counters, per-class residency) and per-register taint-occupancy
 //     statistics, rendered as a compact address-range heat report.
-//   - PolicyAudit: per-lattice-edge LUB/AllowedFlow hit counters,
-//     per-clearance-point check/violation counts, and a dead-rule report
+//   - PolicyAudit: a report over the platform's lattice and enforcement
+//     counter sets — per-lattice-edge LUB/AllowedFlow hits and
+//     per-clearance-point check/violation counts — with a dead-rule report
 //     flagging IFP classes and clearance rules a run never exercised.
 //
 // A platform built without a Cover (or with unused views left nil) pays
 // nothing for it: GuestCov is a stream subscriber the platform only adds
-// when requested, and TaintCov and PolicyAudit share the VP+ core's one
-// nil-guarded post-retire hook — the contract the benchmark's toggle rows
+// when requested, TaintCov rides on the VP+ core's one nil-guarded
+// post-retire hook, and the audit's counter sets are installed only with
+// it (or an observer) attached — the contract the benchmark's toggle rows
 // price.
 package cover
 

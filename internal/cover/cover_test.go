@@ -224,22 +224,32 @@ func TestAuditCountsAndDeadRules(t *testing.T) {
 	if a.Configured() {
 		t.Fatal("unconfigured audit claims to be configured")
 	}
-	a.Configure(pol, l.Count())
+	enf := pol.Count()
+	a.Configure(pol, l.Count(), enf)
 
 	// The lattice now feeds the pair matrices.
 	l.LUB(hi, li)
 	if !l.AllowedFlow(hi, li) {
 		t.Fatal("IFP2 must allow HI -> LI")
 	}
-	a.Fetch.Checks++
-	a.NoteStore(base + 4) // inside the guarded region
-	a.NoteStore(base + 64)
-	if a.regions[0].Checks != 1 {
-		t.Errorf("region checks = %d, want 1", a.regions[0].Checks)
+	// The policy's store check counts into the enforcement set, which the
+	// audit reads.
+	if err := pol.CheckStore(base+4, hi); err != nil { // inside the guarded region
+		t.Fatal(err)
 	}
-	a.NoteViolation(core.NewViolation(l, core.KindFetchClearance, li, hi).WithPC(base))
-	if a.Fetch.Violations != 1 {
-		t.Errorf("fetch violations = %d, want 1", a.Fetch.Violations)
+	if err := pol.CheckStore(base+64, li); err != nil {
+		t.Fatal(err)
+	}
+	enf.Fetch = core.PointCounts{Checks: 1, Violations: 1}
+	points := a.Points()
+	if got := points["region:guarded"]; got != (PointStat{Checks: 1}) {
+		t.Errorf("region point = %+v, want 1 check", got)
+	}
+	if got := points["exec:fetch"]; got != (PointStat{Checks: 1, Violations: 1}) {
+		t.Errorf("fetch point = %+v, want 1 check and 1 violation", got)
+	}
+	if got, ok := points["output:uart0.tx"]; !ok || got != (PointStat{}) {
+		t.Errorf("output point = %+v (listed %v), want listed and zero", got, ok)
 	}
 
 	dead := a.DeadRules()

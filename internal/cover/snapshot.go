@@ -163,7 +163,7 @@ func captureAudit(a *PolicyAudit) *AuditSnap {
 		Classes:   append([]string(nil), a.lat.Classes()...),
 		LUB:       map[string]uint64{},
 		Flow:      map[string]uint64{},
-		Points:    map[string]PointStat{},
+		Points:    a.Points(),
 		DeadRules: append([]string{}, a.DeadRules()...),
 	}
 	n := a.lat.Size()
@@ -176,25 +176,6 @@ func captureAudit(a *PolicyAudit) *AuditSnap {
 			if c := a.flowPair[i*n+j]; c != 0 {
 				as.Flow[key] = c
 			}
-		}
-	}
-	e := a.pol.Exec
-	if e.CheckFetch || a.Fetch.exercised() {
-		as.Points["exec:fetch"] = a.Fetch
-	}
-	if e.CheckBranch || a.Branch.exercised() {
-		as.Points["exec:branch"] = a.Branch
-	}
-	if e.CheckMemAddr || a.MemAddr.exercised() {
-		as.Points["exec:mem-addr"] = a.MemAddr
-	}
-	for port, s := range a.outputs {
-		as.Points["output:"+port] = *s
-	}
-	for i := range a.pol.Regions {
-		r := &a.pol.Regions[i]
-		if r.CheckStore {
-			as.Points["region:"+r.Name] = a.regions[i]
 		}
 	}
 	return as

@@ -35,11 +35,12 @@ func fullCover(t *testing.T) *Cover {
 			CheckStore: true, Clearance: hi,
 		}).
 		WithOutput("uart0.tx", li)
-	c.Audit.Configure(pol, l.Count())
+	enf := pol.Count()
+	c.Audit.Configure(pol, l.Count(), enf)
 	l.LUB(hi, li)
 	l.AllowedFlow(hi, li)
-	c.Audit.Fetch.Checks++
-	c.Audit.NoteStore(base + 4)
+	enf.Fetch.Checks++
+	enf.Stores[0].Checks++ // one check on the guarded rule
 	return c
 }
 
@@ -248,7 +249,7 @@ func TestMergeDeadRuleIntersection(t *testing.T) {
 	// vanish from the intersection, region rule stays dead in neither
 	// (exercised in both), class dead rules intersect.
 	cb := fullCover(t)
-	cb.Audit.Output("uart0.tx").Checks++
+	cb.Audit.enf.Port("uart0.tx").Checks++
 	b := Capture(cb, testRun("w2"), nil)
 
 	joinedA := strings.Join(a.Audit.DeadRules, "\n")

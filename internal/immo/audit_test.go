@@ -60,10 +60,12 @@ func TestPolicyAuditFlagsDeadRules(t *testing.T) {
 	}
 
 	// The exercised side of the audit must show activity: branch and
-	// mem-addr clearances are enabled and checked on every retire.
-	if cov.Audit.Branch.Checks == 0 || cov.Audit.MemAddr.Checks == 0 {
+	// mem-addr clearances are enabled and checked on every branch and
+	// memory access.
+	points := cov.Audit.Points()
+	if points["exec:branch"].Checks == 0 || points["exec:mem-addr"].Checks == 0 {
 		t.Errorf("enabled clearance points show no checks: branch=%d memaddr=%d",
-			cov.Audit.Branch.Checks, cov.Audit.MemAddr.Checks)
+			points["exec:branch"].Checks, points["exec:mem-addr"].Checks)
 	}
 
 	// Both renderings must carry the dead rule.

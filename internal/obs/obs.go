@@ -1,6 +1,8 @@
 // Package obs is the platform's structured observability subsystem: it
-// records tag-propagation provenance, bus/peripheral events, and the
-// counters of both across every layer of the virtual prototype.
+// records tag-propagation provenance and bus/peripheral events across every
+// layer of the virtual prototype, and counts its events and the bus
+// traffic. Clearance checks and violations are counted where they are
+// enforced, in the policy's enforcement counter set (core.Policy.Count).
 //
 // The paper's headline use case (Section VI-A) is debugging — the VP+ flags
 // the UART debug-dump leak, but the engineer still has to work backwards by
@@ -53,17 +55,6 @@ type Options struct {
 	MaxChain int
 }
 
-// Checks counts performed clearance checks by site. Fetch checks are not
-// among them: one runs on every decode-cache miss, so the platform reports
-// them from the decode cache (see DESIGN.md section 5.6).
-type Checks struct {
-	Branch  uint64
-	MemAddr uint64
-	Store   uint64
-	Output  uint64
-	Input   uint64
-}
-
 // Observer records taint provenance, platform events, and their counters.
 // Create one with New, pass it to the platform (soc.Config.Obs or
 // vpdift.WithObserver), run, then inspect Events, violation provenance, and
@@ -95,29 +86,13 @@ type Observer struct {
 
 	ports map[string]window // device name -> its bus register window
 
-	// Checks are the clearance-check counters, incremented by the cores and
-	// peripherals while the observer is attached.
-	Checks Checks
-
 	busRead  uint64 // bytes moved by bus reads on registered ports
 	busWrite uint64 // bytes moved by bus writes on registered ports
 	busTxns  uint64
-
-	// io counts the bytes each output port passed, under the port's metric
-	// name, built on its first byte.
-	io map[string]*ioCount
-
-	violations map[string]uint64 // violation kind -> count
 }
 
 // window is a peripheral's register window on the bus.
 type window struct{ base, size uint32 }
-
-// ioCount is one output port's byte count and its "io.<port>.bytes" name.
-type ioCount struct {
-	key string
-	n   uint64
-}
 
 // New creates an Observer with default options.
 func New() *Observer { return NewWithOptions(Options{}) }
@@ -131,12 +106,10 @@ func NewWithOptions(o Options) *Observer {
 		o.MaxChain = DefaultMaxChain
 	}
 	return &Observer{
-		opts:       o,
-		ring:       make([]core.TaintEvent, 0, min(o.RingCapacity, 4096)),
-		memSrc:     make(map[uint32]uint64),
-		ports:      make(map[string]window),
-		io:         make(map[string]*ioCount),
-		violations: make(map[string]uint64),
+		opts:   o,
+		ring:   make([]core.TaintEvent, 0, min(o.RingCapacity, 4096)),
+		memSrc: make(map[uint32]uint64),
+		ports:  make(map[string]window),
 	}
 }
 
@@ -404,9 +377,9 @@ func (o *Observer) PCSource() uint64 { return o.pcSrc }
 func (o *Observer) LastStore() uint64 { return o.lastOut }
 
 // OnViolation records the failed clearance check as the chain's terminal
-// event, reconstructs the provenance chain, attaches it to the violation,
-// and counts it. prev/prev2 are the source links appropriate to the check
-// site (register, memory word, or last-store provenance).
+// event, reconstructs the provenance chain and attaches it to the
+// violation. prev/prev2 are the source links appropriate to the check site
+// (register, memory word, or last-store provenance).
 func (o *Observer) OnViolation(v *core.Violation, prev, prev2 uint64) {
 	s := o.emit(core.TaintEvent{
 		Kind: core.EvCheck, PC: v.PC, Insn: o.curInsn,
@@ -414,9 +387,6 @@ func (o *Observer) OnViolation(v *core.Violation, prev, prev2 uint64) {
 		Prev: prev, Prev2: prev2,
 	})
 	v.Provenance = o.Chain(s)
-	// Stored under the exported "violations." name directly so snapshots
-	// (including the sampler's allocation-free path) never concatenate.
-	o.violations["violations."+v.Kind.String()]++
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +408,6 @@ func (o *Observer) PinClassify(region string, start, end uint32, t core.Tag) {
 // the covered words' provenance is defined so the CPU's subsequent MMIO
 // load links to this event.
 func (o *Observer) OnInput(dev string, off, n uint32, port string, v uint32, t core.Tag) {
-	o.Checks.Input++
 	ev := core.TaintEvent{Kind: core.EvInput, Port: port, Value: v, Tag: t}
 	if w, ok := o.ports[dev]; ok {
 		ev.Addr = w.base + off
@@ -454,13 +423,6 @@ func (o *Observer) OnInput(dev string, off, n uint32, port string, v uint32, t c
 // OnOutput records a byte leaving through an output port after passing its
 // clearance check, linked to the store (or DMA burst) that delivered it.
 func (o *Observer) OnOutput(port string, v byte, t core.Tag) {
-	o.Checks.Output++
-	c := o.io[port]
-	if c == nil {
-		c = &ioCount{key: "io." + port + ".bytes"}
-		o.io[port] = c
-	}
-	c.n++
 	o.emit(core.TaintEvent{
 		Kind: core.EvOutput, Port: port, Value: uint32(v), Tag: t, Prev: o.lastOut,
 	})
@@ -539,29 +501,18 @@ func (o *Observer) OnBus(dev string, p *tlm.Payload) {
 	o.emit(ev)
 }
 
-// MetricsSnapshotInto writes every counter the observer holds into dst,
-// overwriting colliding keys and allocating nothing once dst has seen the
-// key set before. soc.Platform.MetricsSnapshotInto, the one place a
-// platform's metrics are assembled, calls it and adds the counts the
-// observer does not keep (lub_ops, checks.fetch); the telemetry sampler
-// snapshots that once per simulated sampling period, so a multi-hour run
-// must not churn one map per sample.
+// MetricsSnapshotInto writes every counter the observer holds (obs.* and
+// bus.*) into dst, overwriting colliding keys and allocating nothing.
+// soc.Platform.MetricsSnapshotInto, the one place a platform's metrics are
+// assembled, calls it and adds the counts the observer does not keep
+// (lub_ops, checks.*, violations.*, io.*); the telemetry sampler snapshots
+// that once per simulated sampling period, so a multi-hour run must not
+// churn one map per sample.
 func (o *Observer) MetricsSnapshotInto(dst map[string]uint64) {
 	dst["obs.events"] = o.seq
 	dst["obs.evicted"] = o.evicted
 	dst["obs.pinned"] = uint64(len(o.pinned))
-	dst["checks.branch"] = o.Checks.Branch
-	dst["checks.mem_addr"] = o.Checks.MemAddr
-	dst["checks.store"] = o.Checks.Store
-	dst["checks.output"] = o.Checks.Output
-	dst["checks.input"] = o.Checks.Input
 	dst["bus.txns"] = o.busTxns
 	dst["bus.read_bytes"] = o.busRead
 	dst["bus.write_bytes"] = o.busWrite
-	for _, c := range o.io {
-		dst[c.key] = c.n
-	}
-	for k, n := range o.violations {
-		dst[k] = n
-	}
 }

@@ -27,7 +27,7 @@ const (
 type AES struct {
 	env    *Env
 	name   string
-	inPort port // name+".in", the engine's input clearance point
+	inPort string // name+".in", the engine's input clearance point
 
 	inClearanceSet bool
 	inClearance    core.Tag // classes allowed to enter the engine
@@ -43,7 +43,7 @@ type AES struct {
 // NewAES creates the engine. decl may be nil (baseline platform); then the
 // ciphertext keeps the folded input tag.
 func NewAES(env *Env, name string, decl *core.Declassifier) *AES {
-	a := &AES{env: env, name: name, inPort: port{name: name + ".in"}, decl: decl, outClass: env.Default}
+	a := &AES{env: env, name: name, inPort: name + ".in", decl: decl, outClass: env.Default}
 	return a
 }
 
@@ -82,12 +82,10 @@ func (a *AES) readByte(off uint32) (core.TByte, bool) {
 
 func (a *AES) writeByte(off uint32, b core.TByte) bool {
 	if off < AESDataOut && a.inClearanceSet && a.env.Lat != nil {
-		a.env.countCheck(&a.inPort)
-		if !a.env.Lat.AllowedFlow(b.T, a.inClearance) {
+		if !a.env.allowed(a.inPort, b.T, a.inClearance) {
 			v := core.NewViolation(a.env.Lat, core.KindOutputClearance, b.T, a.inClearance).
-				WithPort(a.inPort.name)
+				WithPort(a.inPort)
 			if a.env.Obs != nil {
-				a.env.Obs.Checks.Input++
 				a.env.Obs.OnViolation(v, a.env.Obs.LastStore(), 0)
 			}
 			a.env.Sim.Fatal(v)

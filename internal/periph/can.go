@@ -39,7 +39,7 @@ const (
 type CAN struct {
 	env    *Env
 	name   string
-	txPort port   // name+".tx"
+	txPort string // name+".tx"
 	rxPort string // name+".rx", the input port
 
 	txClearanceSet bool
@@ -61,7 +61,7 @@ type CAN struct {
 
 // NewCAN creates the endpoint; irq is the RX-available line.
 func NewCAN(env *Env, name string, irq func(bool)) *CAN {
-	return &CAN{env: env, name: name, txPort: port{name: name + ".tx"}, rxPort: name + ".rx",
+	return &CAN{env: env, name: name, txPort: name + ".tx", rxPort: name + ".rx",
 		rxClass: env.Default, irq: irq}
 }
 
@@ -88,9 +88,11 @@ func (c *CAN) DeliverTagged(f CANFrame) {
 	c.updateIRQ()
 }
 
-// noteDelivery records the frame arrival as an input event covering the RX
-// payload registers, so a guest load of RXDATA links back to it.
+// noteDelivery counts the frame arrival and records it as an input event
+// covering the RX payload registers, so a guest load of RXDATA links back
+// to it.
 func (c *CAN) noteDelivery(f CANFrame) {
+	c.env.delivered()
 	if c.env.Obs == nil {
 		return
 	}
@@ -191,7 +193,7 @@ func (c *CAN) writeByte(off uint32, b core.TByte) bool {
 func (c *CAN) transmit() {
 	f := CANFrame{ID: c.txID, Data: append([]core.TByte(nil), c.txBuf[:c.txLen]...)}
 	for _, b := range f.Data {
-		if !c.env.checkOutput(&c.txPort, b, c.txClearanceSet, c.txClearance) {
+		if !c.env.checkOutput(c.txPort, b, c.txClearanceSet, c.txClearance) {
 			return
 		}
 	}

@@ -24,7 +24,6 @@ package periph
 
 import (
 	"vpdift/internal/core"
-	"vpdift/internal/cover"
 	"vpdift/internal/kernel"
 	"vpdift/internal/obs"
 	"vpdift/internal/tlm"
@@ -43,57 +42,51 @@ type Env struct {
 	// clearance-check events for provenance chains; nil disables all
 	// recording at zero cost (one branch per hook site).
 	Obs *obs.Observer
-	// Audit, when non-nil, counts output-sink clearance checks per port for
-	// the coverage subsystem's policy audit; nil disables counting (one
-	// branch per check).
-	Audit *cover.PolicyAudit
-}
-
-// port is one of a peripheral's clearance points: its policy name
-// ("uart0.tx"), built once with the peripheral, and its policy-audit stat
-// cell, resolved at the port's first check — resolving it eagerly would
-// list a port that is never checked among the audit's dead rules.
-type port struct {
-	name string
-	stat *cover.PointStat
-}
-
-// countCheck counts one clearance check on p in the policy audit, if one
-// is attached.
-func (e *Env) countCheck(p *port) {
-	if e.Audit == nil {
-		return
-	}
-	if p.stat == nil {
-		p.stat = e.Audit.Output(p.name)
-	}
-	p.stat.Checks++
+	// Counts, when non-nil, is the policy's enforcement counter set: the
+	// port clearance checks count into it per port, and the input ports
+	// count their deliveries; nil disables counting (one branch per site).
+	Counts *core.EnforcementCounts
 }
 
 // checkOutput enforces an output port clearance on one byte, stopping the
 // simulation on violation. enabled is false when the port has no clearance
 // assigned (or the platform is the baseline).
-func (e *Env) checkOutput(p *port, b core.TByte, enabled bool, required core.Tag) bool {
+func (e *Env) checkOutput(port string, b core.TByte, enabled bool, required core.Tag) bool {
 	if !enabled || e.Lat == nil {
 		return true
 	}
-	e.countCheck(p)
-	if e.Lat.AllowedFlow(b.T, required) {
+	if e.allowed(port, b.T, required) {
 		if e.Obs != nil {
-			e.Obs.OnOutput(p.name, b.V, b.T)
+			e.Obs.OnOutput(port, b.V, b.T)
 		}
 		return true
 	}
 	v := core.NewViolation(e.Lat, core.KindOutputClearance, b.T, required).
-		WithPort(p.name).WithValue(uint32(b.V))
+		WithPort(port).WithValue(uint32(b.V))
 	if e.Obs != nil {
 		// The byte just reached the port from the CPU's store (or a DMA
 		// write); chain the check through that last sink event.
-		e.Obs.Checks.Output++
 		e.Obs.OnViolation(v, e.Obs.LastStore(), 0)
 	}
 	e.Sim.Fatal(v)
 	return false
+}
+
+// allowed runs one port clearance check, counting it (and its violation)
+// on the named port in the enforcement counter set.
+func (e *Env) allowed(port string, t, required core.Tag) bool {
+	ok := e.Lat.AllowedFlow(t, required)
+	if e.Counts != nil {
+		e.Counts.Port(port).Tally(ok)
+	}
+	return ok
+}
+
+// delivered counts one data delivery through an input port.
+func (e *Env) delivered() {
+	if e.Counts != nil {
+		e.Counts.Inputs++
+	}
 }
 
 // lub joins two tags, tolerating a nil lattice (baseline platform).
@@ -104,15 +97,17 @@ func (e *Env) lub(a, b core.Tag) core.Tag {
 	return e.Lat.LUB(a, b)
 }
 
-// foldTags joins the tags of data onto the policy default for the
-// observer's record of a transfer. It is the observer's join, not the
-// engine's, so it is not counted; zero on the baseline platform.
+// foldTags joins the tags of data from the first byte on, as
+// Observer.OnBus folds a payload, for the observer's record of a transfer.
+// It is the observer's join, not the engine's, so it is not counted; the
+// policy default for no data and on the baseline platform.
 func (e *Env) foldTags(data []core.TByte) core.Tag {
-	t := e.Default
-	if e.Lat != nil {
-		for _, b := range data {
-			t = e.Lat.PeekLUB(t, b.T)
-		}
+	if e.Lat == nil || len(data) == 0 {
+		return e.Default
+	}
+	t := data[0].T
+	for _, b := range data[1:] {
+		t = e.Lat.PeekLUB(t, b.T)
 	}
 	return t
 }

@@ -9,6 +9,7 @@ import (
 
 	"vpdift/internal/core"
 	"vpdift/internal/kernel"
+	"vpdift/internal/obs"
 	"vpdift/internal/tlm"
 )
 
@@ -414,6 +415,53 @@ func TestDMACopyPreservesTags(t *testing.T) {
 	if readWord(t, l, dma, DMASrc).V != 0x1000 || readWord(t, l, dma, DMADst).V != 0x1080 ||
 		readWord(t, l, dma, DMALen).V != 16 {
 		t.Error("register readback")
+	}
+}
+
+// TestDMAEventCarriesDataClass: the observer's dma event records the class
+// of the bytes the burst moved, folded from the first byte, not joined onto
+// the policy default. Under IFP-2 with default LI a copy of two HI words
+// must read HI, as RAM does after the copy.
+func TestDMAEventCarriesDataClass(t *testing.T) {
+	l := core.IFP2()
+	hi, li := l.MustTag(core.ClassHI), l.MustTag(core.ClassLI)
+	o := obs.New()
+	env := &Env{Sim: kernel.New(), Lat: l, Default: li, Obs: o}
+	defer env.Sim.Shutdown()
+
+	bus := tlm.NewBus()
+	ram := make([]core.TByte, 64)
+	for i := 0; i < 8; i++ {
+		ram[i] = core.TByte{V: byte(i), T: hi}
+	}
+	bus.MustMap("ram", 0x1000, 64, tlm.TargetFunc(func(p *tlm.Payload, d *kernel.Time) {
+		if p.Cmd == tlm.Read {
+			copy(p.Data, ram[p.Addr:])
+		} else {
+			copy(ram[p.Addr:], p.Data)
+		}
+		p.Resp = tlm.OK
+	}))
+	dma := NewDMA(env, bus, "dma0", nil)
+	writeWord(t, dma, DMASrc, core.W(0x1000, li))
+	writeWord(t, dma, DMADst, core.W(0x1020, li))
+	writeWord(t, dma, DMALen, core.W(8, li))
+	writeWord(t, dma, DMACtrl, core.W(1, li))
+
+	if ram[0x20].T != hi || ram[0x27].T != hi {
+		t.Fatalf("copied bytes carry %d..%d, want HI", ram[0x20].T, ram[0x27].T)
+	}
+	var dmaEvents int
+	for _, ev := range o.Events() {
+		if ev.Kind == core.EvDMA {
+			dmaEvents++
+			if ev.Tag != hi {
+				t.Errorf("dma event class %s, want HI (the copied data's class)", l.Name(ev.Tag))
+			}
+		}
+	}
+	if dmaEvents != 1 {
+		t.Errorf("%d dma events, want 1", dmaEvents)
 	}
 }
 

@@ -30,7 +30,7 @@ const SensorPeriod = 25 * kernel.MS
 type Sensor struct {
 	env         *Env
 	name        string
-	dataTagPort port // name+".data_tag", the configuration cast's clearance point
+	dataTagPort string // name+".data_tag", the configuration cast's clearance point
 	frame       [SensorFrameSize]core.TByte
 	tag         core.Tag
 
@@ -43,7 +43,7 @@ type Sensor struct {
 // NewSensor creates the sensor and spawns its generation process. irq pulses
 // once per generated frame.
 func NewSensor(env *Env, name string, irq func(bool)) *Sensor {
-	s := &Sensor{env: env, name: name, dataTagPort: port{name: name + ".data_tag"},
+	s := &Sensor{env: env, name: name, dataTagPort: name + ".data_tag",
 		tag: env.Default, seed: 0x5eed5eed, irq: irq}
 	env.Sim.Spawn(name+".run", s.run)
 	return s
@@ -102,7 +102,7 @@ func (s *Sensor) writeByte(off uint32, b core.TByte) bool {
 	case off == SensorDataTag:
 		// Configuration write: the value is consumed as a plain byte, which
 		// requires public clearance (implicit-cast check of Fig. 4).
-		if !s.env.checkOutput(&s.dataTagPort, b, s.env.Lat != nil, s.env.Default) {
+		if !s.env.checkOutput(s.dataTagPort, b, s.env.Lat != nil, s.env.Default) {
 			return true
 		}
 		if s.env.Lat != nil && int(b.V) >= s.env.Lat.Size() {

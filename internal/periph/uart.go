@@ -24,7 +24,7 @@ const UARTRxEmpty = 1 << 31
 type UART struct {
 	env    *Env
 	name   string
-	txPort port   // name+".tx"
+	txPort string // name+".tx"
 	rxPort string // name+".rx", the input port
 
 	txClearanceSet bool
@@ -46,7 +46,7 @@ type UART struct {
 // clearance comes from policy.Outputs[name+".tx"] via the platform builder,
 // rxClass is the classification assigned to injected input.
 func NewUART(env *Env, name string, irq func(bool)) *UART {
-	return &UART{env: env, name: name, txPort: port{name: name + ".tx"}, rxPort: name + ".rx",
+	return &UART{env: env, name: name, txPort: name + ".tx", rxPort: name + ".rx",
 		rxClass: env.Default, irq: irq}
 }
 
@@ -122,6 +122,7 @@ func (u *UART) readByte(off uint32) (core.TByte, bool) {
 				head := u.rxFIFO[0]
 				u.rxFIFO = u.rxFIFO[1:]
 				u.rxLatch, u.rxLatchTag = uint32(head.V), head.T
+				u.env.delivered()
 				if u.env.Obs != nil {
 					u.env.Obs.OnInput(u.name, UARTRxData, 4, u.rxPort, uint32(head.V), head.T)
 				}
@@ -145,7 +146,7 @@ func (u *UART) readByte(off uint32) (core.TByte, bool) {
 func (u *UART) writeByte(off uint32, b core.TByte) bool {
 	switch {
 	case off == UARTTxData:
-		if !u.env.checkOutput(&u.txPort, b, u.txClearanceSet, u.txClearance) {
+		if !u.env.checkOutput(u.txPort, b, u.txClearanceSet, u.txClearance) {
 			return true // simulation is stopping; complete the transaction
 		}
 		u.tx = append(u.tx, b)

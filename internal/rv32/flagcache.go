@@ -31,15 +31,15 @@ package rv32
 // and TLM/DMA writes) reaches invalidateCaches through the RAM write hook,
 // which marks the touched blocks Lazy again.
 //
-// Pinning: an attached observer counts clearance checks (checks.*) and
-// the lattice counter set counts every LUB and flow query per edge
-// (lub_ops, the policy audit), so with an observer or the audit attached
-// the caches are pinned to "maybe tainted": every register flag stays set
-// and every block stays Exact, and step performs exactly the checks and
-// lattice queries of an uncached interpreter. Fetch checks need no pin:
-// one runs on every decode-cache miss, so the platform reports them from
-// the cache. The parity test pins the caches the same way (the pinned
-// field) to hold cache on against cache off.
+// Pinning: the counter sets count every clearance check per point (the
+// enforcement set: checks.*, the policy audit) and every LUB and flow
+// query per edge (the lattice set: lub_ops, the audit), so while a
+// counter set is installed (an observer or the audit attached) the caches
+// are pinned to "maybe tainted": every register flag stays set and every
+// block stays Exact, and step performs exactly the checks and lattice
+// queries of an uncached interpreter. Fetch checks run on every
+// decode-cache miss either way. The parity test pins the caches the same
+// way (the pinned field) to hold cache on against cache off.
 
 import "vpdift/internal/core"
 
@@ -63,7 +63,7 @@ const (
 func (c *TaintCore) armFlagCaches() {
 	nb := (len(c.ram) + blockSize - 1) >> blockShift
 	c.bstate = make([]uint8, nb)
-	c.pinned = c.pinned || c.Obs != nil || (c.Cov != nil && c.Cov.Audit != nil)
+	c.pinned = c.pinned || c.Counts != nil
 	if c.pinned {
 		c.mask = ^uint32(0)
 		fillBlocks(c.bstate, bsExact)

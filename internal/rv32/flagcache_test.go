@@ -68,7 +68,7 @@ buf:
 		}
 	}
 	if r.c.pinned {
-		t.Fatal("caches pinned without an observer or audit attached")
+		t.Fatal("caches pinned without a counter set installed")
 	}
 	if r.c.mask != 0 {
 		t.Errorf("register flags %#x after full taint death, want 0", r.c.mask)

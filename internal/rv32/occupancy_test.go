@@ -84,7 +84,7 @@ secret:
 	tc := cover.NewTaint()
 	tc.Configure(testRAMBase, testRAMSize, l, lc)
 	cv := &cover.Cover{Taint: tc}
-	r.c.Cov = cv
+	r.c.Cov = tc
 	for {
 		_, st, err := r.c.Run(5, &delay)
 		if err != nil {

@@ -78,7 +78,6 @@ type TaintCore struct {
 	branchClear  core.Tag
 	checkMemAddr bool
 	memAddrClear core.Tag
-	hasRegions   bool
 	checkStores  bool // some region enforces a store clearance
 
 	mstatus  core.Word
@@ -98,12 +97,11 @@ type TaintCore struct {
 	// cache lines, which costs the tight interpreter loop measurably.
 	uncachedFetch uint64
 
-	// Cov, when non-nil, receives post-retire taint heatmap samples and
-	// policy-audit check counts (internal/cover): the two views that need
-	// operand tags or policy state the flight record does not carry. Guest
-	// coverage reads the flight stream instead. One predictable branch per
-	// retire when nil.
-	Cov *cover.Cover
+	// Cov, when non-nil, receives post-retire taint heatmap samples
+	// (internal/cover), the coverage view that needs operand tags the
+	// flight record does not carry. Guest coverage reads the flight stream
+	// instead. One predictable branch per retire when nil.
+	Cov *cover.TaintCov
 
 	// FR, when non-nil, is the flight recorder: one compressed record per
 	// retire, captured post-switch (see flightcap.go), and the stream the
@@ -117,8 +115,8 @@ type TaintCore struct {
 	// nonDef summarize 64-byte RAM blocks. defBranchOK/defMemOK record
 	// whether the default tag passes the branch and memory-address
 	// clearances, so checks on all-default operands can be skipped. pinned
-	// keeps every flag at "maybe tainted" (observer or policy audit
-	// attached, or set by the parity test before the first Run).
+	// keeps every flag at "maybe tainted" (a counter set installed, or set
+	// by the parity test before the first Run).
 	mask        uint32
 	bstate      []uint8
 	btag        []core.Tag
@@ -129,6 +127,12 @@ type TaintCore struct {
 
 	// mmio is the payload MMIO loads and stores reuse; see Core.mmio.
 	mmio tlm.Payload
+
+	// Counts, when non-nil, is the policy's enforcement counter set (see
+	// core.Policy.Count): the core counts its fetch, branch and
+	// memory-address checks and violations into it, each behind one nil
+	// check. Set it before the first Run; it pins the flag caches.
+	Counts *core.EnforcementCounts
 }
 
 // NewTaintCore builds a DIFT core over a bus for MMIO, enforcing the
@@ -147,7 +151,6 @@ func NewTaintCore(bus *tlm.Bus, pol *core.Policy) *TaintCore {
 		branchClear:  pol.Exec.Branch,
 		checkMemAddr: pol.Exec.CheckMemAddr,
 		memAddrClear: pol.Exec.MemAddr,
-		hasRegions:   len(pol.Regions) > 0,
 
 		irqPoll: true,
 	}
@@ -218,10 +221,10 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 	if c.bstate == nil {
 		c.armFlagCaches()
 	}
-	if c.Cov != nil && c.Cov.Taint != nil {
+	if c.Cov != nil {
 		// Register occupancy follows each retire's rd; catch up with any
 		// register written since the last Run.
-		c.Cov.Taint.SyncRegs(&c.Regs)
+		c.Cov.SyncRegs(&c.Regs)
 	}
 	for n < max {
 		if c.Halted {
@@ -270,10 +273,11 @@ func (c *TaintCore) trap(cause, tval, epc uint32) error {
 		return &TrapError{Cause: cause, Tval: tval, PC: epc}
 	}
 	if c.checkBranch {
-		if c.Obs != nil {
-			c.Obs.Checks.Branch++
+		ok := c.lat.AllowedFlow(c.mtvec.T, c.branchClear)
+		if c.Counts != nil {
+			c.Counts.Branch.Tally(ok)
 		}
-		if !c.lat.AllowedFlow(c.mtvec.T, c.branchClear) {
+		if !ok {
 			v := core.NewViolation(c.lat, core.KindBranchClearance, c.mtvec.T, c.branchClear).
 				WithPC(epc).WithValue(c.mtvec.V)
 			if c.Obs != nil {
@@ -309,16 +313,19 @@ func (c *TaintCore) branchTagOK(t core.Tag) bool {
 	if !c.checkBranch {
 		return true
 	}
-	if c.Obs != nil {
-		c.Obs.Checks.Branch++
+	if c.Counts != nil {
+		c.Counts.Branch.Checks++
 	}
 	return c.lat.AllowedFlow(t, c.branchClear)
 }
 
-// branchViolation builds the branch-clearance violation after branchTagOK
-// failed. rs1/rs2 name the source registers for provenance (obs.RegNone
-// when the condition comes from a CSR such as mepc or mtvec).
+// branchViolation builds (and counts) the branch-clearance violation after
+// branchTagOK failed. rs1/rs2 name the source registers for provenance
+// (obs.RegNone when the condition comes from a CSR such as mepc or mtvec).
 func (c *TaintCore) branchViolation(t core.Tag, pc uint32, rs1, rs2 uint8) *core.Violation {
+	if c.Counts != nil {
+		c.Counts.Branch.Violations++
+	}
 	v := core.NewViolation(c.lat, core.KindBranchClearance, t, c.branchClear).WithPC(pc)
 	if c.Obs != nil {
 		c.Obs.SetInsn(pc, c.insnWord(pc))
@@ -341,15 +348,19 @@ func (c *TaintCore) addrTagOK(t core.Tag) bool {
 	if !c.checkMemAddr {
 		return true
 	}
-	if c.Obs != nil {
-		c.Obs.Checks.MemAddr++
+	if c.Counts != nil {
+		c.Counts.MemAddr.Checks++
 	}
 	return c.lat.AllowedFlow(t, c.memAddrClear)
 }
 
-// addrViolation builds the mem-address-clearance violation after addrTagOK
-// failed; base names the address-forming register for provenance.
+// addrViolation builds (and counts) the mem-address-clearance violation
+// after addrTagOK failed; base names the address-forming register for
+// provenance.
 func (c *TaintCore) addrViolation(t core.Tag, addr, pc uint32, base uint8) *core.Violation {
+	if c.Counts != nil {
+		c.Counts.MemAddr.Violations++
+	}
 	v := core.NewViolation(c.lat, core.KindMemAddrClearance, t, c.memAddrClear).
 		WithPC(pc).WithAddr(addr)
 	if c.Obs != nil {
@@ -403,6 +414,9 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 			if c.checkFetch {
 				e.tag = c.foldFetchTag(b0, b1, b2, b3)
 				e.allowed = c.lat.AllowedFlow(e.tag, c.fetchClear)
+				if c.Counts != nil {
+					c.Counts.Fetch.Tally(e.allowed)
+				}
 			}
 			i = Decode(w)
 			e.inst = i
@@ -423,7 +437,11 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
 		if c.checkFetch {
 			t := c.foldFetchTag(b0, b1, b2, b3)
-			if !c.lat.AllowedFlow(t, c.fetchClear) {
+			ok := c.lat.AllowedFlow(t, c.fetchClear)
+			if c.Counts != nil {
+				c.Counts.Fetch.Tally(ok)
+			}
+			if !ok {
 				return RunOK, c.fetchViolation(pc, w, t)
 			}
 		}
@@ -656,52 +674,23 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 	return RunOK, nil
 }
 
-// coverStep feeds the tag- and policy-dependent coverage views for one
-// retired instruction: taint heatmap samples (store sites — safe
-// post-switch because stores never write back a register, so
-// Regs[rs1]/Regs[rs2] still hold the address base and data tag — and, for
-// register occupancy, rd, the only register a retire can change) and the
-// policy audit's per-clearance-point check counts. Guest block/edge
-// coverage reads the flight stream instead. Called from step behind a
-// single Cov guard, like observeStep, so the disabled hot loop pays one
-// predictable branch. Violating instructions return from step early and
-// are attributed through PolicyAudit.NoteViolation by the platform; a
-// retire under an enabled fetch check counts as one enforcement even when
-// the decode cache memoized the verdict.
+// coverStep feeds the taint heatmap for one retired instruction: register
+// occupancy for rd, the only register a retire can change, and store
+// sites (safe post-switch because stores never write back a register, so
+// Regs[rs1]/Regs[rs2] still hold the address base and data tag). Guest
+// block/edge coverage reads the flight stream instead. Called from step
+// behind a single Cov guard, like observeStep, so the disabled hot loop
+// pays one predictable branch.
 func (c *TaintCore) coverStep(i Inst) {
-	cv := c.Cov
-	if t := cv.Taint; t != nil {
-		t.OnRetire(i.Rd, c.Regs[i.Rd].T)
-		switch i.Op {
-		case OpSB:
-			t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 1, c.Regs[i.Rs2].T)
-		case OpSH:
-			t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 2, c.Regs[i.Rs2].T)
-		case OpSW:
-			t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 4, c.Regs[i.Rs2].T)
-		}
-	}
-	if a := cv.Audit; a != nil {
-		if c.checkFetch {
-			a.Fetch.Checks++
-		}
-		switch i.Op {
-		case OpJALR, OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU, OpMRET:
-			if c.checkBranch {
-				a.Branch.Checks++
-			}
-		case OpLB, OpLH, OpLW, OpLBU, OpLHU:
-			if c.checkMemAddr {
-				a.MemAddr.Checks++
-			}
-		case OpSB, OpSH, OpSW:
-			if c.checkMemAddr {
-				a.MemAddr.Checks++
-			}
-			if c.hasRegions {
-				a.NoteStore(c.Regs[i.Rs1].V + uint32(i.Imm))
-			}
-		}
+	t := c.Cov
+	t.OnRetire(i.Rd, c.Regs[i.Rd].T)
+	switch i.Op {
+	case OpSB:
+		t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 1, c.Regs[i.Rs2].T)
+	case OpSH:
+		t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 2, c.Regs[i.Rs2].T)
+	case OpSW:
+		t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 4, c.Regs[i.Rs2].T)
 	}
 }
 
@@ -891,21 +880,17 @@ func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) er
 			return c.addrViolation(base.T, addr, pc, i.Rs1)
 		}
 	}
-	if c.hasRegions {
-		if c.Obs != nil {
-			c.Obs.Checks.Store++
-		}
-		if c.checkStores {
-			if err := c.pol.CheckStore(addr, val.T); err != nil {
-				if v, ok := err.(*core.Violation); ok {
-					v.PC = pc
-					if c.Obs != nil {
-						c.Obs.SetInsn(pc, c.insnWord(pc))
-						c.Obs.OnViolation(v, c.Obs.RegSource(i.Rs2), 0)
-					}
+	if c.checkStores {
+		// CheckStore counts each rule it checks in the policy's counter set.
+		if err := c.pol.CheckStore(addr, val.T); err != nil {
+			if v, ok := err.(*core.Violation); ok {
+				v.PC = pc
+				if c.Obs != nil {
+					c.Obs.SetInsn(pc, c.insnWord(pc))
+					c.Obs.OnViolation(v, c.Obs.RegSource(i.Rs2), 0)
 				}
-				return err
 			}
+			return err
 		}
 	}
 	if c.Obs != nil {

@@ -92,7 +92,7 @@ func TestCoverWiredIntoVPPlus(t *testing.T) {
 	if cv.Taint.ChurnTotal() == 0 {
 		t.Fatal("no tag churn recorded")
 	}
-	if cv.Audit.Fetch.Checks == 0 {
+	if cv.Audit.Points()["exec:fetch"].Checks == 0 {
 		t.Fatal("audit saw no fetch checks with fetch clearance enabled")
 	}
 
@@ -102,7 +102,7 @@ func TestCoverWiredIntoVPPlus(t *testing.T) {
 		"cover.guest_blocks", "cover.guest_blocks_covered",
 		"cover.guest_edges", "cover.guest_edges_covered",
 		"cover.taint_ever_bytes", "cover.taint_churn",
-		"cover.audit_fetch_checks",
+		"checks.fetch",
 	} {
 		if m[key] == 0 {
 			t.Errorf("metrics gauge %s is zero", key)

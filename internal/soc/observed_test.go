@@ -19,8 +19,8 @@ import (
 
 // The policy audit counts the DIFT engine's lattice queries, so attaching
 // an observer must not move it: the observer's own joins (its record of a
-// bus payload's class, its copy of an ALU join) are uncounted, and the
-// audit already pins the flag caches the way an observer does. A covered
+// bus payload's class, its copy of an ALU join) are uncounted, and either
+// one installs the same counter sets, which pin the flag caches. A covered
 // WK-3 run and covered immobilizer authentications write byte-identical
 // audit JSON with and without an observer.
 func TestAuditIndependentOfObserver(t *testing.T) {

@@ -27,8 +27,8 @@ const obsGolden = "testdata/observer.golden"
 // verdict runs: the ten detected Wilander–Kamkar attacks and ten
 // immobilizer scenarios (base and per-byte policy × commands a, b, c, e and
 // o), each with an observer and coverage attached. Per run it records every
-// platform metric (observer counters checks.*, lub_ops, obs.* and
-// violations.* included), the violation and its provenance chain. The
+// platform metric (checks.*, violations.*, io.*, lub_ops and the observer's
+// obs.* and bus.* included), the violation and its provenance chain. The
 // flight recorder's calibrated capture cost is left out: it is measured
 // once per process, not produced by the run. A change to the flag caches,
 // the observer's event pruning or platform sizing must leave this file

@@ -14,7 +14,6 @@
 package soc
 
 import (
-	"errors"
 	"fmt"
 
 	"vpdift/internal/asm"
@@ -179,10 +178,14 @@ type Platform struct {
 	exitCode uint32
 	loaded   bool
 
-	// counts is the counter set installed on the policy lattice when an
-	// observer or the policy audit is attached: lub_ops is the sum of its
-	// join matrix, and the audit reports both matrices.
+	// counts and checks are the counter sets installed on the policy's
+	// lattice and on the policy when an observer or the policy audit is
+	// attached: lub_ops is the sum of the join matrix, checks.*,
+	// violations.* and io.* read the enforcement set, and the audit
+	// reports both. ioKeys caches each port's io.<port>.bytes name.
 	counts *core.LatticeCounts
+	checks *core.EnforcementCounts
+	ioKeys []string
 
 	// fr is the record stream the core captures into and the marks land on:
 	// cfg.Flight, or a recorder kept only for subscribers under FlightOff,
@@ -398,24 +401,26 @@ func New(cfg Config) (*Platform, error) {
 		v.AddProbe("dma0_transfers", 16, func() uint64 { return uint64(pl.DMA.Transfers()) })
 	}
 
-	// Lattice counters: one set, installed here — after all wiring-time
-	// queries (Top, clearance encoding) — so set-up does not count. The
-	// observer's lub_ops and the audit's per-edge counts read it.
+	// Counter sets: the lattice's and the policy's, installed here — after
+	// all wiring-time queries (Top, clearance encoding) — so set-up does
+	// not count. The core, the policy's store check and the peripherals
+	// count each check where they enforce it; the metrics and the audit
+	// read the sets, and the core's flag caches pin while they count.
 	if pol != nil && (cfg.Obs != nil || (cfg.Cover != nil && cfg.Cover.Audit != nil)) {
 		pl.counts = pol.L.Count()
+		pl.checks = pol.Count()
+		pl.TaintCore.Counts = pl.checks
+		env.Counts = pl.checks
 	}
 
-	// Coverage observability: hand the tag- and policy-dependent views to
-	// the VP+ core (guest coverage already subscribed to the flight
-	// stream); Load sizes the views to the RAM it allocates.
+	// Coverage observability: bind the audit to the counter sets and hand
+	// the taint heatmap to the VP+ core (guest coverage already subscribed
+	// to the flight stream); Load sizes the views to the RAM it allocates.
 	if cv := cfg.Cover; cv.Active() && pol != nil {
 		if cv.Audit != nil {
-			cv.Audit.Configure(pol, pl.counts)
-			env.Audit = cv.Audit
+			cv.Audit.Configure(pol, pl.counts, pl.checks)
 		}
-		if cv.Taint != nil || cv.Audit != nil {
-			pl.TaintCore.Cov = cv
-		}
+		pl.TaintCore.Cov = cv.Taint
 	}
 
 	pl.spawnCPU()
@@ -721,15 +726,6 @@ func (pl *Platform) Run(horizon kernel.Time) error {
 		return fmt.Errorf("soc: no image loaded")
 	}
 	err := pl.Sim.Run(horizon)
-	// The violating instruction never retires (the core returns early past
-	// its cover hook), so attribute terminal violations to their clearance
-	// point here.
-	if cv := pl.cfg.Cover; err != nil && cv != nil && cv.Audit != nil {
-		var v *core.Violation
-		if errors.As(err, &v) {
-			cv.Audit.NoteViolation(v)
-		}
-	}
 	// Freeze the forensic evidence at the first terminal error: append the
 	// violating/faulting instruction as the window's last record and stash
 	// the bundle (see forensics.go).
@@ -776,11 +772,11 @@ func (pl *Platform) RAMSize() uint32 {
 // MetricsSnapshot returns every metric of the platform, assembled here and
 // nowhere else: instructions retired, simulated nanoseconds, decode-cache
 // hit/miss statistics, flight-recorder, trace-subsystem and coverage
-// gauges, and with an observer attached its obs.* / checks.* / bus.* /
-// io.* / violations.* counters plus lub_ops (the lattice counter set's
-// joins) and checks.fetch (the decode cache's misses when the policy
-// checks fetch: each miss runs the one fetch check, a hit reuses its
-// verdict). Each key has one source.
+// gauges, with an observer attached its obs.* and bus.* counters, and
+// with the counter sets installed (an observer or the policy audit
+// attached) lub_ops (the lattice set's joins) and, from the enforcement
+// set, checks.* per check kind, violations.* per violation kind and
+// io.<port>.bytes (the checks a port passed). Each key has one source.
 func (pl *Platform) MetricsSnapshot() map[string]uint64 {
 	m := make(map[string]uint64, 64)
 	pl.MetricsSnapshotInto(m)
@@ -789,9 +785,10 @@ func (pl *Platform) MetricsSnapshot() map[string]uint64 {
 
 // MetricsSnapshotInto fills dst with the same view as MetricsSnapshot
 // without allocating once dst has seen the key set: every key written here
-// is a constant or comes from the observer's allocation-free
-// MetricsSnapshotInto. The telemetry sampler calls this once per tick into
-// a reused map, so a long run must not churn garbage per sample.
+// is a constant, a port's io key built once (ioKeys), or comes from the
+// observer's allocation-free MetricsSnapshotInto. The telemetry sampler
+// calls this once per tick into a reused map, so a long run must not churn
+// garbage per sample.
 func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 	m["sim.instret"] = pl.Instret()
 	m["sim.time_ns"] = uint64(pl.Sim.Now())
@@ -817,15 +814,25 @@ func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 
 	if o := pl.cfg.Obs; o != nil {
 		o.MetricsSnapshotInto(m)
-		var fetchChecks, joins uint64
-		if pl.policy != nil && pl.policy.Exec.CheckFetch {
-			fetchChecks = misses
+	}
+	if c := pl.checks; c != nil {
+		m["lub_ops"] = pl.counts.Joins()
+		for k, key := range enforcementKeys {
+			p := c.Kind(core.ViolationKind(k))
+			m[key.checks] = p.Checks
+			if p.Violations != 0 {
+				m[key.violations] = p.Violations
+			}
 		}
-		if pl.counts != nil {
-			joins = pl.counts.Joins()
+		m["checks.input"] = c.Inputs
+		for i, p := range c.Ports {
+			if i == len(pl.ioKeys) {
+				pl.ioKeys = append(pl.ioKeys, "io."+p.Name+".bytes")
+			}
+			if passed := p.Checks - p.Violations; passed != 0 {
+				m[pl.ioKeys[i]] = passed
+			}
 		}
-		m["checks.fetch"] = fetchChecks
-		m["lub_ops"] = joins
 	}
 
 	// Flight-recorder statistics. The capture cost is calibrated once per
@@ -868,12 +875,19 @@ func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 			m["cover.taint_churn"] = cv.Taint.ChurnTotal()
 		}
 		if cv.Audit != nil && cv.Audit.Configured() {
-			m["cover.audit_fetch_checks"] = cv.Audit.Fetch.Checks
-			m["cover.audit_branch_checks"] = cv.Audit.Branch.Checks
-			m["cover.audit_memaddr_checks"] = cv.Audit.MemAddr.Checks
 			m["cover.audit_dead_rules"] = uint64(cv.Audit.DeadRuleCount())
 		}
 	}
+}
+
+// enforcementKeys names the checks.* and violations.* metrics of each
+// violation kind's clearance points.
+var enforcementKeys = [...]struct{ checks, violations string }{
+	core.KindOutputClearance:  {"checks.output", "violations.output-clearance"},
+	core.KindFetchClearance:   {"checks.fetch", "violations.fetch-clearance"},
+	core.KindBranchClearance:  {"checks.branch", "violations.branch-clearance"},
+	core.KindMemAddrClearance: {"checks.mem_addr", "violations.mem-addr-clearance"},
+	core.KindStoreClearance:   {"checks.store", "violations.store-clearance"},
 }
 
 // Observer returns the attached observer, nil when observability is off.

@@ -31,11 +31,12 @@ func syntheticSnapshot(workload, policy string) *cover.Snapshot {
 	l := core.IFP2()
 	hi, li := l.MustTag(core.ClassHI), l.MustTag(core.ClassLI)
 	pol := core.NewPolicy(l, li).WithFetchClearance(hi).WithOutput("uart0.tx", li)
-	c.Audit.Configure(pol, l.Count())
+	enf := pol.Count()
+	c.Audit.Configure(pol, l.Count(), enf)
 	l.LUB(hi, li)
-	c.Audit.Fetch.Checks++
+	enf.Fetch.Checks++
 	if len(workload)%2 == 0 {
-		c.Audit.Output("uart0.tx").Checks++
+		enf.Port("uart0.tx").Checks++
 	}
 	return cover.Capture(c,
 		cover.RunID{Workload: workload, Policy: policy, Image: "stub", PolicyID: "stub-pol"},

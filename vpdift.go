@@ -516,7 +516,8 @@ type Result struct {
 	// SimTime is the simulated time reached.
 	SimTime Time
 	// Metrics is the platform's counter snapshot (sim.* gauges always;
-	// obs.*, checks.*, bus.*, violations.* when an observer is attached).
+	// obs.* and bus.* with an observer; lub_ops, checks.*, violations.* and
+	// io.* with an observer or the policy audit on the VP+).
 	Metrics map[string]uint64
 	// Violation is non-nil when the run stopped on a policy violation.
 	Violation *Violation
