@@ -248,19 +248,6 @@ func (p *Policy) OutputClearance(port string) (Tag, bool) {
 	return t, ok
 }
 
-// CheckOutput enforces an output port's clearance against a datum of class
-// have. Unchecked ports always pass.
-func (p *Policy) CheckOutput(port string, have Tag) error {
-	required, ok := p.Outputs[port]
-	if !ok {
-		return nil
-	}
-	if p.L.AllowedFlow(have, required) {
-		return nil
-	}
-	return NewViolation(p.L, KindOutputClearance, have, required).WithPort(port)
-}
-
 // PointCounts counts one clearance point's checks and the violations they
 // raised.
 type PointCounts struct {

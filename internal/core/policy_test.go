@@ -95,35 +95,6 @@ func TestPolicyCheckStoreAllOverlappingRules(t *testing.T) {
 	}
 }
 
-func TestPolicyCheckOutput(t *testing.T) {
-	p, hi, li := testPolicy(t)
-	if err := p.CheckOutput("uart0.tx", hi); err != nil {
-		t.Errorf("HI -> LI output must pass: %v", err)
-	}
-	if err := p.CheckOutput("uart0.tx", li); err != nil {
-		t.Errorf("LI -> LI output must pass: %v", err)
-	}
-	if err := p.CheckOutput("unknown.port", li); err != nil {
-		t.Errorf("unchecked port must pass: %v", err)
-	}
-
-	// A confidentiality policy rejects HC on an LC port.
-	l := IFP1()
-	lc, hc := l.MustTag(ClassLC), l.MustTag(ClassHC)
-	pc := NewPolicy(l, lc).WithOutput("uart0.tx", lc)
-	err := pc.CheckOutput("uart0.tx", hc)
-	if err == nil {
-		t.Fatal("HC data on LC port must be rejected")
-	}
-	var v *Violation
-	if !errors.As(err, &v) || v.Port != "uart0.tx" {
-		t.Errorf("violation = %+v", err)
-	}
-	if !strings.Contains(err.Error(), "uart0.tx") {
-		t.Errorf("error should mention port: %v", err)
-	}
-}
-
 func TestPolicyValidate(t *testing.T) {
 	l := IFP1() // 2 classes: tags 0, 1
 	bad := Tag(9)

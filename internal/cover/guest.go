@@ -15,20 +15,34 @@ import (
 // stream (OnRecords): a per-word execution count (like the trace
 // profiler's histogram) plus a dynamic control-flow edge set. Basic blocks
 // and their totals are derived at report time by a static scan of the image
-// text, so each record costs two array operations and a map update on
-// control transfers.
+// text, so a record costs an update of its word's slot: the execution
+// count and, for a control transfer, an edge count.
 //
-// The flat counters cover the loaded image, where a guest's code and stack
-// live; a retire elsewhere in the RAM window (code injected past the image)
-// is counted in a map, so reports still show it.
+// The word slots cover the loaded image, where a guest's code and stack
+// live. Each holds the word's fall-through edge and its first other
+// successor; the edge map takes only an image word's further successors
+// (the targets of a jalr that goes several places), a misaligned pc's
+// edges and edges out of pcs outside the image. A retire elsewhere in the
+// RAM window (code injected past the image) is counted in a map, so
+// reports still show it.
 type GuestCov struct {
 	base, size uint32            // RAM window
-	lo         uint32            // pc counted by counts[0]: the image base
-	counts     []uint64          // per word over the image
-	far        map[uint32]uint64 // word pc -> count in the window outside counts
-	edges      map[uint64]uint64 // pc<<32|next -> traversal count
+	lo         uint32            // pc of words[0]: the image base
+	words      []wordCov         // per word over the image
+	far        map[uint32]uint64 // word pc -> count in the window outside words
+	edges      map[uint64]uint64 // pc<<32|next -> traversals no word slot holds
 	img        *asm.Image
 	cfg        *staticCFG // lazily built from img; the image is fixed after load
+}
+
+// wordCov is one image word's coverage: its execution count and the edges
+// out of it, pc -> pc+4 (a branch not taken, or taken to pc+4) and the
+// first other successor seen.
+type wordCov struct {
+	n     uint64 // executions
+	fall  uint64 // traversals of pc -> pc+4
+	other uint64 // traversals of pc -> next; 0 while next is unset
+	next  uint32
 }
 
 // NewGuest returns an unconfigured guest-coverage view; the platform sizes
@@ -48,13 +62,13 @@ func (g *GuestCov) Configure(base, size uint32) {
 func (g *GuestCov) configured() bool { return g.far != nil }
 
 // SetImage attaches the loaded program so reports can attribute coverage to
-// functions and annotate disassembly, and sizes the flat counters to it.
-// Call it before the first retire.
+// functions and annotate disassembly, and sizes the word slots to it. Call
+// it before the first retire.
 func (g *GuestCov) SetImage(img *asm.Image) {
 	g.img = img
 	g.cfg = nil
 	g.lo = img.Base &^ 3
-	g.counts = make([]uint64, (img.End()-g.lo+3)/4)
+	g.words = make([]wordCov, (img.End()-g.lo+3)/4)
 }
 
 // staticCFG returns the image's control-flow graph, built once: Stats runs
@@ -78,31 +92,45 @@ func (g *GuestCov) OnRecords(recs []flight.Rec) {
 
 // OnRetire records one retired instruction and, when the successor is not
 // the fall-through (or the instruction is a conditional branch, whose
-// not-taken edge matters for edge coverage), the control-flow edge.
+// not-taken edge matters for edge coverage), the control-flow edge: in the
+// word's slots when they hold it or have room, in the edge map otherwise.
 func (g *GuestCov) OnRetire(pc, insn, next uint32) {
-	if idx := (pc - g.lo) >> 2; int(idx) < len(g.counts) {
-		g.counts[idx]++
+	var w *wordCov
+	if idx := (pc - g.lo) >> 2; int(idx) < len(g.words) {
+		w = &g.words[idx]
+		w.n++
 	} else if pc-g.base < g.size {
 		g.far[pc&^3]++
 	}
-	if next != pc+4 || insn&0x7f == opBranch {
-		g.edges[uint64(pc)<<32|uint64(next)]++
+	if next == pc+4 && insn&0x7f != opBranch {
+		return
 	}
+	switch {
+	case w == nil || pc&3 != 0:
+	case next == pc+4:
+		w.fall++
+		return
+	case w.other == 0 || w.next == next:
+		w.next = next
+		w.other++
+		return
+	}
+	g.edges[uint64(pc)<<32|uint64(next)]++
 }
 
 // Count returns the execution count recorded for pc.
 func (g *GuestCov) Count(pc uint32) uint64 {
-	if idx := (pc - g.lo) >> 2; int(idx) < len(g.counts) {
-		return g.counts[idx]
+	if idx := (pc - g.lo) >> 2; int(idx) < len(g.words) {
+		return g.words[idx].n
 	}
 	return g.far[pc&^3]
 }
 
-// eachPC visits every word with a nonzero execution count, flat counters
+// eachPC visits every word with a nonzero execution count, word slots
 // first, then the map in no particular order.
 func (g *GuestCov) eachPC(f func(pc uint32, n uint64)) {
-	for idx, n := range g.counts {
-		if n != 0 {
+	for idx := range g.words {
+		if n := g.words[idx].n; n != 0 {
 			f(g.lo+uint32(idx)*4, n)
 		}
 	}
@@ -111,8 +139,35 @@ func (g *GuestCov) eachPC(f func(pc uint32, n uint64)) {
 	}
 }
 
+// eachEdge visits every traversed edge, keyed pc<<32|next: the word slots
+// first, then the map in no particular order.
+func (g *GuestCov) eachEdge(f func(e, n uint64)) {
+	for idx := range g.words {
+		w := &g.words[idx]
+		pc := g.lo + uint32(idx)*4
+		if w.fall != 0 {
+			f(uint64(pc)<<32|uint64(pc+4), w.fall)
+		}
+		if w.other != 0 {
+			f(uint64(pc)<<32|uint64(w.next), w.other)
+		}
+	}
+	for e, n := range g.edges {
+		f(e, n)
+	}
+}
+
 // EdgeCount returns the traversal count of the control-flow edge from -> to.
 func (g *GuestCov) EdgeCount(from, to uint32) uint64 {
+	if idx := (from - g.lo) >> 2; from&3 == 0 && int(idx) < len(g.words) {
+		w := &g.words[idx]
+		switch {
+		case to == from+4:
+			return w.fall
+		case w.other != 0 && w.next == to:
+			return w.other
+		}
+	}
 	return g.edges[uint64(from)<<32|uint64(to)]
 }
 
@@ -276,15 +331,15 @@ func (g *GuestCov) Stats() GuestStats {
 	}
 	for e := range cfg.edges {
 		s.Edges++
-		if g.edges[e] > 0 {
+		if g.EdgeCount(uint32(e>>32), uint32(e)) > 0 {
 			s.EdgesCovered++
 		}
 	}
-	for e := range g.edges {
+	g.eachEdge(func(e, _ uint64) {
 		if !cfg.edges[e] {
 			s.DynOnlyEdges++
 		}
-	}
+	})
 	return s
 }
 

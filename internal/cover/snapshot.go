@@ -122,9 +122,7 @@ func Capture(c *Cover, run RunID, verdict *Verdict) *Snapshot {
 		if g := c.Guest; g != nil && g.configured() {
 			gs := &GuestSnap{Base: hexAddr(g.base), Hits: map[string]uint64{}, Edges: map[string]uint64{}}
 			g.eachPC(func(pc uint32, n uint64) { gs.Hits[hexAddr(pc)] = n })
-			for e, n := range g.edges {
-				gs.Edges[edgeKey(e)] = n
-			}
+			g.eachEdge(func(e, n uint64) { gs.Edges[edgeKey(e)] = n })
 			s.Guest = gs
 		}
 		if t := c.Taint; t != nil && t.pages != nil {

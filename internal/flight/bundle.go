@@ -105,8 +105,18 @@ type MemWindow struct {
 	Tags  string `json:"tags,omitempty"`
 }
 
-// Hex32 renders a 32-bit value the way every bundle field does.
-func Hex32(v uint32) string { return fmt.Sprintf("0x%08x", v) }
+// Hex32 renders a 32-bit value the way every bundle field does, the bytes
+// fmt's "0x%08x" gives, without fmt: a violating run freezes its bundle
+// inside Platform.Run, and the trace window takes hundreds of these.
+func Hex32(v uint32) string {
+	const digits = "0123456789abcdef"
+	b := [10]byte{'0', 'x'}
+	for i := len(b) - 1; i > 1; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
+}
 
 // Snapshot carries the platform state the bundle builder needs. The
 // function fields keep this package free of architecture imports: the

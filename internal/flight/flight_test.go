@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -129,6 +130,15 @@ func testSnapshot() *Snapshot {
 		s.Regs[i] = RegState{Name: "x0", Value: Hex32(0)}
 	}
 	return s
+}
+
+// Hex32 renders the bytes fmt's "0x%08x" does.
+func TestHex32(t *testing.T) {
+	for _, v := range []uint32{0, 1, 0xf, 0x10, 0xabcdef, 0x8000_0070, 0x0123_4567, 0xffff_ffff} {
+		if got, want := Hex32(v), fmt.Sprintf("0x%08x", v); got != want {
+			t.Errorf("Hex32(%#x) = %q, want %q", v, got, want)
+		}
+	}
 }
 
 func TestBundleRoundTrip(t *testing.T) {

@@ -21,12 +21,19 @@
 // nothing. Table II overhead numbers are therefore unchanged when
 // observability is off.
 //
-// Ring-buffer eviction: events are stored in a circular buffer of
-// Options.RingCapacity entries; once full, each new event overwrites the
-// oldest. Backward links pointing at evicted events simply terminate the
-// chain there — except classification events (the roots laid down at image
-// load time), which are pinned in a separate never-evicted list so the
-// start of a chain survives arbitrarily long runs.
+// An observer costs what it records. A hook whose datum is default-class
+// and has no tracked source records nothing; so does a bus transaction of
+// the default class, since no event links to a bus event. Events live in a
+// circular buffer of Options.RingCapacity fixed-size, pointer-free records,
+// allocated in chunks of 4 Ki records as the ring fills, with port names
+// interned to a small id; once full, each new event overwrites the oldest.
+// Backward links pointing at evicted events simply terminate the chain
+// there — except classification events (the roots laid down at image load
+// time), which are pinned in a separate never-evicted list so the start of
+// a chain survives arbitrarily long runs. Memory provenance is one source
+// per word: a table over RAM (SizeRAM), paged so that a page exists only
+// once a tracked source reaches it, and a map for the words outside RAM
+// (the peripherals' register windows).
 package obs
 
 import (
@@ -44,6 +51,28 @@ const (
 
 // RegNone marks "no source register" in two-operand hook calls.
 const RegNone = 0xff
+
+// Ring and provenance-table geometry.
+const (
+	chunkShift   = 12 // ring records per chunk: 4 Ki
+	chunkLen     = 1 << chunkShift
+	memPageShift = 10 // provenance words per page: 4 KiB of RAM
+	memPageLen   = 1 << memPageShift
+)
+
+// rec is one ring slot: a core.TaintEvent with its port name interned
+// (Observer.portNames). It is fixed-size and pointer-free, so the garbage
+// collector never scans the ring.
+type rec struct {
+	seq, time, prev, prev2 uint64
+	pc, insn, addr, value  uint32
+	port                   uint32
+	kind                   core.TaintEventKind
+	tag                    core.Tag
+}
+
+// memPage holds the provenance of memPageLen consecutive RAM words.
+type memPage [memPageLen]uint64
 
 // Options parameterizes an Observer.
 type Options struct {
@@ -67,15 +96,26 @@ type Observer struct {
 	def core.Tag
 	now func() uint64 // simulated time source (kernel wiring)
 
-	ring    []core.TaintEvent
-	seq     uint64
-	evicted uint64
-	pinned  []core.TaintEvent
+	// ring holds the event ring's chunks, chunkLen records each (the last
+	// one shorter when the capacity is not a multiple), each allocated when
+	// the ring first reaches it.
+	ring      [][]rec
+	seq       uint64
+	evicted   uint64
+	pinned    []core.TaintEvent
+	portNames []string          // interned port names by id; id 0 is ""
+	portIDs   map[string]uint32 // port name -> id
 
 	// Provenance state: the last event that defined each register, each
-	// memory word (keyed by address>>2, word granularity), the current PC
+	// memory word (word granularity, keyed by address>>2), the current PC
 	// (set by indirect jumps), and the last store headed for a bus target.
+	// A RAM word (a key in [memLo, memLo+memWords), set by SizeRAM) has its
+	// slot in memPages, whose pages are allocated when a tracked source
+	// first reaches them; any other word's source is in memSrc.
 	regSrc   [32]uint64
+	memLo    uint32
+	memWords uint32
+	memPages []*memPage
 	memSrc   map[uint32]uint64
 	pcSrc    uint64
 	lastOut  uint64
@@ -106,10 +146,55 @@ func NewWithOptions(o Options) *Observer {
 		o.MaxChain = DefaultMaxChain
 	}
 	return &Observer{
-		opts:   o,
-		ring:   make([]core.TaintEvent, 0, min(o.RingCapacity, 4096)),
-		memSrc: make(map[uint32]uint64),
-		ports:  make(map[string]window),
+		opts:      o,
+		ring:      make([][]rec, (o.RingCapacity+chunkLen-1)>>chunkShift),
+		portNames: []string{""},
+		portIDs:   make(map[string]uint32),
+		memSrc:    make(map[uint32]uint64),
+		ports:     make(map[string]window),
+	}
+}
+
+// SizeRAM gives the observer a per-word provenance table over the RAM
+// window [base, base+size), whose pages are allocated as tracked sources
+// reach them; words outside the window keep their provenance in a map. The
+// platform calls it at load time, before it pins the classification roots;
+// call it before the first hook.
+func (o *Observer) SizeRAM(base, size uint32) {
+	o.memLo, o.memWords = base>>2, size>>2
+	o.memPages = make([]*memPage, (o.memWords+memPageLen-1)>>memPageShift)
+}
+
+// memSource returns the provenance seq of the word containing addr.
+func (o *Observer) memSource(addr uint32) uint64 {
+	if w := addr>>2 - o.memLo; w < o.memWords {
+		if p := o.memPages[w>>memPageShift]; p != nil {
+			return p[w&(memPageLen-1)]
+		}
+		return 0
+	}
+	return o.memSrc[addr>>2]
+}
+
+// setMemSource sets the provenance of the word containing addr; s == 0
+// clears it.
+func (o *Observer) setMemSource(addr uint32, s uint64) {
+	if w := addr>>2 - o.memLo; w < o.memWords {
+		p := o.memPages[w>>memPageShift]
+		if p == nil {
+			if s == 0 {
+				return
+			}
+			p = new(memPage)
+			o.memPages[w>>memPageShift] = p
+		}
+		p[w&(memPageLen-1)] = s
+		return
+	}
+	if s == 0 {
+		delete(o.memSrc, addr>>2)
+	} else {
+		o.memSrc[addr>>2] = s
 	}
 }
 
@@ -148,49 +233,73 @@ func (o *Observer) Evicted() uint64 { return o.evicted }
 // Events returns the live events — pinned classification roots plus the
 // ring's current contents — in sequence order.
 func (o *Observer) Events() []core.TaintEvent {
-	out := make([]core.TaintEvent, 0, len(o.pinned)+len(o.ring))
+	out := make([]core.TaintEvent, 0, len(o.pinned)+int(min(o.seq, uint64(o.opts.RingCapacity))))
 	out = append(out, o.pinned...)
-	for _, ev := range o.ring {
-		if ev.Seq != 0 {
-			out = append(out, ev)
+	for _, c := range o.ring {
+		for i := range c {
+			if c[i].seq != 0 {
+				out = append(out, o.unpack(&c[i]))
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
+// slot returns the ring record that seq maps to, (seq-1) mod capacity,
+// allocating its chunk on first use. Pinned events consume sequence numbers
+// without ring slots, so a slot can stay empty (seq 0) while the ring
+// fills; lookups verify the stored seq, so holes never resolve.
+func (o *Observer) slot(seq uint64) *rec {
+	idx := int((seq - 1) % uint64(o.opts.RingCapacity))
+	c := o.ring[idx>>chunkShift]
+	if c == nil {
+		c = make([]rec, min(chunkLen, o.opts.RingCapacity-idx&^(chunkLen-1)))
+		o.ring[idx>>chunkShift] = c
+	}
+	return &c[idx&(chunkLen-1)]
+}
+
 // emit assigns a sequence number and simulated timestamp, writes the event
 // into its ring slot (evicting whatever lived there), and returns its seq.
-// The slot is always (seq-1) mod capacity — pinned events consume sequence
-// numbers without ring slots, so the slice can have transient zero-Seq holes
-// during the fill phase; lookups verify Seq so holes never resolve.
 func (o *Observer) emit(ev core.TaintEvent) uint64 {
 	o.seq++
-	ev.Seq = o.seq
+	r := o.slot(o.seq)
+	if r.seq != 0 {
+		o.evicted++
+	}
+	*r = rec{
+		seq: o.seq, prev: ev.Prev, prev2: ev.Prev2,
+		pc: ev.PC, insn: ev.Insn, addr: ev.Addr, value: ev.Value,
+		port: o.portID(ev.Port), kind: ev.Kind, tag: ev.Tag,
+	}
 	if o.now != nil {
-		ev.Time = o.now()
+		r.time = o.now()
 	}
-	idx := int((ev.Seq - 1) % uint64(o.opts.RingCapacity))
-	if idx < len(o.ring) {
-		if o.ring[idx].Seq != 0 {
-			o.evicted++
-		}
-		o.ring[idx] = ev
-	} else {
-		if idx >= cap(o.ring) {
-			// Double the ring, up to its capacity: append alone grows a
-			// slice this large by about a quarter at a time, which copies
-			// the events several times over while the ring fills.
-			grown := make([]core.TaintEvent, len(o.ring), min(2*cap(o.ring), o.opts.RingCapacity))
-			copy(grown, o.ring)
-			o.ring = grown
-		}
-		for len(o.ring) < idx {
-			o.ring = append(o.ring, core.TaintEvent{})
-		}
-		o.ring = append(o.ring, ev)
+	return o.seq
+}
+
+// portID interns a port name.
+func (o *Observer) portID(name string) uint32 {
+	if name == "" {
+		return 0
 	}
-	return ev.Seq
+	id, ok := o.portIDs[name]
+	if !ok {
+		id = uint32(len(o.portNames))
+		o.portNames = append(o.portNames, name)
+		o.portIDs[name] = id
+	}
+	return id
+}
+
+// unpack expands a ring record into its event.
+func (o *Observer) unpack(r *rec) core.TaintEvent {
+	return core.TaintEvent{
+		Seq: r.seq, Time: r.time, Kind: r.kind, PC: r.pc, Insn: r.insn,
+		Addr: r.addr, Value: r.value, Tag: r.tag, Port: o.portNames[r.port],
+		Prev: r.prev, Prev2: r.prev2,
+	}
 }
 
 // pin records a never-evicted event (load-time classification roots).
@@ -210,11 +319,9 @@ func (o *Observer) event(seq uint64) (core.TaintEvent, bool) {
 	if seq == 0 || seq > o.seq {
 		return core.TaintEvent{}, false
 	}
-	if n := len(o.ring); n > 0 {
-		idx := int((seq - 1) % uint64(o.opts.RingCapacity))
-		if idx < n && o.ring[idx].Seq == seq {
-			return o.ring[idx], true
-		}
+	idx := int((seq - 1) % uint64(o.opts.RingCapacity))
+	if c := o.ring[idx>>chunkShift]; c != nil && c[idx&(chunkLen-1)].seq == seq {
+		return o.unpack(&c[idx&(chunkLen-1)]), true
 	}
 	i := sort.Search(len(o.pinned), func(i int) bool { return o.pinned[i].Seq >= seq })
 	if i < len(o.pinned) && o.pinned[i].Seq == seq {
@@ -289,7 +396,7 @@ func (o *Observer) AssignReg(rd uint8) {
 // the next register assignment with it. Loads of untracked default-class
 // data record nothing (chains never pass through them anyway).
 func (o *Observer) OnLoad(addr, size uint32, w core.Word) {
-	prev := o.memSrc[addr>>2]
+	prev := o.memSource(addr)
 	if prev == 0 && w.T == o.def {
 		o.pending = 0
 		return
@@ -327,7 +434,7 @@ func (o *Observer) OnStore(addr, size uint32, src uint8, w core.Word) {
 	prev := o.regSrc[src]
 	if prev == 0 && w.T == o.def {
 		for a := addr &^ 3; a < addr+size; a += 4 {
-			delete(o.memSrc, a>>2)
+			o.setMemSource(a, 0)
 		}
 		o.lastOut = 0
 		return
@@ -337,7 +444,7 @@ func (o *Observer) OnStore(addr, size uint32, src uint8, w core.Word) {
 		Addr: addr, Value: w.V, Tag: w.T, Prev: prev,
 	})
 	for a := addr &^ 3; a < addr+size; a += 4 {
-		o.memSrc[a>>2] = s
+		o.setMemSource(a, s)
 	}
 	o.lastOut = s
 }
@@ -365,7 +472,7 @@ func (o *Observer) OnJump(target uint32, rs uint8, t core.Tag) {
 func (o *Observer) RegSource(r uint8) uint64 { return o.regSrc[r] }
 
 // MemSource returns the provenance seq of the word containing addr.
-func (o *Observer) MemSource(addr uint32) uint64 { return o.memSrc[addr>>2] }
+func (o *Observer) MemSource(addr uint32) uint64 { return o.memSource(addr) }
 
 // PCSource returns the provenance of the current PC (set by the last
 // indirect jump, consumed by the next instruction).
@@ -399,7 +506,7 @@ func (o *Observer) PinClassify(region string, start, end uint32, t core.Tag) {
 		Kind: core.EvClassify, Addr: start, Value: end - start, Tag: t, Port: region,
 	})
 	for a := start &^ 3; a < end; a += 4 {
-		o.memSrc[a>>2] = s
+		o.setMemSource(a, s)
 	}
 }
 
@@ -413,7 +520,7 @@ func (o *Observer) OnInput(dev string, off, n uint32, port string, v uint32, t c
 		ev.Addr = w.base + off
 		s := o.emit(ev)
 		for a := ev.Addr &^ 3; a < ev.Addr+n; a += 4 {
-			o.memSrc[a>>2] = s
+			o.setMemSource(a, s)
 		}
 		return
 	}
@@ -433,10 +540,10 @@ func (o *Observer) OnOutput(port string, v byte, t core.Tag) {
 func (o *Observer) OnDMA(dev string, src, dst, n uint32, t core.Tag) {
 	s := o.emit(core.TaintEvent{
 		Kind: core.EvDMA, Addr: dst, Value: n, Tag: t, Port: dev,
-		Prev: o.memSrc[src>>2],
+		Prev: o.memSource(src),
 	})
 	for a := dst &^ 3; a < dst+n; a += 4 {
-		o.memSrc[a>>2] = s
+		o.setMemSource(a, s)
 	}
 	o.lastOut = s
 }
@@ -450,7 +557,7 @@ func (o *Observer) OnDeclassify(dev string, inOff, inLen, outOff, outLen uint32,
 	if ok {
 		ev.Addr = base + outOff
 		for a := base + inOff; a < base+inOff+inLen; a += 4 {
-			if s := o.memSrc[a>>2]; s > ev.Prev {
+			if s := o.memSource(a); s > ev.Prev {
 				ev.Prev = s
 			}
 		}
@@ -458,17 +565,19 @@ func (o *Observer) OnDeclassify(dev string, inOff, inLen, outOff, outLen uint32,
 	s := o.emit(ev)
 	if ok {
 		for a := (base + outOff) &^ 3; a < base+outOff+outLen; a += 4 {
-			o.memSrc[a>>2] = s
+			o.setMemSource(a, s)
 		}
 	}
 }
 
-// OnBus records a completed transaction inside a registered port's window
-// as a bus event, its class the join of the payload's byte classes, and
-// counts its bytes. The platform calls it from the bus's trace hook with
-// the decoded range name and the payload at its global address; a
-// transaction on any other range, or one the bus rejected before it
-// reached the device (crossing the end of the window), records nothing.
+// OnBus counts a completed transaction inside a registered port's window
+// and, when its class (the join of the payload's byte classes) is not the
+// policy default, records it as a bus event. No event links to a bus
+// event, so a default-class one (a status poll, say) would carry nothing a
+// chain or a report can use. The platform calls it from the bus's trace
+// hook with the decoded range name and the payload at its global address;
+// a transaction on any other range, or one the bus rejected before it
+// reached the device (crossing the end of the window), counts nothing.
 func (o *Observer) OnBus(dev string, p *tlm.Payload) {
 	w, ok := o.ports[dev]
 	if !ok || uint64(p.Addr)+uint64(len(p.Data)) > uint64(w.base)+uint64(w.size) {
@@ -498,7 +607,9 @@ func (o *Observer) OnBus(dev string, p *tlm.Payload) {
 			ev.Value |= uint32(b.V) << (8 * i)
 		}
 	}
-	o.emit(ev)
+	if ev.Tag != o.def {
+		o.emit(ev)
+	}
 }
 
 // MetricsSnapshotInto writes every counter the observer holds (obs.* and

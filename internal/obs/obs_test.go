@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -147,27 +149,144 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-// TestRingGrowthDoubles bounds what filling the ring allocates: the slice
-// doubles up to its capacity, so the copies left behind add up to less than
-// one more ring, and it ends at exactly the capacity.
-func TestRingGrowthDoubles(t *testing.T) {
+// trackedOps primes register 5 with a tracked load, then records n-1 op
+// events each linked to the one before: n tracked events, none with a port
+// or a memory word, so recording them allocates nothing but ring chunks.
+func trackedOps(o *Observer, n int) {
+	o.BeginInsn(0x8000, 1)
+	o.OnLoad(0x100, 4, core.W(1, secret))
+	o.AssignReg(5)
+	for i := 1; i < n; i++ {
+		o.OnOp(5, RegNone, uint32(i), secret)
+		o.AssignReg(5)
+	}
+}
+
+// TestRingChunks bounds what filling the ring allocates: one ring of
+// fixed-size records, chunk by chunk (the chunk table is allocated with the
+// observer, so it is slack here), where the old doubling slice left up to
+// one more ring of copies behind. The runtime's own allocations only add
+// to a reading, so the least of three fills is the observer's.
+func TestRingChunks(t *testing.T) {
+	// No collection during a fill: a cycle's own work allocates.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var o *Observer
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		o = New()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		trackedOps(o, DefaultRingCapacity)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if o.EventCount() != DefaultRingCapacity || o.Evicted() != 0 {
+		t.Fatalf("%d events, %d evicted; want %d and 0", o.EventCount(), o.Evicted(), DefaultRingCapacity)
+	}
+	ring := uint64(DefaultRingCapacity) * uint64(unsafe.Sizeof(rec{}))
+	table := uint64(len(o.ring)) * uint64(unsafe.Sizeof([]rec{}))
+	if got > ring+table {
+		t.Errorf("filling the ring allocated %d bytes, want at most %d (one ring of records plus the chunk table)",
+			got, ring+table)
+	}
+}
+
+// A capacity that is not a multiple of the chunk size ends in a short
+// chunk; lookups, chains and eviction work across every chunk boundary and
+// across the wrap.
+func TestRingChunkBoundaries(t *testing.T) {
+	const capacity = 2*chunkLen + 100
+	o := NewWithOptions(Options{RingCapacity: capacity, MaxChain: 8})
+	trackedOps(o, chunkLen+3)
+	// The chain ending just past the first boundary walks back across it.
+	v := &core.Violation{Kind: core.KindOutputClearance, Have: secret}
+	o.OnViolation(v, o.RegSource(5), 0)
+	if len(v.Provenance) != 8 {
+		t.Fatalf("chain has %d events, want MaxChain 8", len(v.Provenance))
+	}
+	for i, ev := range v.Provenance[:7] {
+		if want := uint64(chunkLen - 3 + i); ev.Seq != want {
+			t.Errorf("chain[%d] seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+
+	// Fill past the capacity: the short last chunk takes the tail, then the
+	// ring wraps into the first chunk.
+	extra := 10
+	for i := int(o.EventCount()); i < capacity+extra; i++ {
+		o.OnOp(5, RegNone, uint32(i), secret)
+		o.AssignReg(5)
+	}
+	total := 0
+	for i, c := range o.ring {
+		if want := min(chunkLen, capacity-i*chunkLen); len(c) != want {
+			t.Errorf("chunk %d holds %d records, want %d", i, len(c), want)
+		}
+		total += len(c)
+	}
+	if total != capacity {
+		t.Errorf("chunks hold %d records, want the capacity %d", total, capacity)
+	}
+	if got, want := o.Evicted(), uint64(extra); got != want {
+		t.Errorf("evicted %d, want %d", got, want)
+	}
+	last := o.EventCount()
+	for _, seq := range []uint64{
+		last - capacity + 1,                                  // the oldest live event
+		chunkLen, chunkLen + 1, 2 * chunkLen, 2*chunkLen + 1, // chunk boundaries
+		capacity, capacity + 1, // the last slot and the wrap
+		last,
+	} {
+		if ev, ok := o.event(seq); !ok || ev.Seq != seq {
+			t.Errorf("event(%d) = %d, %v; want it live", seq, ev.Seq, ok)
+		}
+	}
+	for _, seq := range []uint64{1, last - capacity} {
+		if _, ok := o.event(seq); ok {
+			t.Errorf("event(%d) resolves after its slot was overwritten", seq)
+		}
+	}
+	evs := o.Events()
+	if len(evs) != capacity || evs[0].Seq != last-capacity+1 || evs[len(evs)-1].Seq != last {
+		t.Errorf("Events() = %d events from %d to %d, want %d from %d to %d", len(evs),
+			evs[0].Seq, evs[len(evs)-1].Seq, capacity, last-capacity+1, last)
+	}
+}
+
+// RAM words keep their provenance in pages allocated when a tracked source
+// first reaches them; the words outside RAM keep theirs in the map. A
+// classified range across the end of RAM, an input on a register window
+// and an untracked store severing a word resolve the same on both sides.
+func TestMemSourceTable(t *testing.T) {
+	const ram, size = 0x8000_0000, 3 * memPageLen * 4
 	o := New()
-	o.RegisterPort("dev", 0x4000_0000, 16)
-	p := tlm.Payload{Cmd: tlm.Read, Addr: 0x4000_0000, Data: []core.TByte{{V: 1}}}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < DefaultRingCapacity; i++ {
-		o.OnBus("dev", &p)
+	o.SizeRAM(ram, size)
+	o.RegisterPort("uart0", 0x1000_0000, 12)
+	o.OnStore(ram, 4, 9, core.W(0, 0))
+	for i, p := range o.memPages {
+		if p != nil {
+			t.Fatalf("page %d allocated before any tracked source", i)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	if len(o.ring) != DefaultRingCapacity || cap(o.ring) != DefaultRingCapacity {
-		t.Errorf("ring len %d cap %d after %d events, want both %d", len(o.ring), cap(o.ring),
-			DefaultRingCapacity, DefaultRingCapacity)
+	o.PinClassify("edge", ram+size-8, ram+size+8, secret)
+	o.OnInput("uart0", 8, 4, "uart0.rx", 0x41, secret)
+	for _, a := range []uint32{ram + size - 8, ram + size - 4, ram + size, ram + size + 4, 0x1000_0008} {
+		if o.MemSource(a) == 0 {
+			t.Errorf("MemSource(%#x) = 0, want the tracked source", a)
+		}
 	}
-	ring := uint64(DefaultRingCapacity) * uint64(unsafe.Sizeof(core.TaintEvent{}))
-	if got := after.TotalAlloc - before.TotalAlloc; got > 2*ring {
-		t.Errorf("filling the ring allocated %.1f MiB, want at most %.1f (twice the ring)",
-			float64(got)/(1<<20), float64(2*ring)/(1<<20))
+	if o.memPages[0] != nil || o.memPages[1] != nil || o.memPages[2] == nil {
+		t.Errorf("pages allocated %v, want only the last", []bool{o.memPages[0] != nil, o.memPages[1] != nil, o.memPages[2] != nil})
+	}
+	if len(o.memSrc) != 3 {
+		t.Errorf("map holds %d words, want the 3 outside RAM", len(o.memSrc))
+	}
+	o.OnStore(ram+size-4, 8, 9, core.W(0, 0)) // severs one word each side of the end
+	if o.MemSource(ram+size-4) != 0 || o.MemSource(ram+size) != 0 {
+		t.Error("untracked store must sever the words' provenance on both sides of the RAM end")
+	}
+	if o.MemSource(ram+size-8) == 0 || o.MemSource(ram+size+4) == 0 {
+		t.Error("untracked store severed words it did not write")
 	}
 }
 

@@ -635,7 +635,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		return RunOK, c.trap(CauseIllegalInstr, c.fetchWord(off), pc)
 	}
 	if c.Obs != nil {
-		c.observeStep(i, pc, next)
+		c.observeStep(i, pc, w, next)
 	}
 	if c.Cov != nil {
 		c.coverStep(i)
@@ -716,8 +716,8 @@ func (c *TaintCore) set(rd uint8, w core.Word) {
 	}
 }
 
-// insnWord refetches the instruction word at pc for cold diagnostic paths
-// (violation reports, deferred provenance recording).
+// insnWord refetches the instruction word at pc for the paths that record
+// a provenance event before the retire: violation reports and store events.
 func (c *TaintCore) insnWord(pc uint32) uint32 {
 	off := pc - c.ramBase
 	if off < c.ramSize && off+4 <= c.ramSize {
@@ -729,20 +729,21 @@ func (c *TaintCore) insnWord(pc uint32) uint32 {
 // observeStep records the retired instruction's provenance: the
 // instruction-boundary bookkeeping (BeginInsn), op events for ALU results,
 // load events and the register assignments that consume them, and
-// indirect-jump PC provenance. Called from step behind a single Obs
-// guard; the *pre-execution* source operands are snapshot in
-// c.obsS1/c.obsS2 before the switch (which may overwrite them when rd
-// aliases a source) rather than passed as arguments, so the
-// disabled-observer path carries no extra live values. Deferring all
-// recording to one post-retire call keeps alu/aluImm/set and the fetch fast
-// path free of per-instruction observer branches — the disabled-observer
-// hot loop compiles to the pre-observability code plus one check. Store
-// events are the exception: they must be emitted inside store, before the
-// bus transaction triggers a peripheral's output-clearance check.
-func (c *TaintCore) observeStep(i Inst, pc, next uint32) {
+// indirect-jump PC provenance. w is the word step fetched and executed.
+// Called from step behind a single Obs guard; the *pre-execution* source
+// operands are snapshot in c.obsS1/c.obsS2 before the switch (which may
+// overwrite them when rd aliases a source) rather than passed as
+// arguments, so the disabled-observer path carries no extra live values.
+// Deferring all recording to one post-retire call keeps alu/aluImm/set and
+// the fetch fast path free of per-instruction observer branches — the
+// disabled-observer hot loop compiles to the pre-observability code plus
+// one check. Store events are the exception: they must be emitted inside
+// store, before the bus transaction triggers a peripheral's
+// output-clearance check.
+func (c *TaintCore) observeStep(i Inst, pc, w, next uint32) {
 	o := c.Obs
 	s1, s2 := c.obsS1, c.obsS2
-	o.BeginInsn(pc, c.insnWord(pc))
+	o.BeginInsn(pc, w)
 	switch i.Op {
 	case OpJALR:
 		// Order matters: OnJump reads rs1's provenance before AssignReg can

@@ -30,9 +30,11 @@ const obsGolden = "testdata/observer.golden"
 // platform metric (checks.*, violations.*, io.*, lub_ops and the observer's
 // obs.* and bus.* included), the violation and its provenance chain. The
 // flight recorder's calibrated capture cost is left out: it is measured
-// once per process, not produced by the run. A change to the flag caches,
-// the observer's event pruning or platform sizing must leave this file
-// alone; regenerate it (-update) only for a change to the model.
+// once per process, not produced by the run. A change to the flag caches
+// or platform sizing must leave this file alone, and one to which events
+// the observer records (its pruning) may move only obs.events, obs.evicted
+// and the chains' event numbers; regenerate it (-update) for those and for
+// a change to the model.
 func TestObserverGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs twenty observed platforms")

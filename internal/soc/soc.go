@@ -624,6 +624,11 @@ func (pl *Platform) Load(img *asm.Image) error {
 		cv.Guest.Configure(RAMBase, size)
 		cv.Guest.SetImage(img)
 	}
+	// The observer keeps RAM words' provenance in a table sized here,
+	// before classify pins its roots.
+	if o := pl.cfg.Obs; o != nil {
+		o.SizeRAM(RAMBase, size)
+	}
 	// The decode cache covers the image, where every guest keeps its code
 	// and stack; fetches past it decode uncached.
 	icEnd := img.End() - RAMBase
