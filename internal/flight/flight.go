@@ -202,16 +202,22 @@ func (r *Recorder) MarkTrap(time uint64, epc, tval, cause uint32) {
 
 // MarkBus records an MMIO bus transaction against the named address range.
 func (r *Recorder) MarkBus(time uint64, rangeName string, addr uint32, write bool, size int) {
+	r.MarkBusID(time, r.Intern(rangeName), addr, write, size)
+}
+
+// MarkBusID is MarkBus for a range name interned beforehand (Intern), for a
+// caller that marks the same ranges on every transaction.
+func (r *Recorder) MarkBusID(time uint64, nameID uint16, addr uint32, write bool, size int) {
 	fl := FlagLoad
 	if write {
 		fl = FlagStore
 	}
-	r.mark(KindBus, time, 0, uint32(size), addr, r.intern(rangeName), fl)
+	r.mark(KindBus, time, 0, uint32(size), addr, nameID, fl)
 }
 
 // MarkEvent records a generic named platform event (e.g. "wfi-sleep").
 func (r *Recorder) MarkEvent(time uint64, name string) {
-	r.mark(KindMark, time, 0, 0, 0, r.intern(name), 0)
+	r.mark(KindMark, time, 0, 0, 0, r.Intern(name), 0)
 }
 
 // MarkViolation records the terminal policy violation; the bundle builder
@@ -227,7 +233,8 @@ func (r *Recorder) MarkFault(time uint64, pc, insn, addr uint32) {
 	r.mark(KindFault, time, pc, insn, addr, 0, 0)
 }
 
-func (r *Recorder) intern(name string) uint16 {
+// Intern returns the id of a mark name, the one NameOf resolves.
+func (r *Recorder) Intern(name string) uint16 {
 	if id, ok := r.nameID[name]; ok {
 		return id
 	}

@@ -41,7 +41,7 @@ func observedCounters() *Observer {
 	leakChain(o)
 	o.RegisterPort("uart0", 0x4000_1000, 12)
 	p := tlm.Payload{Cmd: tlm.Write, Addr: 0x4000_1000, Data: []core.TByte{{V: 'x'}}}
-	o.OnBus("uart0", &p)
+	o.OnBus(o.BusPort("uart0"), &p)
 	o.OnOutput("uart0.tx", 'x', 0)
 	return o
 }

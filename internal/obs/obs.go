@@ -570,17 +570,34 @@ func (o *Observer) OnDeclassify(dev string, inOff, inLen, outOff, outLen uint32,
 	}
 }
 
+// BusPort is a bus range resolved for OnBus: a registered port's name and
+// register window, or, for any other range, nothing to record. The
+// platform's bus trace hook resolves each range once rather than looking
+// its name up on every transaction.
+type BusPort struct {
+	dev string
+	w   window
+	ok  bool
+}
+
+// BusPort resolves the bus range named dev for OnBus. Register the ports
+// first.
+func (o *Observer) BusPort(dev string) BusPort {
+	w, ok := o.ports[dev]
+	return BusPort{dev, w, ok}
+}
+
 // OnBus counts a completed transaction inside a registered port's window
 // and, when its class (the join of the payload's byte classes) is not the
 // policy default, records it as a bus event. No event links to a bus
 // event, so a default-class one (a status poll, say) would carry nothing a
 // chain or a report can use. The platform calls it from the bus's trace
-// hook with the decoded range name and the payload at its global address;
-// a transaction on any other range, or one the bus rejected before it
+// hook with the decoded range and the payload at its global address; a
+// transaction on any other range, or one the bus rejected before it
 // reached the device (crossing the end of the window), counts nothing.
-func (o *Observer) OnBus(dev string, p *tlm.Payload) {
-	w, ok := o.ports[dev]
-	if !ok || uint64(p.Addr)+uint64(len(p.Data)) > uint64(w.base)+uint64(w.size) {
+func (o *Observer) OnBus(port BusPort, p *tlm.Payload) {
+	w, dev := port.w, port.dev
+	if !port.ok || uint64(p.Addr)+uint64(len(p.Data)) > uint64(w.base)+uint64(w.size) {
 		return
 	}
 	o.busTxns++

@@ -304,7 +304,7 @@ func TestOnBusRecordsPortWindowOnly(t *testing.T) {
 	o.Attach(nil, l, l.MustTag(core.ClassLI))
 	o.RegisterPort("uart0", 0x1000_0000, 12)
 	bus := func(dev string, cmd tlm.Command, addr uint32, data ...core.TByte) {
-		o.OnBus(dev, &tlm.Payload{Cmd: cmd, Addr: addr, Data: data})
+		o.OnBus(o.BusPort(dev), &tlm.Payload{Cmd: cmd, Addr: addr, Data: data})
 	}
 	bus("uart0", tlm.Write, 0x1000_0000, core.TByte{V: 0x41, T: k0})
 	bus("uart0", tlm.Read, 0x1000_0008, core.TByte{V: 1, T: k0}, core.TByte{V: 2, T: k1})

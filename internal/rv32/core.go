@@ -8,11 +8,6 @@ import (
 	"vpdift/internal/tlm"
 )
 
-// DecodeCacheFills reports how many predecoded-cache slots have been filled
-// (i.e. slow-path decodes); the metrics exporter pairs it with Instret to
-// derive the hit rate.
-func (c *Core) DecodeCacheFills() uint64 { return c.ic.fills }
-
 // DecodeCacheStats reports the decode-cache miss breakdown: fills (slow
 // decodes that populated a slot) and uncached fetches (misaligned PC or the
 // cache disabled — decoded without filling a slot). Hits are derived as
@@ -40,30 +35,9 @@ type Core struct {
 	// flatter the Table II overhead ratio with a slow baseline.
 	ic icache
 
-	// irqPoll gates the per-instruction interrupt check: it is raised by
-	// every event that could make an interrupt takeable (a device line
-	// rising, writes to mstatus/mie, mret restoring MIE) and cleared when a
-	// poll finds nothing pending, so the hot loop replaces a takeIRQ call
-	// per instruction with one predictable branch.
-	irqPoll bool
-
-	mstatus  uint32
-	mie      uint32
-	mip      uint32
-	mtvec    uint32
-	mepc     uint32
-	mcause   uint32
-	mtval    uint32
-	mscratch uint32
-
-	mmioBuf [4]core.TByte
-
-	// uncachedFetch counts fetches that bypassed the decode cache (misaligned
-	// PC or cache disabled) — the non-fill half of the miss count. New
-	// fields live at the end of the struct: inserting them higher up shifts
-	// the hot fields (Regs, ram, ic) across cache lines, which costs the
-	// tight interpreter loop measurably.
-	uncachedFetch uint64
+	// mmode is the machine-mode unit (see csr.go): CSRs, traps, interrupts
+	// and the MMIO transaction.
+	mmode
 
 	// FR, when non-nil, is the flight recorder: one compressed record per
 	// retire, captured post-switch (see flightcap.go). It is the core's only
@@ -74,17 +48,18 @@ type Core struct {
 	FR     *flight.Recorder
 	frAddr uint32
 
-	// mmio is the payload MMIO loads and stores reuse. The bus hands it to
-	// its targets through an interface, so a payload on the stack would
-	// escape: one heap allocation per device access, which a guest polling
-	// a status register turns into megabytes per run.
-	mmio tlm.Payload
+	// uncachedFetch counts fetches that bypassed the decode cache (misaligned
+	// PC or cache disabled) — the non-fill half of the miss count. New
+	// fields live at the end of the struct: inserting them higher up shifts
+	// the hot fields (Regs, ram, ic) across cache lines, which costs the
+	// tight interpreter loop measurably.
+	uncachedFetch uint64
 }
 
 // NewCore builds a baseline core over a bus for MMIO. It has no RAM until
 // AttachRAM; the decode cache starts empty.
 func NewCore(bus *tlm.Bus) *Core {
-	return &Core{bus: bus, irqPoll: true}
+	return &Core{bus: bus, mmode: newMMode()}
 }
 
 // AttachRAM gives the core its RAM at bus address base: fetches, loads and
@@ -103,24 +78,15 @@ func (c *Core) AttachRAM(ram *mem.PlainMemory, base uint32) {
 // the loaded image. Call it after AttachRAM, before Run.
 func (c *Core) SizeDecodeCache(end uint32) { c.ic = newICache(min(end, c.ramSize)) }
 
+// Halt stops the core before its next instruction.
+func (c *Core) Halt() { c.Halted = true }
+
+// Position returns the program counter and the retired-instruction count.
+func (c *Core) Position() (pc uint32, instret uint64) { return c.PC, c.Instret }
+
 // invalidateDecodeCache, the RAM write hook, drops predecoded entries
 // covering RAM byte offsets [start, end).
 func (c *Core) invalidateDecodeCache(start, end uint32) { c.ic.invalidate(start, end) }
-
-// SetIRQ drives the machine interrupt-pending lines (mask of IntMTI /
-// IntMEI / IntMSI).
-func (c *Core) SetIRQ(line uint32, level bool) {
-	if level {
-		c.mip |= line
-		c.irqPoll = true
-	} else {
-		c.mip &^= line
-	}
-}
-
-// PendingIRQ reports whether any enabled interrupt is pending (regardless of
-// the global MIE bit) — the WFI wake-up condition.
-func (c *Core) PendingIRQ() bool { return c.mie&c.mip != 0 }
 
 // Run executes up to max instructions. It returns early on WFI with no
 // pending interrupt (after the wfi retired), on halt, or on an error (bus
@@ -145,52 +111,13 @@ func (c *Core) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err 
 	return n, RunOK, nil
 }
 
-// takeIRQ enters the highest-priority pending enabled interrupt, if the
-// global enable allows. Finding nothing takeable clears irqPoll; the events
-// that can change that verdict re-raise it.
-func (c *Core) takeIRQ() (bool, error) {
-	if c.mstatus&MstatusMIE == 0 {
-		c.irqPoll = false
-		return false, nil
-	}
-	pending := c.mie & c.mip
-	if pending == 0 {
-		c.irqPoll = false
-		return false, nil
-	}
-	var cause uint32
-	switch {
-	case pending&IntMEI != 0:
-		cause = CauseMExtInt
-	case pending&IntMSI != 0:
-		cause = causeInterruptBit | 3
-	default:
-		cause = CauseMTimerInt
-	}
-	return true, c.trap(cause, 0, c.PC)
-}
-
 // trap enters the machine trap handler.
 func (c *Core) trap(cause, tval, epc uint32) error {
-	if c.mtvec == 0 {
-		return &TrapError{Cause: cause, Tval: tval, PC: epc}
+	pc, err := c.enterTrap(c.FR, c.Instret, cause, tval, epc)
+	if err == nil {
+		c.PC = pc
 	}
-	if c.FR != nil {
-		c.FR.MarkTrap(c.Instret, epc, tval, cause)
-	}
-	c.mepc = epc
-	c.mcause = cause
-	c.mtval = tval
-	// MPIE <- MIE; MIE <- 0; MPP <- M.
-	if c.mstatus&MstatusMIE != 0 {
-		c.mstatus |= MstatusMPIE
-	} else {
-		c.mstatus &^= MstatusMPIE
-	}
-	c.mstatus &^= MstatusMIE
-	c.mstatus |= MstatusMPP
-	c.PC = c.mtvec &^ 3
-	return nil
+	return err
 }
 
 // fetchWord assembles the little-endian instruction word at RAM offset off;
@@ -201,10 +128,8 @@ func (c *Core) fetchWord(off uint32) uint32 {
 
 func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 	if c.irqPoll {
-		if taken, err := c.takeIRQ(); err != nil {
-			return RunOK, err
-		} else if taken {
-			return RunOK, nil
+		if cause, ok := c.irqCause(); ok {
+			return RunOK, c.trap(cause, 0, c.PC)
 		}
 	}
 
@@ -380,15 +305,7 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 	case OpEBREAK:
 		return RunOK, c.trap(CauseBreakpoint, 0, pc)
 	case OpMRET:
-		// MIE <- MPIE; MPIE <- 1.
-		if c.mstatus&MstatusMPIE != 0 {
-			c.mstatus |= MstatusMIE
-		} else {
-			c.mstatus &^= MstatusMIE
-		}
-		c.mstatus |= MstatusMPIE
-		c.irqPoll = true
-		next = c.mepc
+		next = c.mret()
 	case OpWFI:
 		// A sleeping wfi retires like any other instruction: the capture
 		// below runs before step reports RunWFI.
@@ -499,11 +416,8 @@ func (c *Core) load(addr uint32, size uint32, delay *kernel.Time, pc uint32) (ui
 				uint32(c.ram[off+2])<<16 | uint32(c.ram[off+3])<<24, nil
 		}
 	}
-	p := &c.mmio
-	*p = tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(p, delay)
-	if p.Resp != tlm.OK {
-		return 0, &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
+	if err := c.transact(c.bus, tlm.Read, addr, size, delay, pc); err != nil {
+		return 0, err
 	}
 	var v uint32
 	for j := uint32(0); j < size; j++ {
@@ -530,110 +444,25 @@ func (c *Core) store(addr, val uint32, size uint32, delay *kernel.Time, pc uint3
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val >> (8 * j))}
 	}
-	p := &c.mmio
-	*p = tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(p, delay)
-	if p.Resp != tlm.OK {
-		return &BusError{What: "store " + p.Resp.String(), Addr: addr, PC: pc}
-	}
-	return nil
+	return c.transact(c.bus, tlm.Write, addr, size, delay, pc)
 }
 
-// csrOp executes the Zicsr instructions.
+// csrOp executes the Zicsr instructions on the machine-mode unit.
 func (c *Core) csrOp(i Inst, pc uint32) error {
 	csr := uint32(i.Imm)
-	old, ok := c.csrRead(csr)
+	old, _, ok := c.csrRead(csr, c.Instret)
 	if !ok {
 		return c.trap(CauseIllegalInstr, 0, pc)
 	}
-	var operand uint32
-	imm := i.Op == OpCSRRWI || i.Op == OpCSRRSI || i.Op == OpCSRRCI
-	if imm {
+	operand := c.Regs[i.Rs1]
+	if csrImm(i.Op) {
 		operand = uint32(i.Rs1)
-	} else {
-		operand = c.Regs[i.Rs1]
 	}
-	var newVal uint32
-	write := true
-	switch i.Op {
-	case OpCSRRW, OpCSRRWI:
-		newVal = operand
-	case OpCSRRS, OpCSRRSI:
-		newVal = old | operand
-		write = i.Rs1 != 0
-	default: // CSRRC, CSRRCI
-		newVal = old &^ operand
-		write = i.Rs1 != 0
-	}
-	if write {
-		if !c.csrWrite(csr, newVal) {
+	if v, write := csrResult(i, old, operand); write {
+		if !c.csrWrite(csr, v) {
 			return c.trap(CauseIllegalInstr, 0, pc)
 		}
 	}
 	c.set(i.Rd, old)
 	return nil
-}
-
-func (c *Core) csrRead(csr uint32) (uint32, bool) {
-	switch csr {
-	case CSRMstatus:
-		return c.mstatus | MstatusMPP, true
-	case CSRMisa:
-		return misaRV32IM, true
-	case CSRMie:
-		return c.mie, true
-	case CSRMip:
-		return c.mip, true
-	case CSRMtvec:
-		return c.mtvec, true
-	case CSRMepc:
-		return c.mepc, true
-	case CSRMcause:
-		return c.mcause, true
-	case CSRMtval:
-		return c.mtval, true
-	case CSRMscratch:
-		return c.mscratch, true
-	case CSRMvendorid, CSRMarchid, CSRMimpid, CSRMhartid:
-		return 0, true
-	case CSRMcycle, CSRCycle, CSRMinstret, CSRInstret, CSRTime:
-		return uint32(c.Instret), true
-	case CSRMcycleh, CSRCycleh, CSRMinstreth, CSRInstreth, CSRTimeh:
-		return uint32(c.Instret >> 32), true
-	default:
-		return 0, false
-	}
-}
-
-func (c *Core) csrWrite(csr, v uint32) bool {
-	switch csr {
-	case CSRMstatus:
-		c.mstatus = v & (MstatusMIE | MstatusMPIE)
-		c.irqPoll = true
-	case CSRMie:
-		c.mie = v & (IntMSI | IntMTI | IntMEI)
-		c.irqPoll = true
-	case CSRMip:
-		// Interrupt-pending lines are wired from devices; software writes
-		// are ignored (hardwired bits per the privileged spec).
-	case CSRMtvec:
-		c.mtvec = v &^ 3
-	case CSRMepc:
-		c.mepc = v &^ 1
-	case CSRMcause:
-		c.mcause = v
-	case CSRMtval:
-		c.mtval = v
-	case CSRMscratch:
-		c.mscratch = v
-	case CSRMisa, CSRMvendorid, CSRMarchid, CSRMimpid, CSRMhartid:
-		// Read-only: writes ignored.
-	case CSRMcycle, CSRMcycleh, CSRMinstret, CSRMinstreth:
-		// Counters are maintained by the simulator; writes ignored.
-	case CSRCycle, CSRCycleh, CSRInstret, CSRInstreth, CSRTime, CSRTimeh:
-		return false // user-mode counter aliases are read-only
-	default:
-		return false
-	}
-	return true
 }

@@ -603,8 +603,11 @@ func TestDisassembleSmoke(t *testing.T) {
 }
 
 // TestDifferentialPlainVsTaint runs generated programs on both cores and
-// requires identical architectural state — the TaintCore must differ from
-// Core only by its tag tracking, never in values.
+// requires identical architectural state — registers, PC, CSRs, instret
+// and memory. The TaintCore must differ from Core only by its tag
+// tracking, never in values. The programs take ecall, ebreak and
+// illegal-CSR traps into a handler that reads the trap CSRs and returns
+// past the trapping instruction, and set and clear machine-mode CSRs.
 func TestDifferentialPlainVsTaint(t *testing.T) {
 	seed := uint32(0x1234567)
 	rnd := func() uint32 {
@@ -616,6 +619,9 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 	branches := []string{"beq", "bne", "blt", "bge", "bltu", "bgeu"}
 	stores := []string{"sb", "sh", "sw"}
 	loads := []string{"lb", "lbu", "lh", "lhu", "lw"}
+	traps := []string{"ecall", "ebreak", "csrr x%d, 0x7c0", "csrw cycle, x%d"}
+	csrOps := []string{"csrrs x%d, %s, x%d", "csrrc x%d, %s, x%d", "csrrwi x%d, %s, %d"}
+	csrs := []string{"mstatus", "mie", "mscratch"}
 	for trial := 0; trial < 8; trial++ {
 		var b strings.Builder
 		b.WriteString("_start:\n")
@@ -627,7 +633,7 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 			rd := 5 + rnd()%11
 			rs1 := 5 + rnd()%11
 			rs2 := 5 + rnd()%11
-			switch rnd() % 8 {
+			switch rnd() % 10 {
 			case 0, 1, 2, 3:
 				op := ops[rnd()%uint32(len(ops))]
 				fmt.Fprintf(&b, "\t%s x%d, x%d, x%d\n", op, rd, rs1, rs2)
@@ -645,14 +651,41 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 				// CSR round trip through mscratch.
 				fmt.Fprintf(&b, "\tcsrrw x%d, mscratch, x%d\n", rd, rs1)
 				fmt.Fprintf(&b, "\tcsrrs x%d, mscratch, x%d\n", rs2, 0)
+			case 8:
+				// A trap into handler, which resumes after it.
+				tr := traps[rnd()%uint32(len(traps))]
+				if strings.Contains(tr, "%d") {
+					tr = fmt.Sprintf(tr, rd)
+				}
+				fmt.Fprintf(&b, "\t%s\n", tr)
+			case 9:
+				// Set, clear or write a machine-mode CSR. No interrupt
+				// line is driven, so enabling interrupts takes none.
+				op, csr := csrOps[rnd()%uint32(len(csrOps))], csrs[rnd()%uint32(len(csrs))]
+				src := rs1
+				if strings.HasPrefix(op, "csrrwi") {
+					src = rnd() % 32
+				}
+				fmt.Fprintf(&b, "\t"+op+"\n", rd, csr, src)
 			}
 			if k%17 == 0 {
 				fmt.Fprintf(&b, "\tsw x%d, %d(x31)\n", rd, (rnd()%64)*4)
 			}
 		}
 		b.WriteString("\tcall halt\n")
+		// The handler counts traps in x27 and keeps the trap CSRs it read
+		// in x28..x30, all compared below.
+		b.WriteString(`handler:
+	addi x27, x27, 1
+	csrr x28, mcause
+	csrr x29, mtval
+	csrr x30, mepc
+	addi x30, x30, 4
+	csrw mepc, x30
+	mret
+`)
 		src := "\t.equ SCRATCH, 0x80080000\n" +
-			strings.Replace(b.String(), "_start:\n", "_start:\n\tli x31, SCRATCH\n", 1)
+			strings.Replace(b.String(), "_start:\n", "_start:\n\tli x31, SCRATCH\n\tla x30, handler\n\tcsrw mtvec, x30\n", 1)
 
 		plain, _, plainRAM := runPlain(t, src)
 
@@ -682,8 +715,18 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 				t.Fatalf("trial %d: x%d plain=0x%08x taint=0x%08x", trial, r, plain.Regs[r], tc.Regs[r].V)
 			}
 		}
-		if plain.Instret != tc.Instret {
-			t.Fatalf("trial %d: instret plain=%d taint=%d", trial, plain.Instret, tc.Instret)
+		if plain.Regs[27] == 0 {
+			t.Fatalf("trial %d: the program took no trap", trial)
+		}
+		if plain.Instret != tc.Instret || plain.PC != tc.PC {
+			t.Fatalf("trial %d: instret, pc plain=%d, 0x%08x taint=%d, 0x%08x",
+				trial, plain.Instret, plain.PC, tc.Instret, tc.PC)
+		}
+		csrValues := func(m *mmode) [8]uint32 {
+			return [8]uint32{m.mstatus, m.mie, m.mip, m.mtvec, m.mepc, m.mcause, m.mtval, m.mscratch}
+		}
+		if p, tv := csrValues(&plain.mmode), csrValues(&tc.mmode); p != tv {
+			t.Fatalf("trial %d: mstatus, mie, mip, mtvec, mepc, mcause, mtval, mscratch\nplain=%x\ntaint=%x", trial, p, tv)
 		}
 		for off := uint32(0x80000); off < 0x80000+256; off++ {
 			if plainRAM.Data()[off] != ram.Data()[off].V {

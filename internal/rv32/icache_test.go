@@ -58,7 +58,7 @@ func TestSelfModifyingCodePlainCore(t *testing.T) {
 			if got := c.Regs[10]; got != 0x17 {
 				t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
 			}
-			if c.DecodeCacheFills() == 0 {
+			if fills, _ := c.DecodeCacheStats(); fills == 0 {
 				t.Error("no decode-cache fills: the test ran uncached")
 			}
 		})
@@ -84,7 +84,7 @@ func TestSelfModifyingCodeTaintCore(t *testing.T) {
 			if got := r.c.Regs[10].V; got != 0x17 {
 				t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
 			}
-			if r.c.DecodeCacheFills() == 0 {
+			if fills, _ := r.c.DecodeCacheStats(); fills == 0 {
 				t.Error("no decode-cache fills: the test ran uncached")
 			}
 		})

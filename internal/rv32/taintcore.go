@@ -64,8 +64,9 @@ type TaintCore struct {
 	// when a write invalidates the entry.
 	ic icache
 
-	// irqPoll gates the per-instruction interrupt check; see Core.irqPoll.
-	irqPoll bool
+	// mmode is the machine-mode unit (see csr.go), shared with Core; this
+	// core keeps its CSR tags.
+	mmode
 
 	lat *core.Lattice
 	pol *core.Policy
@@ -80,17 +81,6 @@ type TaintCore struct {
 	memAddrClear core.Tag
 	checkStores  bool // some region enforces a store clearance
 
-	mstatus  core.Word
-	mie      core.Word
-	mip      uint32
-	mtvec    core.Word
-	mepc     core.Word
-	mcause   core.Word
-	mtval    core.Word
-	mscratch core.Word
-
-	mmioBuf [4]core.TByte
-
 	// uncachedFetch counts fetches bypassing the decode cache; see
 	// Core.uncachedFetch. New fields live at the end of the struct:
 	// inserting them higher up shifts the hot fields (Regs, ram, ic) across
@@ -102,6 +92,10 @@ type TaintCore struct {
 	// flight record does not carry. Guest coverage reads the flight stream
 	// instead. One predictable branch per retire when nil.
 	Cov *cover.TaintCov
+
+	// Padding keeps FR and the flag caches below at the offsets the
+	// interpreter loop was measured at.
+	_ [24]byte
 
 	// FR, when non-nil, is the flight recorder: one compressed record per
 	// retire, captured post-switch (see flightcap.go), and the stream the
@@ -124,9 +118,6 @@ type TaintCore struct {
 	defBranchOK bool
 	defMemOK    bool
 	pinned      bool
-
-	// mmio is the payload MMIO loads and stores reuse; see Core.mmio.
-	mmio tlm.Payload
 
 	// Counts, when non-nil, is the policy's enforcement counter set (see
 	// core.Policy.Count): the core counts its fetch, branch and
@@ -152,7 +143,7 @@ func NewTaintCore(bus *tlm.Bus, pol *core.Policy) *TaintCore {
 		checkMemAddr: pol.Exec.CheckMemAddr,
 		memAddrClear: pol.Exec.MemAddr,
 
-		irqPoll: true,
+		mmode: newMMode(),
 	}
 	for _, r := range pol.Regions {
 		c.checkStores = c.checkStores || r.CheckStore
@@ -160,13 +151,8 @@ func NewTaintCore(bus *tlm.Bus, pol *core.Policy) *TaintCore {
 	for i := range c.Regs {
 		c.Regs[i] = core.W(0, c.def)
 	}
-	c.mstatus = core.W(0, c.def)
-	c.mie = core.W(0, c.def)
-	c.mtvec = core.W(0, c.def)
-	c.mepc = core.W(0, c.def)
-	c.mcause = core.W(0, c.def)
-	c.mtval = core.W(0, c.def)
-	c.mscratch = core.W(0, c.def)
+	d := c.def
+	c.mstatusT, c.mieT, c.mtvecT, c.mepcT, c.mcauseT, c.mtvalT, c.mscratchT = d, d, d, d, d, d, d
 	return c
 }
 
@@ -183,16 +169,17 @@ func (c *TaintCore) AttachRAM(ram *mem.Memory, base uint32) {
 // in byte offsets [0, end); see Core.SizeDecodeCache.
 func (c *TaintCore) SizeDecodeCache(end uint32) { c.ic = newICache(min(end, c.ramSize)) }
 
-// DecodeCacheFills reports how many predecoded-cache slots have been filled
-// (i.e. slow-path decodes); the metrics exporter pairs it with Instret to
-// derive the hit rate.
-func (c *TaintCore) DecodeCacheFills() uint64 { return c.ic.fills }
-
 // DecodeCacheStats reports the decode-cache miss breakdown; see
 // Core.DecodeCacheStats.
 func (c *TaintCore) DecodeCacheStats() (fills, uncached uint64) {
 	return c.ic.fills, c.uncachedFetch
 }
+
+// Halt stops the core before its next instruction.
+func (c *TaintCore) Halt() { c.Halted = true }
+
+// Position returns the program counter and the retired-instruction count.
+func (c *TaintCore) Position() (pc uint32, instret uint64) { return c.PC, c.Instret }
 
 // invalidateCaches, the tainted RAM's write hook, drops the predecoded
 // entries (and their fetch-tag summaries) and the flag-cache block
@@ -201,19 +188,6 @@ func (c *TaintCore) invalidateCaches(start, end uint32) {
 	c.ic.invalidate(start, end)
 	c.markLazy(start, end)
 }
-
-// SetIRQ drives the machine interrupt-pending lines.
-func (c *TaintCore) SetIRQ(line uint32, level bool) {
-	if level {
-		c.mip |= line
-		c.irqPoll = true
-	} else {
-		c.mip &^= line
-	}
-}
-
-// PendingIRQ reports whether any enabled interrupt is pending.
-func (c *TaintCore) PendingIRQ() bool { return c.mie.V&c.mip != 0 }
 
 // Run executes up to max instructions; see Core.Run. The first call arms
 // the flag caches.
@@ -243,65 +217,31 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 	return n, RunOK, nil
 }
 
-func (c *TaintCore) takeIRQ() (bool, error) {
-	if c.mstatus.V&MstatusMIE == 0 {
-		c.irqPoll = false
-		return false, nil
-	}
-	pending := c.mie.V & c.mip
-	if pending == 0 {
-		c.irqPoll = false
-		return false, nil
-	}
-	var cause uint32
-	switch {
-	case pending&IntMEI != 0:
-		cause = CauseMExtInt
-	case pending&IntMSI != 0:
-		cause = causeInterruptBit | 3
-	default:
-		cause = CauseMTimerInt
-	}
-	return true, c.trap(cause, 0, c.PC)
-}
-
 // trap enters the machine trap handler. Per the paper, the trap-vector
 // target is subject to the branch execution clearance ("the same clearance
-// is used to check the interrupt/trap handler address").
+// is used to check the interrupt/trap handler address"); the trap CSRs
+// take the default tag.
 func (c *TaintCore) trap(cause, tval, epc uint32) error {
-	if c.mtvec.V == 0 {
-		return &TrapError{Cause: cause, Tval: tval, PC: epc}
-	}
-	if c.checkBranch {
-		ok := c.lat.AllowedFlow(c.mtvec.T, c.branchClear)
+	if c.mtvec != 0 && c.checkBranch {
+		ok := c.lat.AllowedFlow(c.mtvecT, c.branchClear)
 		if c.Counts != nil {
 			c.Counts.Branch.Tally(ok)
 		}
 		if !ok {
-			v := core.NewViolation(c.lat, core.KindBranchClearance, c.mtvec.T, c.branchClear).
-				WithPC(epc).WithValue(c.mtvec.V)
+			v := core.NewViolation(c.lat, core.KindBranchClearance, c.mtvecT, c.branchClear).
+				WithPC(epc).WithValue(c.mtvec)
 			if c.Obs != nil {
 				c.Obs.OnViolation(v, 0, 0)
 			}
 			return v
 		}
 	}
-	if c.FR != nil {
-		c.FR.MarkTrap(c.Instret, epc, tval, cause)
+	pc, err := c.enterTrap(c.FR, c.Instret, cause, tval, epc)
+	if err != nil {
+		return err
 	}
-	c.mepc = core.W(epc, c.def)
-	c.mcause = core.W(cause, c.def)
-	c.mtval = core.W(tval, c.def)
-	st := c.mstatus.V
-	if st&MstatusMIE != 0 {
-		st |= MstatusMPIE
-	} else {
-		st &^= MstatusMPIE
-	}
-	st &^= MstatusMIE
-	st |= MstatusMPP
-	c.mstatus = core.W(st, c.mstatus.T)
-	c.PC = c.mtvec.V &^ 3
+	c.mepcT, c.mcauseT, c.mtvalT = c.def, c.def, c.def
+	c.PC = pc
 	return nil
 }
 
@@ -386,10 +326,8 @@ func (c *TaintCore) foldFetchTag(b0, b1, b2, b3 core.TByte) core.Tag {
 
 func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 	if c.irqPoll {
-		if taken, err := c.takeIRQ(); err != nil {
-			return RunOK, err
-		} else if taken {
-			return RunOK, nil
+		if cause, ok := c.irqCause(); ok {
+			return RunOK, c.trap(cause, 0, c.PC)
 		}
 	}
 
@@ -608,19 +546,10 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 	case OpMRET:
 		// Return target comes from mepc: a control transfer steered by a
 		// register, so the branch clearance applies (like jalr).
-		if !c.branchTagOK(c.mepc.T) {
-			return RunOK, c.branchViolation(c.mepc.T, pc, obs.RegNone, obs.RegNone)
+		if !c.branchTagOK(c.mepcT) {
+			return RunOK, c.branchViolation(c.mepcT, pc, obs.RegNone, obs.RegNone)
 		}
-		st := c.mstatus.V
-		if st&MstatusMPIE != 0 {
-			st |= MstatusMIE
-		} else {
-			st &^= MstatusMIE
-		}
-		st |= MstatusMPIE
-		c.mstatus = core.W(st, c.mstatus.T)
-		c.irqPoll = true
-		next = c.mepc.V
+		next = c.mret()
 	case OpWFI:
 		// A sleeping wfi retires like any other instruction (observer,
 		// cover, capture) before step reports RunWFI.
@@ -677,13 +606,17 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 // coverStep feeds the taint heatmap for one retired instruction: register
 // occupancy for rd, the only register a retire can change, and store
 // sites (safe post-switch because stores never write back a register, so
-// Regs[rs1]/Regs[rs2] still hold the address base and data tag). Guest
-// block/edge coverage reads the flight stream instead. Called from step
-// behind a single Cov guard, like observeStep, so the disabled hot loop
-// pays one predictable branch.
+// Regs[rs1]/Regs[rs2] still hold the address base and data tag). Under
+// ForceBusMem every store is a bus transaction, which the heatmap counts
+// through the RAM's write hook instead. Guest block/edge coverage reads
+// the flight stream. Called from step behind a single Cov guard, like
+// observeStep, so the disabled hot loop pays one predictable branch.
 func (c *TaintCore) coverStep(i Inst) {
 	t := c.Cov
 	t.OnRetire(i.Rd, c.Regs[i.Rd].T)
+	if c.ForceBusMem {
+		return
+	}
 	switch i.Op {
 	case OpSB:
 		t.OnStore(c.Regs[i.Rs1].V+uint32(i.Imm), 1, c.Regs[i.Rs2].T)
@@ -751,7 +684,7 @@ func (c *TaintCore) observeStep(i Inst, pc, w, next uint32) {
 		o.OnJump(next, i.Rs1, s1.T)
 		o.AssignReg(i.Rd)
 	case OpMRET:
-		o.OnJump(next, obs.RegNone, c.mepc.T)
+		o.OnJump(next, obs.RegNone, c.mepcT)
 	case OpLB, OpLBU:
 		o.OnLoad(s1.V+uint32(i.Imm), 1, c.Regs[i.Rd])
 		o.AssignReg(i.Rd)
@@ -846,11 +779,8 @@ func (c *TaintCore) load(i Inst, delay *kernel.Time, pc uint32) error {
 			}
 		}
 	} else {
-		p := &c.mmio
-		*p = tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-		c.bus.Transport(p, delay)
-		if p.Resp != tlm.OK {
-			return &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
+		if err := c.transact(c.bus, tlm.Read, addr, size, delay, pc); err != nil {
+			return err
 		}
 		t = c.mmioBuf[0].T
 		for j := uint32(0); j < size; j++ {
@@ -932,111 +862,40 @@ func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) er
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val.V >> (8 * j)), T: val.T}
 	}
-	p := &c.mmio
-	*p = tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(p, delay)
-	if p.Resp != tlm.OK {
-		return &BusError{What: "store " + p.Resp.String(), Addr: addr, PC: pc}
-	}
-	return nil
+	return c.transact(c.bus, tlm.Write, addr, size, delay, pc)
 }
 
-// csrOp executes the Zicsr instructions with tag propagation: the
-// destination register receives the CSR's tag, and register-sourced writes
-// carry the source register's tag into the CSR.
+// csrOp executes the Zicsr instructions with tag propagation: rd receives
+// the CSR's tag, and a write carries the operand's tag (csrrw) or its join
+// with the CSR's (csrrs, csrrc) into the CSR. The immediate forms' operand
+// has the default tag.
 func (c *TaintCore) csrOp(i Inst, pc uint32) error {
 	csr := uint32(i.Imm)
-	old, ok := c.csrRead(csr)
+	old, tag, ok := c.csrRead(csr, c.Instret)
 	if !ok {
 		return c.trap(CauseIllegalInstr, 0, pc)
 	}
-	var operand core.Word
-	imm := i.Op == OpCSRRWI || i.Op == OpCSRRSI || i.Op == OpCSRRCI
-	if imm {
-		operand = core.W(uint32(i.Rs1), c.def)
-	} else {
-		operand = c.Regs[i.Rs1]
+	oldT := c.def
+	if tag != nil {
+		oldT = *tag
 	}
-	var newVal core.Word
-	write := true
-	switch i.Op {
-	case OpCSRRW, OpCSRRWI:
-		newVal = operand
-	case OpCSRRS, OpCSRRSI:
-		newVal = core.W(old.V|operand.V, c.lat.LUB(old.T, operand.T))
-		write = i.Rs1 != 0
-	default:
-		newVal = core.W(old.V&^operand.V, c.lat.LUB(old.T, operand.T))
-		write = i.Rs1 != 0
+	operand := c.Regs[i.Rs1]
+	if csrImm(i.Op) {
+		operand = core.W(uint32(i.Rs1), c.def)
+	}
+	v, write := csrResult(i, old, operand.V)
+	t := operand.T
+	if i.Op != OpCSRRW && i.Op != OpCSRRWI {
+		t = c.lat.LUB(oldT, operand.T)
 	}
 	if write {
-		if !c.csrWrite(csr, newVal) {
+		if !c.csrWrite(csr, v) {
 			return c.trap(CauseIllegalInstr, 0, pc)
 		}
+		if tag != nil {
+			*tag = t
+		}
 	}
-	c.set(i.Rd, old)
+	c.set(i.Rd, core.W(old, oldT))
 	return nil
-}
-
-func (c *TaintCore) csrRead(csr uint32) (core.Word, bool) {
-	switch csr {
-	case CSRMstatus:
-		return core.W(c.mstatus.V|MstatusMPP, c.mstatus.T), true
-	case CSRMisa:
-		return core.W(misaRV32IM, c.def), true
-	case CSRMie:
-		return c.mie, true
-	case CSRMip:
-		return core.W(c.mip, c.def), true
-	case CSRMtvec:
-		return c.mtvec, true
-	case CSRMepc:
-		return c.mepc, true
-	case CSRMcause:
-		return c.mcause, true
-	case CSRMtval:
-		return c.mtval, true
-	case CSRMscratch:
-		return c.mscratch, true
-	case CSRMvendorid, CSRMarchid, CSRMimpid, CSRMhartid:
-		return core.W(0, c.def), true
-	case CSRMcycle, CSRCycle, CSRMinstret, CSRInstret, CSRTime:
-		return core.W(uint32(c.Instret), c.def), true
-	case CSRMcycleh, CSRCycleh, CSRMinstreth, CSRInstreth, CSRTimeh:
-		return core.W(uint32(c.Instret>>32), c.def), true
-	default:
-		return core.Word{}, false
-	}
-}
-
-func (c *TaintCore) csrWrite(csr uint32, w core.Word) bool {
-	switch csr {
-	case CSRMstatus:
-		c.mstatus = core.W(w.V&(MstatusMIE|MstatusMPIE), w.T)
-		c.irqPoll = true
-	case CSRMie:
-		c.mie = core.W(w.V&(IntMSI|IntMTI|IntMEI), w.T)
-		c.irqPoll = true
-	case CSRMip:
-		// Hardwired from devices; software writes ignored.
-	case CSRMtvec:
-		c.mtvec = core.W(w.V&^3, w.T)
-	case CSRMepc:
-		c.mepc = core.W(w.V&^1, w.T)
-	case CSRMcause:
-		c.mcause = w
-	case CSRMtval:
-		c.mtval = w
-	case CSRMscratch:
-		c.mscratch = w
-	case CSRMisa, CSRMvendorid, CSRMarchid, CSRMimpid, CSRMhartid:
-		// Read-only: writes ignored.
-	case CSRMcycle, CSRMcycleh, CSRMinstret, CSRMinstreth:
-		// Simulator-maintained counters; writes ignored.
-	case CSRCycle, CSRCycleh, CSRInstret, CSRInstreth, CSRTime, CSRTimeh:
-		return false
-	default:
-		return false
-	}
-	return true
 }

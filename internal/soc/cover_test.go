@@ -2,6 +2,7 @@ package soc_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"vpdift/internal/core"
@@ -216,5 +217,79 @@ func TestTaintSeedCoversClassifiedRegions(t *testing.T) {
 	}
 	if got := cv.Taint.ChurnTotal(); got != 0 {
 		t.Errorf("seeding counted %d tag changes", got)
+	}
+}
+
+// heatSrc copies a HI word with sw and sb, four times: 20 tainted bytes
+// written.
+const heatSrc = `
+main:
+	li t2, 4
+1:	la t0, secret
+	lw t1, 0(t0)
+	la t0, buf
+	sw t1, 0(t0)
+	sb t1, 4(t0)
+	addi t2, t2, -1
+	bnez t2, 1b
+	li a0, 0
+	ret
+
+	.data
+	.align 2
+secret:
+	.word 0x12345678
+buf:
+	.space 8
+`
+
+// TestTaintHeatSameOnBothMemoryPaths: the heatmap counts each CPU store
+// once whether it takes the direct RAM path or, under TaintMemViaTLM, a bus
+// transaction into RAM. The audit may differ: the TLM load path folds the
+// bytes with counted joins.
+func TestTaintHeatSameOnBothMemoryPaths(t *testing.T) {
+	run := func(viaTLM bool) (heat string, taint []byte) {
+		img, err := guest.Program(heatSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := core.IFP2()
+		hi, li := l.MustTag(core.ClassHI), l.MustTag(core.ClassLI)
+		secret := img.Symbols["secret"]
+		pol := core.NewPolicy(l, li).WithRegion(core.RegionRule{
+			Name: "secret", Start: secret, End: secret + 4, Classify: true, Class: hi,
+		})
+		cv := cover.New()
+		pl, err := soc.New(soc.Config{Policy: pol, Cover: cv, TaintMemViaTLM: viaTLM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pl.Shutdown()
+		if err := pl.Load(img); err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.Run(kernel.Forever); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := cv.Taint.WriteHeat(&b, nil); err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(pl.CoverSnapshot("heat", "secret").Taint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), js
+	}
+	heat, taint := run(false)
+	heatTLM, taintTLM := run(true)
+	if !bytes.Contains([]byte(heat), []byte("20 bytes written")) {
+		t.Errorf("direct path heat report does not count 20 HI bytes written:\n%s", heat)
+	}
+	if heatTLM != heat {
+		t.Errorf("heat report differs under TaintMemViaTLM:\n%s\ndirect path:\n%s", heatTLM, heat)
+	}
+	if !bytes.Equal(taintTLM, taint) {
+		t.Errorf("snapshot taint section differs under TaintMemViaTLM:\n%s\ndirect path:\n%s", taintTLM, taint)
 	}
 }

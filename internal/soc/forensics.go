@@ -90,8 +90,8 @@ func (pl *Platform) buildBundle(reason string, err error) *flight.Bundle {
 		Disasm:    rv32.Disassemble,
 		Metrics:   pl.MetricsSnapshot(),
 	}
+	s.PC, _ = pl.cpu.Position()
 	if pl.Core != nil {
-		s.PC = pl.Core.PC
 		for r := 0; r < 32; r++ {
 			s.Regs[r] = flight.RegState{
 				Name:  rv32.RegName(r),
@@ -99,7 +99,6 @@ func (pl *Platform) buildBundle(reason string, err error) *flight.Bundle {
 			}
 		}
 	} else {
-		s.PC = pl.TaintCore.PC
 		lat, def := pl.policy.L, pl.policy.Default
 		for r := 0; r < 32; r++ {
 			w := pl.TaintCore.Regs[r]

@@ -164,9 +164,10 @@ type Platform struct {
 	AES     *periph.AES
 	SysCtrl *periph.SysCtrl
 
-	// Exactly one of the two cores is non-nil.
+	// Exactly one of the two cores is non-nil; cpu is that core.
 	Core      *rv32.Core
 	TaintCore *rv32.TaintCore
+	cpu       cpu
 
 	policy   *core.Policy
 	ram      *mem.Memory      // VP+ RAM, allocated by Load
@@ -202,6 +203,18 @@ type Platform struct {
 	// first terminal Run error.
 	imgDigest string
 	lastErr   error
+}
+
+// cpu is the platform's view of its core, whichever flavour New built. Load,
+// the memory probes and forensics, which need the flavour's RAM or register
+// types, use Platform.Core or Platform.TaintCore.
+type cpu interface {
+	Run(max uint64, delay *kernel.Time) (uint64, rv32.RunStatus, error)
+	SetIRQ(line uint32, level bool)
+	PendingIRQ() bool
+	Halt()
+	Position() (pc uint32, instret uint64)
+	DecodeCacheStats() (fills, uncached uint64)
 }
 
 // New builds a platform. The baseline VP is built when cfg.Policy is nil.
@@ -263,39 +276,27 @@ func New(cfg Config) (*Platform, error) {
 		env.Default = pol.Default
 	}
 
-	// CPU. Its RAM comes at Load, sized to the guest.
-	var setIRQ func(line uint32, level bool)
+	// CPU. Its RAM comes at Load, sized to the guest. The flight recorder
+	// takes its retire stream; the recorder's MMIO marks come from the bus
+	// trace hook below.
 	if pol == nil {
 		pl.Core = rv32.NewCore(pl.Bus)
-		setIRQ = func(line uint32, level bool) {
-			pl.Core.SetIRQ(line, level)
-			if level {
-				if fr != nil {
-					fr.MarkIRQ(pl.Core.Instret, line)
-				}
-				pl.irqEvent.Notify(0)
-			}
-		}
+		pl.Core.FR = fr
+		pl.cpu = pl.Core
 	} else {
 		pl.TaintCore = rv32.NewTaintCore(pl.Bus, pol)
 		pl.TaintCore.ForceBusMem = cfg.TaintMemViaTLM
-		setIRQ = func(line uint32, level bool) {
-			pl.TaintCore.SetIRQ(line, level)
-			if level {
-				if fr != nil {
-					fr.MarkIRQ(pl.TaintCore.Instret, line)
-				}
-				pl.irqEvent.Notify(0)
-			}
-		}
+		pl.TaintCore.FR = fr
+		pl.TaintCore.Obs = cfg.Obs // the baseline core has no taint to record
+		pl.cpu = pl.TaintCore
 	}
-	// Flight recorder: wire the retire path into whichever core was built;
-	// its MMIO marks come from the bus trace hook below.
-	if fr != nil {
-		if pl.Core != nil {
-			pl.Core.FR = fr
-		} else {
-			pl.TaintCore.FR = fr
+	setIRQ := func(line uint32, level bool) {
+		pl.cpu.SetIRQ(line, level)
+		if level {
+			if fr != nil {
+				fr.MarkIRQ(pl.Instret(), line)
+			}
+			pl.irqEvent.Notify(0)
 		}
 	}
 
@@ -310,11 +311,6 @@ func New(cfg Config) (*Platform, error) {
 		}
 		o.Attach(func() uint64 { return uint64(pl.Sim.Now()) }, lat, def)
 		env.Obs = o
-		// The baseline core has no taint to record, so only the VP+ core
-		// takes the observer.
-		if pl.TaintCore != nil {
-			pl.TaintCore.Obs = o
-		}
 		o.RegisterPort("uart0", UARTBase, periph.UARTSize)
 		o.RegisterPort("can0", CANBase, periph.CANSize)
 		o.RegisterPort("sensor0", SensorBase, periph.SensorSize)
@@ -342,11 +338,7 @@ func New(cfg Config) (*Platform, error) {
 	pl.SysCtrl = periph.NewSysCtrl(env, func(code uint32) {
 		pl.exited = true
 		pl.exitCode = code
-		if pl.Core != nil {
-			pl.Core.Halted = true
-		} else {
-			pl.TaintCore.Halted = true
-		}
+		pl.cpu.Halt()
 	})
 
 	// Encode the policy into the peripherals.
@@ -381,11 +373,10 @@ func New(cfg Config) (*Platform, error) {
 	// AddMemProbe / AddTagProbe between Load and Run.
 	if cfg.Trace != nil && cfg.Trace.VCD != nil {
 		v := cfg.Trace.VCD
-		if pl.Core != nil {
-			v.AddProbe("cpu_pc", 32, func() uint64 { return uint64(pl.Core.PC) })
-		} else {
-			v.AddProbe("cpu_pc", 32, func() uint64 { return uint64(pl.TaintCore.PC) })
-		}
+		v.AddProbe("cpu_pc", 32, func() uint64 {
+			pc, _ := pl.cpu.Position()
+			return uint64(pc)
+		})
 		v.AddProbe("uart0_rx_pending", 8, func() uint64 { return uint64(pl.UART.RxPending()) })
 		v.AddProbe("uart0_tx_count", 16, func() uint64 { return uint64(pl.UART.TxCount()) })
 		v.AddProbe("uart0_last_tx", 8, func() uint64 { return uint64(pl.UART.LastTx()) })
@@ -439,6 +430,8 @@ func New(cfg Config) (*Platform, error) {
 // RAM. RAM traffic is left out of both because under TaintMemViaTLM every
 // data access is a bus transaction: it would evict the instruction window
 // a bundle is for, and the observer records RAM flows per instruction.
+// What the marks and the events need of a range, the hook resolves at the
+// range's first transaction and then finds by the range's id.
 func (pl *Platform) traceBus() {
 	var kt *trace.KernelTrace
 	if t := pl.cfg.Trace; t.Active() {
@@ -448,18 +441,37 @@ func (pl *Platform) traceBus() {
 	if kt == nil && fr == nil && o == nil {
 		return
 	}
-	pl.Bus.Trace = func(name string, p *tlm.Payload) {
+	type busRange struct {
+		resolved bool
+		name     uint16 // the flight recorder's id of the range name
+		port     obs.BusPort
+	}
+	var ranges []busRange // by range id; 0 is an unmapped address
+	pl.Bus.Trace = func(id int, name string, p *tlm.Payload) {
 		if kt != nil {
 			kt.OnBus(pl.Sim.Now(), name, p)
 		}
 		if name == "ram" {
 			return
 		}
+		if id >= len(ranges) {
+			ranges = append(ranges, make([]busRange, id+1-len(ranges))...)
+		}
+		r := &ranges[id]
+		if !r.resolved {
+			r.resolved = true
+			if fr != nil {
+				r.name = fr.Intern(name)
+			}
+			if o != nil {
+				r.port = o.BusPort(name)
+			}
+		}
 		if fr != nil {
-			fr.MarkBus(pl.Instret(), name, p.Addr, p.Cmd == tlm.Write, len(p.Data))
+			fr.MarkBusID(pl.Instret(), r.name, p.Addr, p.Cmd == tlm.Write, len(p.Data))
 		}
 		if o != nil {
-			o.OnBus(name, p)
+			o.OnBus(r.port, p)
 		}
 	}
 }
@@ -538,21 +550,14 @@ func (pl *Platform) spawnCPU() {
 	pl.Sim.Spawn("cpu", func(p *kernel.Process) {
 		for {
 			if sleeping {
-				if !pl.pendingIRQ() && !pl.Sim.Stopped() {
+				if !pl.cpu.PendingIRQ() && !pl.Sim.Stopped() {
 					p.WakeOn(pl.irqEvent)
 					return
 				}
 				sleeping = false
 			}
 			var delay kernel.Time
-			var n uint64
-			var st rv32.RunStatus
-			var err error
-			if pl.Core != nil {
-				n, st, err = pl.Core.Run(pl.cfg.Quantum, &delay)
-			} else {
-				n, st, err = pl.TaintCore.Run(pl.cfg.Quantum, &delay)
-			}
+			n, st, err := pl.cpu.Run(pl.cfg.Quantum, &delay)
 			if pl.fr != nil {
 				pl.fr.Flush()
 			}
@@ -582,13 +587,6 @@ func (pl *Platform) spawnCPU() {
 			}
 		}
 	})
-}
-
-func (pl *Platform) pendingIRQ() bool {
-	if pl.Core != nil {
-		return pl.Core.PendingIRQ()
-	}
-	return pl.TaintCore.PendingIRQ()
 }
 
 // Load allocates the platform's RAM, sized to the guest by ramSize unless
@@ -757,10 +755,8 @@ func (pl *Platform) Exited() (bool, uint32) { return pl.exited, pl.exitCode }
 
 // Instret returns the number of instructions executed so far.
 func (pl *Platform) Instret() uint64 {
-	if pl.Core != nil {
-		return pl.Core.Instret
-	}
-	return pl.TaintCore.Instret
+	_, n := pl.cpu.Position()
+	return n
 }
 
 // IsDIFT reports whether this is the VP+ (taint-tracking) flavour.
@@ -802,12 +798,7 @@ func (pl *Platform) MetricsSnapshotInto(m map[string]uint64) {
 	// path: every retired instruction fetched through the cache except the
 	// fills and the uncached fetches. IRQ-taken steps retire without a
 	// fetch, so clamp the difference.
-	var fills, uncached uint64
-	if pl.Core != nil {
-		fills, uncached = pl.Core.DecodeCacheStats()
-	} else {
-		fills, uncached = pl.TaintCore.DecodeCacheStats()
-	}
+	fills, uncached := pl.cpu.DecodeCacheStats()
 	misses := fills + uncached
 	var hits uint64
 	if total := pl.Instret(); total > misses {

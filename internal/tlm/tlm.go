@@ -94,9 +94,11 @@ type TargetFunc func(p *Payload, delay *kernel.Time)
 func (f TargetFunc) Transport(p *Payload, delay *kernel.Time) { f(p, delay) }
 
 // mapping is one bus decode entry covering [start, end). end is uint64 so a
-// range may extend to the top of the 32-bit address space.
+// range may extend to the top of the 32-bit address space. id is the
+// range's 1-based position in Map order.
 type mapping struct {
 	name   string
+	id     int
 	start  uint32
 	end    uint64
 	target Target
@@ -108,9 +110,12 @@ type mapping struct {
 type Bus struct {
 	maps []mapping
 	// Trace, when non-nil, is invoked after every routed transaction with
-	// the decoded range name ("" for unmapped addresses) and the completed
-	// payload, its global address restored. One predictable branch when nil.
-	Trace func(rangeName string, p *Payload)
+	// the decoded range's id and name (0 and "" for unmapped addresses) and
+	// the completed payload, its global address restored. A range's id is
+	// its 1-based position in Map order and never changes, so a hook can
+	// resolve what it needs of a range once and index it by id. One
+	// predictable branch when nil.
+	Trace func(rangeID int, rangeName string, p *Payload)
 }
 
 // NewBus creates an empty bus.
@@ -136,7 +141,7 @@ func (b *Bus) Map(name string, start, size uint32, t Target) error {
 				name, start, end, ex.name, ex.start, ex.end)
 		}
 	}
-	b.maps = append(b.maps, mapping{name: name, start: start, end: end, target: t})
+	b.maps = append(b.maps, mapping{name: name, id: len(b.maps) + 1, start: start, end: end, target: t})
 	sort.Slice(b.maps, func(i, j int) bool { return b.maps[i].start < b.maps[j].start })
 	return nil
 }
@@ -177,7 +182,7 @@ func (b *Bus) Transport(p *Payload, delay *kernel.Time) {
 	if m == nil {
 		p.Resp = AddressError
 		if b.Trace != nil {
-			b.Trace("", p)
+			b.Trace(0, "", p)
 		}
 		return
 	}
@@ -185,7 +190,7 @@ func (b *Bus) Transport(p *Payload, delay *kernel.Time) {
 	if uint64(p.Addr)+uint64(len(p.Data)) > m.end {
 		p.Resp = AddressError
 		if b.Trace != nil {
-			b.Trace(m.name, p)
+			b.Trace(m.id, m.name, p)
 		}
 		return
 	}
@@ -194,7 +199,7 @@ func (b *Bus) Transport(p *Payload, delay *kernel.Time) {
 	m.target.Transport(p, delay)
 	p.Addr = global
 	if b.Trace != nil {
-		b.Trace(m.name, p)
+		b.Trace(m.id, m.name, p)
 	}
 }
 

@@ -89,6 +89,35 @@ func TestBusAddressErrors(t *testing.T) {
 	}
 }
 
+// TestBusTraceRangeIDs: the trace hook gets each range's 1-based position
+// in Map order, which the address-sorted routing table does not change,
+// and id 0 for an unmapped address.
+func TestBusTraceRangeIDs(t *testing.T) {
+	b := NewBus()
+	b.MustMap("high", 0x8000, 0x100, &echoTarget{})
+	b.MustMap("low", 0x1000, 0x100, &echoTarget{})
+	b.MustMap("mid", 0x4000, 0x100, &echoTarget{})
+	var got []string
+	b.Trace = func(id int, name string, p *Payload) {
+		got = append(got, fmt.Sprintf("%d %q 0x%x %v", id, name, p.Addr, p.Resp))
+	}
+	var delay kernel.Time
+	for _, addr := range []uint32{0x1004, 0x8000, 0x4010, 0x2000, 0x10fe} {
+		p := Payload{Cmd: Read, Addr: addr, Data: make([]core.TByte, 4)}
+		b.Transport(&p, &delay)
+	}
+	want := []string{
+		`2 "low" 0x1004 ok`,
+		`1 "high" 0x8000 ok`,
+		`3 "mid" 0x4010 ok`,
+		`0 "" 0x2000 address-error`,
+		`2 "low" 0x10fe address-error`, // crosses the end of the range
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("trace =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestBusRangeAtTopOfAddressSpace(t *testing.T) {
 	b := NewBus()
 	tgt := &echoTarget{}
