@@ -15,7 +15,10 @@
 //	            clearance, all input LI
 //
 // Console input is supplied with -stdin and classified as the policy's
-// default (untrusted/public) class.
+// default (untrusted/public) class. The observation views (-vcd, -cover,
+// -timeseries, ...) are the ones internal/cli defines; -forensics writes
+// the bundle of a violation, a guest fault, or a run that ended on the
+// horizon.
 package main
 
 import (
@@ -29,7 +32,7 @@ import (
 	"slices"
 	"strings"
 
-	"vpdift/internal/asm"
+	"vpdift/internal/cli"
 	"vpdift/internal/core"
 	"vpdift/internal/cover"
 	"vpdift/internal/flight"
@@ -38,8 +41,6 @@ import (
 	"vpdift/internal/obs"
 	"vpdift/internal/rv32"
 	"vpdift/internal/soc"
-	"vpdift/internal/telemetry"
-	"vpdift/internal/trace"
 )
 
 func main() {
@@ -53,22 +54,11 @@ func main() {
 	why := flag.Bool("why", false, "on violation, print the taint-provenance chain (classification site to failed check)")
 	metricsOut := flag.String("metrics", "", "write the metrics snapshot as JSON to this file ('-' for stderr)")
 	eventsOut := flag.String("events", "", "write the recorded taint events as JSONL to this file")
-	chromeOut := flag.String("chrome", "", "write taint, kernel and bus events as one merged Chrome trace to this file")
-	vcdOut := flag.String("vcd", "", "write a GTKWave-compatible waveform of CPU/peripheral probes to this file")
 	watch := flag.String("watch", "", "comma-separated symbol[:probe-name] RAM words added as waveform probes (with -vcd)")
-	profileOut := flag.String("profile", "", "write the guest hot-path profile top table to this file ('-' for stderr)")
-	foldedOut := flag.String("folded", "", "write folded call stacks (flamegraph input) to this file")
-	ktOut := flag.String("kernel-trace", "", "write kernel scheduler and bus events as JSONL to this file")
-	coverOut := flag.String("cover", "", "write the guest coverage report (blocks/edges, annotated disassembly) to this file ('-' for stderr)")
 	snapOut := flag.String("cover-snapshot", "", "write the run's serializable coverage snapshot (vp-diff input) to this file")
 	lcovOut := flag.String("lcov", "", "write guest line coverage in lcov .info format to this file")
-	heatOut := flag.String("heatmap", "", "write the taint heatmap report (requires a policy) to this file ('-' for stderr)")
-	auditOut := flag.String("policy-audit", "", "write the policy-audit report (requires a policy) to this file ('-' for stderr)")
-	auditJSONOut := flag.String("policy-audit-json", "", "write the policy-audit counters as JSON to this file")
-	sampleEvery := flag.Duration("sample-every", 0, "simulated-time metrics sampling period (e.g. 1ms; 0 disables telemetry)")
-	timeseriesOut := flag.String("timeseries", "", "write the sampled metrics timeseries as JSONL to this file (.csv extension selects CSV)")
-	forensicsDir := flag.String("forensics", "", "write the flight-recorder forensic bundle (JSON + report) into this directory on violation, fault, or horizon expiry")
 	noFlight := flag.Bool("no-flight", false, "disable the always-on flight recorder")
+	views := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -124,79 +114,35 @@ func main() {
 		os.Exit(2)
 	}
 
-	var observer *obs.Observer
-	if *why || *metricsOut != "" || *eventsOut != "" || *chromeOut != "" {
-		observer = obs.New()
+	cfg := soc.Config{Policy: pol, FlightOff: *noFlight}
+	if *why || *metricsOut != "" || *eventsOut != "" {
+		cfg.Obs = obs.New()
 	}
-	// Simulation-side tracing: -chrome implies kernel tracing so the merged
-	// timeline carries scheduler and bus rows next to the taint events.
-	var tr *trace.Trace
-	needKernel := *ktOut != "" || *chromeOut != ""
-	if needKernel || *vcdOut != "" || *profileOut != "" || *foldedOut != "" {
-		tr = &trace.Trace{}
-		if needKernel {
-			tr.Kernel = trace.NewKernelTrace(0)
-		}
-		if *vcdOut != "" {
-			tr.VCD = trace.NewVCD()
-		}
-		if *profileOut != "" || *foldedOut != "" {
-			tr.Prof = trace.NewProfiler(soc.RAMBase, soc.DefaultRAMSize)
-		}
+	if err := views.Attach(&cfg, pol != nil); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	// Coverage views are built on demand; the taint heatmap and policy audit
-	// only make sense on the DIFT platform.
-	var cov *cover.Cover
-	if *coverOut != "" || *lcovOut != "" || *heatOut != "" || *auditOut != "" || *auditJSONOut != "" {
-		cov = &cover.Cover{}
-		if *coverOut != "" || *lcovOut != "" {
-			cov.Guest = cover.NewGuest()
+	// -lcov reads the guest view; the snapshot wants every view the
+	// platform supports: the guest edges always, the taint heatmap and
+	// policy audit when a policy is loaded.
+	switch {
+	case *snapOut != "" && pol != nil:
+		cfg.Cover = cover.New()
+	case *snapOut != "" || *lcovOut != "":
+		if cfg.Cover == nil {
+			cfg.Cover = &cover.Cover{}
 		}
-		if pol == nil && (*heatOut != "" || *auditOut != "" || *auditJSONOut != "") {
-			fmt.Fprintln(os.Stderr, "-heatmap/-policy-audit need a policy (see -policy)")
-			os.Exit(2)
+		if cfg.Cover.Guest == nil {
+			cfg.Cover.Guest = cover.NewGuest()
 		}
-		if *heatOut != "" {
-			cov.Taint = cover.NewTaint()
-		}
-		if *auditOut != "" || *auditJSONOut != "" {
-			cov.Audit = cover.NewAudit()
-		}
-	}
-	// The snapshot wants every view the platform supports: the guest edges
-	// always, the taint heatmap and policy audit when a policy is loaded.
-	if *snapOut != "" {
-		if cov == nil {
-			cov = &cover.Cover{}
-		}
-		if cov.Guest == nil {
-			cov.Guest = cover.NewGuest()
-		}
-		if pol != nil {
-			if cov.Taint == nil {
-				cov.Taint = cover.NewTaint()
-			}
-			if cov.Audit == nil {
-				cov.Audit = cover.NewAudit()
-			}
-		}
-	}
-	// Live telemetry: -timeseries without an explicit cadence samples at the
-	// 1 ms default.
-	var smp *telemetry.Sampler
-	if *sampleEvery > 0 || *timeseriesOut != "" {
-		smp = telemetry.NewSampler(telemetry.Options{
-			Every: kernel.Time((*sampleEvery).Nanoseconds()),
-		})
 	}
 	// -trace subscribes to the flight recorder's stream: it disassembles the
 	// first N retired instructions, plus the instruction that stopped the
 	// run (a terminal violation or fault record naming one).
-	var fr *flight.Recorder
 	if *disasN > 0 {
-		fr = flight.New(0)
+		cfg.Flight = flight.New(0)
 		remaining := *disasN
-		fr.Subscribe(func(recs []flight.Rec) {
+		cfg.Flight.Subscribe(func(recs []flight.Rec) {
 			for i := range recs {
 				r := &recs[i]
 				switch {
@@ -216,7 +162,7 @@ func main() {
 			}
 		})
 	}
-	pl, err := soc.New(soc.Config{Policy: pol, Obs: observer, Trace: tr, Cover: cov, Telemetry: smp, Flight: fr, FlightOff: *noFlight})
+	pl, err := soc.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -266,26 +212,13 @@ func main() {
 		writeTaintMap(os.Stderr, pl)
 	}
 
-	writeExports(pl, observer, *metricsOut, *eventsOut, *chromeOut)
-	writeTraceExports(pl, tr, *vcdOut, *profileOut, *foldedOut, *ktOut)
-	writeCoverExports(cov, img, flag.Arg(0), *coverOut, *lcovOut, *heatOut, *auditOut, *auditJSONOut)
-	if *snapOut != "" {
-		name := strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".s")
-		snap := pl.CoverSnapshot(name, *policyName)
-		exportTo(*snapOut, func(f *os.File) error {
-			_, err := f.Write(snap.JSON())
-			return err
-		})
-	}
-	if smp != nil {
-		exportTo(*timeseriesOut, func(f *os.File) error {
-			if strings.HasSuffix(*timeseriesOut, ".csv") {
-				return smp.WriteCSV(f)
-			}
-			return smp.WriteJSONL(f)
-		})
-	}
-	if *forensicsDir != "" {
+	name := strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".s")
+	cli.Export(*metricsOut, func(w io.Writer) error { return obs.WriteMetricsJSON(w, pl.MetricsSnapshot()) })
+	cli.Export(*eventsOut, pl.Observer().WriteJSONL)
+	views.Write(pl, img)
+	cli.Export(*lcovOut, func(w io.Writer) error { return pl.Cover().Guest.WriteLcov(w, flag.Arg(0)) })
+	cli.Export(*snapOut, func(w io.Writer) error { return pl.CoverSnapshot(name, *policyName).WriteJSON(w) })
+	if views.Forensics != "" {
 		b := pl.LastForensics()
 		if b == nil {
 			// No terminal violation or fault: a run that never exited ended
@@ -294,8 +227,9 @@ func main() {
 				b = pl.Snapshot("horizon")
 			}
 		}
-		name := strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".s")
-		writeForensics(*forensicsDir, name, b)
+		if path := views.WriteForensics(name, b); path != "" {
+			fmt.Fprintf(os.Stderr, "forensics: %s (%s)\n", path, b.Reason)
+		}
 	}
 
 	var (
@@ -337,56 +271,6 @@ func main() {
 	}
 }
 
-// writeForensics exports a forensic bundle as <dir>/<name>.forensics.json
-// plus the human-readable report alongside. A nil bundle (clean exit, or the
-// recorder disabled) writes nothing.
-func writeForensics(dir, name string, b *flight.Bundle) {
-	if b == nil {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	jsonPath := filepath.Join(dir, name+".forensics.json")
-	if err := os.WriteFile(jsonPath, b.JSON(), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	exportTo(filepath.Join(dir, name+".forensics.txt"), func(f *os.File) error {
-		return b.WriteReport(f)
-	})
-	fmt.Fprintf(os.Stderr, "forensics: %s (%s)\n", jsonPath, b.Reason)
-}
-
-// openOut opens an export destination; "-" means stderr.
-func openOut(path string) (*os.File, bool) {
-	if path == "-" {
-		return os.Stderr, false
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return f, true
-}
-
-// exportTo writes one export through fn, reporting errors without aborting
-// the remaining exports.
-func exportTo(path string, fn func(*os.File) error) {
-	if path == "" {
-		return
-	}
-	f, closeit := openOut(path)
-	if err := fn(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
-	if closeit {
-		f.Close()
-	}
-}
-
 // writeTaintMap prints the per-class RAM census, classes in name order, and
 // the first tainted ranges in address order.
 func writeTaintMap(w io.Writer, pl *soc.Platform) {
@@ -404,68 +288,6 @@ func writeTaintMap(w io.Writer, pl *soc.Platform) {
 			break
 		}
 		fmt.Fprintln(w, "  "+r)
-	}
-}
-
-// writeExports dumps the observer's metrics and event stream in the formats
-// requested on the command line. The Chrome export merges the kernel/bus
-// records when kernel tracing is active.
-func writeExports(pl *soc.Platform, o *obs.Observer, metricsOut, eventsOut, chromeOut string) {
-	if o == nil {
-		return
-	}
-	exportTo(metricsOut, func(f *os.File) error {
-		return obs.WriteMetricsJSON(f, pl.MetricsSnapshot())
-	})
-	exportTo(eventsOut, func(f *os.File) error { return o.WriteJSONL(f) })
-	exportTo(chromeOut, func(f *os.File) error {
-		var kt *trace.KernelTrace
-		if t := pl.Trace(); t != nil {
-			kt = t.Kernel
-		}
-		return trace.WriteChromeTrace(f, kt, o)
-	})
-}
-
-// writeTraceExports dumps the simulation-side trace views: waveform, profile
-// top table, folded stacks, and the kernel event stream.
-func writeTraceExports(pl *soc.Platform, tr *trace.Trace, vcdOut, profileOut, foldedOut, ktOut string) {
-	if tr == nil {
-		return
-	}
-	if tr.VCD != nil {
-		// Capture the final state so the waveform extends to the end of the
-		// run.
-		tr.VCD.Sample(uint64(pl.Sim.Now()))
-	}
-	exportTo(vcdOut, func(f *os.File) error { return tr.VCD.Dump(f) })
-	exportTo(profileOut, func(f *os.File) error { return tr.Prof.WriteTop(f, 30) })
-	exportTo(foldedOut, func(f *os.File) error { return tr.Prof.WriteFolded(f) })
-	exportTo(ktOut, func(f *os.File) error { return tr.Kernel.WriteJSONL(f) })
-}
-
-// writeCoverExports dumps the coverage views: guest coverage report, lcov
-// line coverage, taint heatmap, and the policy audit (text and JSON).
-func writeCoverExports(cov *cover.Cover, img *asm.Image, srcName, coverOut, lcovOut, heatOut, auditOut, auditJSONOut string) {
-	if cov == nil {
-		return
-	}
-	if g := cov.Guest; g != nil {
-		exportTo(coverOut, func(f *os.File) error { return g.WriteReport(f, rv32.Disassemble) })
-		exportTo(lcovOut, func(f *os.File) error { return g.WriteLcov(f, srcName) })
-	}
-	if t := cov.Taint; t != nil {
-		symAt := func(addr uint32) string {
-			if name, off, ok := img.SymbolAt(addr); ok {
-				return fmt.Sprintf("%s+0x%x", name, off)
-			}
-			return ""
-		}
-		exportTo(heatOut, func(f *os.File) error { return t.WriteHeat(f, symAt) })
-	}
-	if a := cov.Audit; a != nil && a.Configured() {
-		exportTo(auditOut, func(f *os.File) error { return a.WriteReport(f) })
-		exportTo(auditJSONOut, func(f *os.File) error { return a.WriteJSON(f) })
 	}
 }
 

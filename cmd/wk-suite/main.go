@@ -178,9 +178,6 @@ func exportCover(dir string, m *wk.Matrix, snaps []*cover.Snapshot) error {
 // and each trace window is checked to end at the violating instruction — so
 // a CI job needs nothing beyond this command's exit status.
 func exportForensics(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	wrote := 0
 	for _, a := range wk.Suite() {
 		a := a
@@ -197,8 +194,7 @@ func exportForensics(dir string) error {
 		if bundle == nil {
 			return fmt.Errorf("attack %d: detected but produced no forensic bundle", a.Num)
 		}
-		raw := bundle.JSON()
-		parsed, err := flight.ValidateBundle(raw)
+		parsed, err := flight.ValidateBundle(bundle.JSON())
 		if err != nil {
 			return fmt.Errorf("attack %d: bundle failed validation: %w", a.Num, err)
 		}
@@ -210,20 +206,7 @@ func exportForensics(dir string) error {
 			return fmt.Errorf("attack %d: trace window ends at %s/%s, want violation at %s",
 				a.Num, last.Kind, last.PC, flight.Hex32(v.PC))
 		}
-		name := fmt.Sprintf("wk-%d", a.Num)
-		if err := os.WriteFile(filepath.Join(dir, name+".forensics.json"), raw, 0o644); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(dir, name+".forensics.txt"))
-		if err != nil {
-			return err
-		}
-		if err := bundle.WriteReport(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
+		if _, err := bundle.WriteFiles(dir, fmt.Sprintf("wk-%d", a.Num)); err != nil {
 			return err
 		}
 		wrote++

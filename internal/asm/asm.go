@@ -39,8 +39,6 @@ const (
 	numSections
 )
 
-var sectionNames = [numSections]string{".text", ".data", ".bss"}
-
 type opKind int
 
 const (

@@ -63,7 +63,6 @@ const (
 	opSTORE  = 0x23
 	opOPIMM  = 0x13
 	opOP     = 0x33
-	opMISC   = 0x0F
 	opSYSTEM = 0x73
 )
 

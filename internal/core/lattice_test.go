@@ -340,3 +340,28 @@ func TestPropertyFlowMonotoneUnderLUB(t *testing.T) {
 		}
 	}
 }
+
+func TestLatticeDOT(t *testing.T) {
+	dot := IFP1().DOT("IFP-1")
+	for _, want := range []string{`digraph "IFP-1"`, `"LC" -> "HC"`} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("DOT missing %q:\n%s", want, dot)
+		}
+	}
+	// IFP-3's DOT must contain only covering edges: the diagonal
+	// (LC,HI) -> (HC,LI) is implied via intermediates and must be absent.
+	dot3 := IFP3().DOT("IFP-3")
+	if strings.Contains(dot3, `"(LC,HI)" -> "(HC,LI)"`) {
+		t.Error("DOT must show the transitive reduction only")
+	}
+	for _, want := range []string{
+		`"(LC,HI)" -> "(HC,HI)"`,
+		`"(LC,HI)" -> "(LC,LI)"`,
+		`"(HC,HI)" -> "(HC,LI)"`,
+		`"(LC,LI)" -> "(HC,LI)"`,
+	} {
+		if !strings.Contains(dot3, want) {
+			t.Errorf("DOT missing covering edge %q", want)
+		}
+	}
+}

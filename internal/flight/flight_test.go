@@ -1,7 +1,10 @@
 package flight
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -168,6 +171,37 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	if got.Mem[0].Tags == "" || len(got.Mem[0].Tags) != len(got.Mem[0].Data) {
 		t.Fatalf("memory window must carry matching tag bytes: %+v", got.Mem[0])
+	}
+}
+
+// TestWriteFilesPair pins the forensic file pair: <name>.forensics.json
+// holds JSON() and <name>.forensics.txt the report, in a directory the
+// call creates.
+func TestWriteFilesPair(t *testing.T) {
+	r := New(16)
+	retire(r, 0x80000100, 0x00a50533, 0, 40, 0)
+	r.MarkViolation(41, 0x80000104, 0xdeadbeef, 0)
+	b := r.Bundle(testSnapshot())
+	dir := filepath.Join(t.TempDir(), "new")
+	path, err := b.WriteFiles(dir, "wk-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "wk-3.forensics.json"); path != want {
+		t.Fatalf("path %q, want %q", path, want)
+	}
+	var report bytes.Buffer
+	if err := b.WriteReport(&report); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]byte{"wk-3.forensics.json": b.JSON(), "wk-3.forensics.txt": report.Bytes()} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the bundle's rendering", name)
+		}
 	}
 }
 

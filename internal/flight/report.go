@@ -4,6 +4,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -143,6 +145,25 @@ func (b *Bundle) WriteReport(w io.Writer) error {
 
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+// WriteFiles writes the bundle as <dir>/<name>.forensics.json, with its
+// report beside it as <name>.forensics.txt, creating dir when needed. It
+// returns the JSON file's path.
+func (b *Bundle) WriteFiles(dir, name string) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, name+".forensics.json")
+	if err := os.WriteFile(path, b.JSON(), 0o644); err != nil {
+		return "", err
+	}
+	var report strings.Builder
+	b.WriteReport(&report) // a strings.Builder does not fail
+	if err := os.WriteFile(filepath.Join(dir, name+".forensics.txt"), []byte(report.String()), 0o644); err != nil {
+		return "", err
+	}
+	return path, nil
 }
 
 func parseHex32(s string) (uint32, bool) {

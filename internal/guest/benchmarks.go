@@ -18,17 +18,6 @@ type Benchmark struct {
 	MinSimTimeMS int
 }
 
-// Scale selects benchmark working-set sizes. Tests use Small; cmd/perf can
-// run Large to approach the paper's instruction counts.
-type Scale int
-
-// Available scales.
-const (
-	ScaleSmall Scale = iota
-	ScaleMedium
-	ScaleLarge
-)
-
 // QSort builds the quicksort benchmark: sort n pseudo-random words, then
 // verify ascending order (the paper uses newlib's qsort).
 func QSort(n int) Benchmark {

@@ -222,19 +222,8 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 // is used to check the interrupt/trap handler address"); the trap CSRs
 // take the default tag.
 func (c *TaintCore) trap(cause, tval, epc uint32) error {
-	if c.mtvec != 0 && c.checkBranch {
-		ok := c.lat.AllowedFlow(c.mtvecT, c.branchClear)
-		if c.Counts != nil {
-			c.Counts.Branch.Tally(ok)
-		}
-		if !ok {
-			v := core.NewViolation(c.lat, core.KindBranchClearance, c.mtvecT, c.branchClear).
-				WithPC(epc).WithValue(c.mtvec)
-			if c.Obs != nil {
-				c.Obs.OnViolation(v, 0, 0)
-			}
-			return v
-		}
+	if c.mtvec != 0 && !c.branchTagOK(c.mtvecT) {
+		return c.branchViolation(c.mtvecT, epc, c.mtvec, obs.RegNone, obs.RegNone)
 	}
 	pc, err := c.enterTrap(c.FR, c.Instret, cause, tval, epc)
 	if err != nil {
@@ -260,13 +249,15 @@ func (c *TaintCore) branchTagOK(t core.Tag) bool {
 }
 
 // branchViolation builds (and counts) the branch-clearance violation after
-// branchTagOK failed. rs1/rs2 name the source registers for provenance
-// (obs.RegNone when the condition comes from a CSR such as mepc or mtvec).
-func (c *TaintCore) branchViolation(t core.Tag, pc uint32, rs1, rs2 uint8) *core.Violation {
+// branchTagOK failed at pc. val is the checked value the violation reports
+// (the trap vector for a trap entry, 0 for a branch condition). rs1/rs2
+// name the source registers for provenance (obs.RegNone when the condition
+// comes from a CSR such as mepc or mtvec).
+func (c *TaintCore) branchViolation(t core.Tag, pc, val uint32, rs1, rs2 uint8) *core.Violation {
 	if c.Counts != nil {
 		c.Counts.Branch.Violations++
 	}
-	v := core.NewViolation(c.lat, core.KindBranchClearance, t, c.branchClear).WithPC(pc)
+	v := core.NewViolation(c.lat, core.KindBranchClearance, t, c.branchClear).WithPC(pc).WithValue(val)
 	if c.Obs != nil {
 		c.Obs.SetInsn(pc, c.insnWord(pc))
 		var p1, p2 uint64
@@ -407,7 +398,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		// subject to the branch clearance.
 		if !c.defBranchOK || c.mask>>i.Rs1&1 != 0 {
 			if !c.branchTagOK(r[i.Rs1].T) {
-				return RunOK, c.branchViolation(r[i.Rs1].T, pc, i.Rs1, obs.RegNone)
+				return RunOK, c.branchViolation(r[i.Rs1].T, pc, 0, i.Rs1, obs.RegNone)
 			}
 		}
 		t := (r[i.Rs1].V + uint32(i.Imm)) &^ 1
@@ -417,7 +408,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		if !c.defBranchOK || (c.mask>>i.Rs1|c.mask>>i.Rs2)&1 != 0 {
 			condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
 			if !c.branchTagOK(condTag) {
-				return RunOK, c.branchViolation(condTag, pc, i.Rs1, i.Rs2)
+				return RunOK, c.branchViolation(condTag, pc, 0, i.Rs1, i.Rs2)
 			}
 		}
 		a, b := r[i.Rs1].V, r[i.Rs2].V
@@ -547,7 +538,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		// Return target comes from mepc: a control transfer steered by a
 		// register, so the branch clearance applies (like jalr).
 		if !c.branchTagOK(c.mepcT) {
-			return RunOK, c.branchViolation(c.mepcT, pc, obs.RegNone, obs.RegNone)
+			return RunOK, c.branchViolation(c.mepcT, pc, 0, obs.RegNone, obs.RegNone)
 		}
 		next = c.mret()
 	case OpWFI:

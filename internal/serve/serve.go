@@ -47,9 +47,6 @@ type Factory struct {
 	// ChallengeEvery is the simulated-time period between immobilizer
 	// challenges for the "immo" workload. Defaults to DefaultChallengeEvery.
 	ChallengeEvery kernel.Time
-	// MicroPrimes sizes the "micro" guest (primes up to N). Defaults to
-	// DefaultMicroPrimes.
-	MicroPrimes int
 
 	// images memoizes assembled guests by workload|scale: a session's Key and
 	// Build each resolve the spec, and assembling the same benchmark afresh
@@ -81,13 +78,6 @@ func (f *Factory) challengeEvery() kernel.Time {
 		return f.ChallengeEvery
 	}
 	return DefaultChallengeEvery
-}
-
-func (f *Factory) microPrimes() int {
-	if f.MicroPrimes > 0 {
-		return f.MicroPrimes
-	}
-	return DefaultMicroPrimes
 }
 
 // cachedImage returns the memoized image for a cache key, assembling it with
@@ -188,8 +178,8 @@ func (f *Factory) resolveImmo(spec telemetry.SessionSpec, horizon kernel.Time) (
 }
 
 func (f *Factory) resolveMicro(spec telemetry.SessionSpec, horizon kernel.Time) (resolved, error) {
-	img, err := f.cachedImage(fmt.Sprintf("micro|%d", f.microPrimes()), func() (*asm.Image, error) {
-		return guest.Primes(f.microPrimes()).Image, nil
+	img, err := f.cachedImage("micro", func() (*asm.Image, error) {
+		return guest.Primes(DefaultMicroPrimes).Image, nil
 	})
 	if err != nil {
 		return resolved{}, err

@@ -155,3 +155,62 @@ func TestEnforcementCountsOracle(t *testing.T) {
 		})
 	}
 }
+
+// TestTrapVectorViolationNamesTrappingInsn holds the trap-vector branch
+// check to the same observer event as every other failed check: the PC
+// and the word of the instruction that trapped (the ecall), the trap
+// vector as its value, and one count each in checks.branch and
+// violations.branch-clearance.
+func TestTrapVectorViolationNamesTrappingInsn(t *testing.T) {
+	img := asm.MustAssemble(`
+	.text
+_start:
+	la t1, vec
+	lw t0, 0(t1)
+	csrw mtvec, t0
+	nop
+trap_at:
+	ecall
+handler:
+	j handler
+	.data
+vec:
+	.word handler
+`, asm.Options{Base: soc.RAMBase})
+	sym := img.MustSymbol
+	l := core.IFP2()
+	hi, li := l.MustTag(core.ClassHI), l.MustTag(core.ClassLI)
+	pol := core.NewPolicy(l, hi).
+		WithBranchClearance(hi).
+		WithRegion(core.RegionRule{Name: "vec", Start: sym("vec"), End: sym("vec") + 4, Classify: true, Class: li})
+	o := obs.New()
+	pl := soc.MustNew(soc.Config{Policy: pol, Obs: o})
+	defer pl.Shutdown()
+	if err := pl.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	err := pl.Run(kernel.S)
+	var v *core.Violation
+	if !errors.As(err, &v) || v.Kind != core.KindBranchClearance || v.PC != sym("trap_at") || v.Value != sym("handler") {
+		t.Fatalf("run stopped with %v, want the branch-clearance violation on the trap vector 0x%x at 0x%x",
+			err, sym("handler"), sym("trap_at"))
+	}
+	var checks []core.TaintEvent
+	for _, ev := range o.Events() {
+		if ev.Kind == core.EvCheck {
+			checks = append(checks, ev)
+		}
+	}
+	if len(checks) != 1 {
+		t.Fatalf("observer recorded %d check events, want 1: %+v", len(checks), checks)
+	}
+	if ev := checks[0]; ev.PC != sym("trap_at") || ev.Insn != 0x00000073 || ev.Value != sym("handler") {
+		t.Errorf("check event pc=0x%x insn=0x%08x value=0x%x, want pc=0x%x insn=0x00000073 (ecall) value=0x%x",
+			ev.PC, ev.Insn, ev.Value, sym("trap_at"), sym("handler"))
+	}
+	m := pl.MetricsSnapshot()
+	if m["checks.branch"] != 1 || m["violations.branch-clearance"] != 1 {
+		t.Errorf("checks.branch %d, violations.branch-clearance %d, want 1 and 1",
+			m["checks.branch"], m["violations.branch-clearance"])
+	}
+}

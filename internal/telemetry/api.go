@@ -176,12 +176,13 @@ func (sv *Server) v1Sessions(w http.ResponseWriter, r *http.Request) {
 	writeData(w, status, out)
 }
 
-// createSession is the factory path shared by POST /api/v1/sessions and the
-// campaign expander: dedup against the result store and in-flight sessions,
-// then build and submit. The request ID carried by ctx becomes the session's
-// Origin, joining its lifecycle logs and trace spans to the request that
-// created it. Returns the payload and HTTP status, or an API error with its
-// status.
+// createSession answers POST /api/v1/sessions through the admission path it
+// shares with the campaign expander: dedup serves the spec from the result
+// store or joins the identical session in flight, and launch builds and
+// submits a fresh one. Between the two it checks the queue for this one
+// session. The request ID carried by ctx becomes the session's Origin,
+// joining its lifecycle logs and trace spans to the request that created
+// it. Returns the payload and HTTP status, or an API error with its status.
 func (sv *Server) createSession(ctx context.Context, spec SessionSpec) (*createdSession, int, *apiError) {
 	f := sv.opts.factory
 	if f == nil {
@@ -199,19 +200,11 @@ func (sv *Server) createSession(ctx context.Context, spec SessionSpec) (*created
 	sv.submitMu.Lock()
 	defer sv.submitMu.Unlock()
 
-	if spec.Force {
-		sv.stats.forced.Add(1)
-	} else {
-		if res, ok := sv.opts.store.Get(key); ok {
-			sv.stats.cacheHits.Add(1)
-			return &createdSession{Cached: true, Result: &res, Key: key}, http.StatusOK, nil
-		}
-		sv.stats.cacheMisses.Add(1)
-		if live := sv.liveByKey(key); live != nil {
-			sv.stats.coalesced.Add(1)
-			info := live.info()
-			return &createdSession{Coalesced: true, Session: &info, Key: key}, http.StatusOK, nil
-		}
+	if res, live := sv.dedup(key, spec.Force); res != nil {
+		return &createdSession{Cached: true, Result: res, Key: key}, http.StatusOK, nil
+	} else if live != nil {
+		info := live.info()
+		return &createdSession{Coalesced: true, Session: &info, Key: key}, http.StatusOK, nil
 	}
 	if sv.pool.stopped() {
 		return nil, http.StatusServiceUnavailable, &apiError{Code: "draining", Message: "server is draining; no new sessions"}
@@ -220,25 +213,8 @@ func (sv *Server) createSession(ctx context.Context, spec SessionSpec) (*created
 		sv.stats.rejectedFull.Add(1)
 		return nil, http.StatusTooManyRequests, &apiError{Code: "queue_full", Message: "session queue at capacity; retry later"}
 	}
-
-	cfg, err := f.Build(spec)
+	id, err := sv.launch(spec, key, RequestIDFrom(ctx), func() string { return sv.autoID("s") })
 	if err != nil {
-		return nil, http.StatusBadRequest, &apiError{Code: "bad_request", Message: err.Error()}
-	}
-	cfg.Key = key
-	cfg.Priority = spec.Priority
-	cfg.Origin = RequestIDFrom(ctx)
-	if spec.TimeoutMs > 0 {
-		cfg.Timeout = time.Duration(spec.TimeoutMs) * time.Millisecond
-	} else if cfg.Timeout == 0 {
-		cfg.Timeout = sv.opts.timeout
-	}
-	if spec.ID != "" {
-		cfg.ID = spec.ID
-	} else if cfg.ID == "" {
-		cfg.ID = sv.autoID("s")
-	}
-	if err := sv.Submit(cfg); err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			return nil, http.StatusTooManyRequests, &apiError{Code: "queue_full", Message: err.Error()}
@@ -250,9 +226,57 @@ func (sv *Server) createSession(ctx context.Context, spec SessionSpec) (*created
 			return nil, http.StatusBadRequest, &apiError{Code: "bad_request", Message: err.Error()}
 		}
 	}
-	s := sv.get(cfg.ID)
-	info := s.info()
+	info := sv.get(id).info()
 	return &createdSession{Session: &info, Key: key}, http.StatusCreated, nil
+}
+
+// dedup is the first half of the admission path: unless force, it returns
+// the result store's entry for key, or else the session in flight under
+// key, counting the forced submission, the cache hit or miss, and the
+// coalesced one. Nil and nil mean the spec needs a fresh session. The
+// caller holds submitMu.
+func (sv *Server) dedup(key string, force bool) (*SessionResult, *session) {
+	if force {
+		sv.stats.forced.Add(1)
+		return nil, nil
+	}
+	if res, ok := sv.opts.store.Get(key); ok {
+		sv.stats.cacheHits.Add(1)
+		return &res, nil
+	}
+	sv.stats.cacheMisses.Add(1)
+	if live := sv.liveByKey(key); live != nil {
+		sv.stats.coalesced.Add(1)
+		return nil, live
+	}
+	return nil, nil
+}
+
+// launch is the second half of the admission path: it builds spec through
+// the factory and submits it under key, with the spec's priority and
+// timeout (else the factory's, else the server default) and origin. The
+// session takes the spec's ID, else the factory's, else newID(). launch
+// returns the session ID once the build succeeded, also when Submit then
+// failed. The caller holds submitMu.
+func (sv *Server) launch(spec SessionSpec, key, origin string, newID func() string) (string, error) {
+	cfg, err := sv.opts.factory.Build(spec)
+	if err != nil {
+		return "", err
+	}
+	cfg.Key = key
+	cfg.Priority = spec.Priority
+	cfg.Origin = origin
+	if spec.TimeoutMs > 0 {
+		cfg.Timeout = time.Duration(spec.TimeoutMs) * time.Millisecond
+	} else if cfg.Timeout == 0 {
+		cfg.Timeout = sv.opts.timeout
+	}
+	if spec.ID != "" {
+		cfg.ID = spec.ID
+	} else if cfg.ID == "" {
+		cfg.ID = newID()
+	}
+	return cfg.ID, sv.Submit(cfg)
 }
 
 // autoID mints a fresh "<prefix>-<n>" ID that no current session or

@@ -319,52 +319,35 @@ func (sv *Server) createCampaign(ctx context.Context, spec CampaignSpec) (*campa
 		)
 	}
 
-	// Fill cells: store hit -> done now; live session (including one just
-	// created for an earlier cell of this campaign) -> subscribe; miss ->
-	// build and submit.
+	// Fill cells through the admission path: store hit -> done now; live
+	// session (including one just created for an earlier cell of this
+	// campaign) -> subscribe; miss -> build and submit.
 	for _, p := range pending {
 		cell := p.cell
-		if spec.Force {
-			sv.stats.forced.Add(1)
-		} else {
-			if res, hit := sv.opts.store.Get(cell.key); hit {
-				sv.stats.cacheHits.Add(1)
-				cell.finish(res, true)
-				continue
-			}
-			sv.stats.cacheMisses.Add(1)
-			if live := sv.liveByKey(cell.key); live != nil {
-				sv.stats.coalesced.Add(1)
-				cell.setSession(live.cfg.ID)
-				live.onDone(cell.complete)
-				continue
-			}
+		res, live := sv.dedup(cell.key, spec.Force)
+		switch {
+		case res != nil:
+			cell.finish(*res, true)
+			continue
+		case live != nil:
+			cell.setSession(live.cfg.ID)
+			live.onDone(cell.complete)
+			continue
 		}
-		cfg, err := f.Build(p.spec)
+		id, err := sv.launch(p.spec, cell.key, origin, func() string {
+			return fmt.Sprintf("%s-cell-%d", c.id, cell.index)
+		})
+		if id != "" {
+			cell.setSession(id)
+		}
 		if err != nil {
+			// A build failure, or (admission was checked above) the
+			// Force-dup or closed-server edge: record the failure on the
+			// cell rather than failing the whole campaign.
 			cell.finish(SessionResult{Key: cell.key, Error: err.Error()}, false)
 			continue
 		}
-		cfg.Key = cell.key
-		cfg.Priority = p.spec.Priority
-		cfg.Origin = origin
-		if p.spec.TimeoutMs > 0 {
-			cfg.Timeout = time.Duration(p.spec.TimeoutMs) * time.Millisecond
-		} else if cfg.Timeout == 0 {
-			cfg.Timeout = sv.opts.timeout
-		}
-		if cfg.ID == "" {
-			cfg.ID = fmt.Sprintf("%s-cell-%d", c.id, cell.index)
-		}
-		cell.setSession(cfg.ID)
-		if err := sv.Submit(cfg); err != nil {
-			// Admission was checked above; this is the Force-dup or
-			// closed-server edge. Record the failure on the cell rather
-			// than failing the whole campaign.
-			cell.finish(SessionResult{Key: cell.key, Error: err.Error()}, false)
-			continue
-		}
-		sv.get(cfg.ID).onDone(cell.complete)
+		sv.get(id).onDone(cell.complete)
 	}
 	return c, http.StatusCreated, nil
 }
