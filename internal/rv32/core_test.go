@@ -614,64 +614,10 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 		seed = seed*1664525 + 1013904223
 		return seed
 	}
-	ops := []string{"add", "sub", "xor", "or", "and", "sll", "srl", "sra",
-		"slt", "sltu", "mul", "mulh", "mulhu", "mulhsu", "div", "divu", "rem", "remu"}
-	branches := []string{"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-	stores := []string{"sb", "sh", "sw"}
-	loads := []string{"lb", "lbu", "lh", "lhu", "lw"}
-	traps := []string{"ecall", "ebreak", "csrr x%d, 0x7c0", "csrw cycle, x%d"}
-	csrOps := []string{"csrrs x%d, %s, x%d", "csrrc x%d, %s, x%d", "csrrwi x%d, %s, %d"}
-	csrs := []string{"mstatus", "mie", "mscratch"}
 	for trial := 0; trial < 8; trial++ {
 		var b strings.Builder
 		b.WriteString("_start:\n")
-		// Seed registers x5..x15 with random constants.
-		for r := 5; r <= 15; r++ {
-			fmt.Fprintf(&b, "\tli x%d, 0x%08x\n", r, rnd())
-		}
-		for k := 0; k < 250; k++ {
-			rd := 5 + rnd()%11
-			rs1 := 5 + rnd()%11
-			rs2 := 5 + rnd()%11
-			switch rnd() % 10 {
-			case 0, 1, 2, 3:
-				op := ops[rnd()%uint32(len(ops))]
-				fmt.Fprintf(&b, "\t%s x%d, x%d, x%d\n", op, rd, rs1, rs2)
-			case 4:
-				fmt.Fprintf(&b, "\t%s x%d, %d(x31)\n", stores[rnd()%3], rd, rnd()%250)
-			case 5:
-				fmt.Fprintf(&b, "\t%s x%d, %d(x31)\n", loads[rnd()%5], rd, rnd()%250)
-			case 6:
-				// Forward branch over one instruction: both cores must
-				// agree on the condition.
-				br := branches[rnd()%uint32(len(branches))]
-				fmt.Fprintf(&b, "\t%s x%d, x%d, 1f\n", br, rs1, rs2)
-				fmt.Fprintf(&b, "\taddi x%d, x%d, 1\n1:\n", rd, rd)
-			case 7:
-				// CSR round trip through mscratch.
-				fmt.Fprintf(&b, "\tcsrrw x%d, mscratch, x%d\n", rd, rs1)
-				fmt.Fprintf(&b, "\tcsrrs x%d, mscratch, x%d\n", rs2, 0)
-			case 8:
-				// A trap into handler, which resumes after it.
-				tr := traps[rnd()%uint32(len(traps))]
-				if strings.Contains(tr, "%d") {
-					tr = fmt.Sprintf(tr, rd)
-				}
-				fmt.Fprintf(&b, "\t%s\n", tr)
-			case 9:
-				// Set, clear or write a machine-mode CSR. No interrupt
-				// line is driven, so enabling interrupts takes none.
-				op, csr := csrOps[rnd()%uint32(len(csrOps))], csrs[rnd()%uint32(len(csrs))]
-				src := rs1
-				if strings.HasPrefix(op, "csrrwi") {
-					src = rnd() % 32
-				}
-				fmt.Fprintf(&b, "\t"+op+"\n", rd, csr, src)
-			}
-			if k%17 == 0 {
-				fmt.Fprintf(&b, "\tsw x%d, %d(x31)\n", rd, (rnd()%64)*4)
-			}
-		}
+		genProgram(&b, rnd, 250, false)
 		b.WriteString("\tcall halt\n")
 		// The handler counts traps in x27 and keeps the trap CSRs it read
 		// in x28..x30, all compared below.
@@ -732,6 +678,85 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 			if plainRAM.Data()[off] != ram.Data()[off].V {
 				t.Fatalf("trial %d: memory diverged at +0x%x", trial, off)
 			}
+		}
+	}
+}
+
+// genProgram writes n generated RV32IM+Zicsr instructions after seeding
+// x5..x15 with random constants: ALU ops, loads and stores at x31, forward
+// branches, mscratch round trips, traps into handler (ecall, ebreak, an
+// illegal CSR read and a write to a read-only counter) and machine-mode
+// CSR writes. rich adds byte writes and status reads on the UART at x26,
+// and patches of patchsite: call it, store a template word over its first
+// instruction, fence.i, call it again. The program may use x1..x15, x23
+// (patchsite's accumulator), x24/x25 (patch temporaries), x26 and x31;
+// handler owns x27..x30.
+func genProgram(b *strings.Builder, rnd func() uint32, n int, rich bool) {
+	ops := []string{"add", "sub", "xor", "or", "and", "sll", "srl", "sra",
+		"slt", "sltu", "mul", "mulh", "mulhu", "mulhsu", "div", "divu", "rem", "remu"}
+	branches := []string{"beq", "bne", "blt", "bge", "bltu", "bgeu"}
+	stores := []string{"sb", "sh", "sw"}
+	loads := []string{"lb", "lbu", "lh", "lhu", "lw"}
+	traps := []string{"ecall", "ebreak", "csrr x%d, 0x7c0", "csrw cycle, x%d"}
+	csrOps := []string{"csrrs x%d, %s, x%d", "csrrc x%d, %s, x%d", "csrrwi x%d, %s, %d"}
+	csrs := []string{"mstatus", "mie", "mscratch"}
+	cases := uint32(10)
+	if rich {
+		cases = 12
+	}
+	// Seed registers x5..x15 with random constants.
+	for r := 5; r <= 15; r++ {
+		fmt.Fprintf(b, "\tli x%d, 0x%08x\n", r, rnd())
+	}
+	for k := 0; k < n; k++ {
+		rd := 5 + rnd()%11
+		rs1 := 5 + rnd()%11
+		rs2 := 5 + rnd()%11
+		switch rnd() % cases {
+		case 0, 1, 2, 3:
+			op := ops[rnd()%uint32(len(ops))]
+			fmt.Fprintf(b, "\t%s x%d, x%d, x%d\n", op, rd, rs1, rs2)
+		case 4:
+			fmt.Fprintf(b, "\t%s x%d, %d(x31)\n", stores[rnd()%3], rd, rnd()%250)
+		case 5:
+			fmt.Fprintf(b, "\t%s x%d, %d(x31)\n", loads[rnd()%5], rd, rnd()%250)
+		case 6:
+			// Forward branch over one instruction: both cores must
+			// agree on the condition.
+			br := branches[rnd()%uint32(len(branches))]
+			fmt.Fprintf(b, "\t%s x%d, x%d, 1f\n", br, rs1, rs2)
+			fmt.Fprintf(b, "\taddi x%d, x%d, 1\n1:\n", rd, rd)
+		case 7:
+			// CSR round trip through mscratch.
+			fmt.Fprintf(b, "\tcsrrw x%d, mscratch, x%d\n", rd, rs1)
+			fmt.Fprintf(b, "\tcsrrs x%d, mscratch, x%d\n", rs2, 0)
+		case 8:
+			// A trap into handler, which resumes after it.
+			tr := traps[rnd()%uint32(len(traps))]
+			if strings.Contains(tr, "%d") {
+				tr = fmt.Sprintf(tr, rd)
+			}
+			fmt.Fprintf(b, "\t%s\n", tr)
+		case 9:
+			// Set, clear or write a machine-mode CSR. No interrupt
+			// line is driven, so enabling interrupts takes none.
+			op, csr := csrOps[rnd()%uint32(len(csrOps))], csrs[rnd()%uint32(len(csrs))]
+			src := rs1
+			if strings.HasPrefix(op, "csrrwi") {
+				src = rnd() % 32
+			}
+			fmt.Fprintf(b, "\t"+op+"\n", rd, csr, src)
+		case 10:
+			// UART: write a register's low byte, read the status word.
+			fmt.Fprintf(b, "\tsb x%d, 0(x26)\n\tlw x%d, 4(x26)\n", rs1, rd)
+		case 11:
+			// Rewrite code that already ran: patchsite's first word
+			// becomes a template, visible to fetch after fence.i.
+			fmt.Fprintf(b, "\tcall patchsite\n\tla x25, patchsite\n\tla x24, tmpl%d\n", rnd()%4)
+			b.WriteString("\tlw x24, 0(x24)\n\tsw x24, 0(x25)\n\tfence.i\n\tcall patchsite\n")
+		}
+		if k%17 == 0 {
+			fmt.Fprintf(b, "\tsw x%d, %d(x31)\n", rd, (rnd()%64)*4)
 		}
 	}
 }
