@@ -11,12 +11,13 @@ import (
 	"vpdift/internal/flight"
 )
 
-// GuestCov records guest code coverage from the flight recorder's retire
-// stream (OnRecords): a per-word execution count (like the trace
-// profiler's histogram) plus a dynamic control-flow edge set. Basic blocks
-// and their totals are derived at report time by a static scan of the image
-// text, so a record costs an update of its word's slot: the execution
-// count and, for a control transfer, an edge count.
+// GuestCov records guest code coverage from the flight recorder's stream
+// (OnRecords): a per-word execution count (like the trace profiler's
+// histogram) plus a dynamic control-flow edge set. Basic blocks and their
+// totals are derived at report time by a static scan of the image text, so
+// a retire costs an update of its word's slot: the execution count and, for
+// a control transfer, an edge count. The platform feeds it the recorder's
+// block records, which it counts without expanding them.
 //
 // The word slots cover the loaded image, where a guest's code and stack
 // live. Each holds the word's fall-through edge and its first other
@@ -80,14 +81,32 @@ func (g *GuestCov) staticCFG() *staticCFG {
 	return g.cfg
 }
 
-// OnRecords is the flight-stream subscriber: it records the batch's retire
-// records and skips the platform marks.
+// OnRecords is the flight recorder's block subscriber
+// (flight.Recorder.SubscribeBlocks): it records the batch's block records
+// and skips the platform marks.
 func (g *GuestCov) OnRecords(recs []flight.Rec) {
 	for i := range recs {
-		if r := &recs[i]; r.Kind == flight.KindRetire {
-			g.OnRetire(r.PC, r.Insn, r.Next())
+		if r := &recs[i]; r.Kind == flight.KindBlock {
+			g.onBlock(r.PC, uint32(r.Aux), r.Insn, r.Addr)
 		}
 	}
+}
+
+// onBlock records a block of n retires from pc: n-1 that fell through to
+// the next word, which count their words and nothing else, then the last,
+// word last, continuing at next (see flight.Rec).
+func (g *GuestCov) onBlock(pc, n, last, next uint32) {
+	end := pc + 4*(n-1)
+	if idx := (pc - g.lo) >> 2; pc >= g.lo && end >= pc && uint64(idx)+uint64(n-1) <= uint64(len(g.words)) {
+		for k := idx; k < idx+n-1; k++ {
+			g.words[k].n++
+		}
+	} else {
+		for p := pc; p != end; p += 4 {
+			g.OnRetire(p, 0, p+4)
+		}
+	}
+	g.OnRetire(end, last, next)
 }
 
 // OnRetire records one retired instruction and, when the successor is not

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vpdift/internal/asm"
+	"vpdift/internal/flight"
 )
 
 const (
@@ -131,9 +132,35 @@ func (m *mapGuest) stats() GuestStats {
 	return s
 }
 
-// FuzzGuestCovEdges feeds generated retire streams to GuestCov and to the
-// map-only reference recorder: the per-word edge slots must change nothing
-// a reader sees, in the snapshot JSON, in Stats or in EdgeCount.
+// blocks groups a retire stream into the flight recorder's block records:
+// a retire that falls through (next == pc+4, not a branch) to the next
+// one's pc continues its block; any other ends it, its word and successor
+// in the record.
+func blocks(retires [][3]uint32) []flight.Rec {
+	var out []flight.Rec
+	for k := 0; k < len(retires); {
+		first := k
+		for k+1 < len(retires) && k+1-first < 0xffff {
+			pc, insn, next := retires[k][0], retires[k][1], retires[k][2]
+			if next != pc+4 || insn&0x7f == opBranch || retires[k+1][0] != next {
+				break
+			}
+			k++
+		}
+		last := retires[k]
+		out = append(out, flight.Rec{
+			Time: uint64(first), PC: retires[first][0], Insn: last[1], Addr: last[2],
+			Aux: uint16(k + 1 - first), Kind: flight.KindBlock, Flags: flight.FlagBranch,
+		})
+		k++
+	}
+	return out
+}
+
+// FuzzGuestCovEdges feeds generated retire streams to GuestCov, one retire
+// at a time and as block records, and to the map-only reference recorder:
+// the per-word edge slots and the block path must change nothing a reader
+// sees, in the snapshot JSON, in Stats or in EdgeCount.
 func FuzzGuestCovEdges(f *testing.F) {
 	for _, seed := range [][]byte{
 		// The image's own path: beq taken, beq +4, jalr back, jal.
@@ -158,27 +185,34 @@ func FuzzGuestCovEdges(f *testing.F) {
 	run := RunID{Workload: "fuzz", Policy: "none"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img := fuzzImage()
-		g := NewGuest()
-		g.Configure(base, ramLen)
-		g.SetImage(img)
+		g, gb := NewGuest(), NewGuest()
+		for _, g := range []*GuestCov{g, gb} {
+			g.Configure(base, ramLen)
+			g.SetImage(img)
+		}
 		ref := &mapGuest{img: img, hits: map[uint32]uint64{}, edges: map[uint64]uint64{}}
 		type edge struct{ from, to uint32 }
 		var seen []edge
+		var retires [][3]uint32
 		for ; len(data) >= 3; data = data[3:] {
 			pc, insn, next := decodeRetire(img, data[0], data[1], data[2])
 			g.OnRetire(pc, insn, next)
 			ref.retire(pc, insn, next)
+			retires = append(retires, [3]uint32{pc, insn, next})
 			seen = append(seen, edge{pc, next}, edge{pc, pc + 4})
 		}
-		if got, want := Capture(&Cover{Guest: g}, run, nil).JSON(), ref.snapshot(run); !bytes.Equal(got, want) {
-			t.Fatalf("snapshot differs from the reference:\n%s\nwant\n%s", got, want)
-		}
-		if got, want := g.Stats(), ref.stats(); got != want {
-			t.Errorf("Stats() = %+v, want %+v", got, want)
-		}
-		for _, e := range seen {
-			if got, want := g.EdgeCount(e.from, e.to), ref.edges[uint64(e.from)<<32|uint64(e.to)]; got != want {
-				t.Errorf("EdgeCount(%#x, %#x) = %d, want %d", e.from, e.to, got, want)
+		gb.OnRecords(blocks(retires))
+		for path, g := range map[string]*GuestCov{"per retire": g, "blocks": gb} {
+			if got, want := Capture(&Cover{Guest: g}, run, nil).JSON(), ref.snapshot(run); !bytes.Equal(got, want) {
+				t.Fatalf("%s: snapshot differs from the reference:\n%s\nwant\n%s", path, got, want)
+			}
+			if got, want := g.Stats(), ref.stats(); got != want {
+				t.Errorf("%s: Stats() = %+v, want %+v", path, got, want)
+			}
+			for _, e := range seen {
+				if got, want := g.EdgeCount(e.from, e.to), ref.edges[uint64(e.from)<<32|uint64(e.to)]; got != want {
+					t.Errorf("%s: EdgeCount(%#x, %#x) = %d, want %d", path, e.from, e.to, got, want)
+				}
 			}
 		}
 	})

@@ -1,14 +1,22 @@
 // Package flight implements the always-on flight recorder: a small
-// fixed-cost, overwrite-oldest ring of compressed per-retire records plus
+// fixed-cost, overwrite-oldest ring of retired instructions plus
 // interleaved platform marks (IRQ lines rising, traps taken, MMIO bus
 // transactions, kernel events). The recorder is fed from the hot loop of
 // whichever core the platform built — the baseline VP or the VP+ — and it
 // allocates nothing in steady state (proven by an alloc guard in
 // flight_test.go, like the telemetry sampler's).
 //
-// The ring is also the platform's one per-retire stream: consumers (the
-// guest profiler, guest coverage, vp-run -trace) Subscribe and receive every
-// record exactly once, in capture order, in batches handed over by Flush.
+// The cores capture a basic block at a time. A block record stands for a
+// run of straight-line retires: its first pc and instret, its length, and
+// the word and successor of the instruction that ended it. Per retire a
+// core writes only what the block cannot rebuild: the effective address of
+// a load or store, and on the VP+ the instret of a retire that left a
+// tagged rd, each in a side ring. Readers turn blocks back into one record
+// per retire when they read them (expand.go): Window, the forensic bundle
+// and the per-retire subscribers see exactly the records a per-retire
+// capture would have written. Consumers that need no more than a block
+// holds — the guest profiler and guest coverage — subscribe to the block
+// records themselves.
 //
 // On a violation, a guest fault, or an explicit Platform.Snapshot, the
 // ring's window is frozen into a forensic Bundle (bundle.go): one
@@ -18,8 +26,8 @@
 // report (report.go). The package deliberately imports nothing outside the
 // standard library so every layer (rv32, soc, telemetry, cmd tools) can
 // depend on it without cycles; architecture-specific knowledge
-// (disassembly, register names, RAM access) enters through the Snapshot
-// struct's function fields.
+// (instruction classes, disassembly, register names, RAM access) enters
+// through the Code interface and the Snapshot struct's function fields.
 package flight
 
 import (
@@ -28,9 +36,9 @@ import (
 	"time"
 )
 
-// DefaultSize is the default ring capacity in records. 4096 records at 24
-// bytes each is ~96 KiB — resident in L2, far below any guest working set,
-// and covering the last few thousand retires, which in practice spans the
+// DefaultSize is the default ring capacity in records. The ring holds at
+// most that many 24-byte entries, ~96 KiB, and yields the last 4096
+// records — the last few thousand retires, which in practice span the
 // whole final basic-block neighborhood of a violation.
 const DefaultSize = 4096
 
@@ -43,6 +51,7 @@ const (
 	KindFault                  // terminal guest fault (unmapped access, trap with mtvec=0)
 	KindViolation              // terminal policy violation — always the window's last record
 	KindMark                   // generic platform event (Aux = interned name)
+	KindBlock                  // a run of retires; only block subscribers see one (see Rec)
 )
 
 // Per-retire flag bits.
@@ -56,6 +65,13 @@ const (
 
 // Rec is one compressed flight record: 24 bytes, fixed layout, no pointers,
 // so the ring is a single flat allocation the GC never scans.
+//
+// A block record (KindBlock) stands for Aux retires at consecutive words
+// from PC, the first at instret Time, each but the last falling through to
+// the next. Addr is the last one's successor. When Flags holds FlagBranch
+// the block ended at a control transfer and Insn is its word; otherwise a
+// mark or the end of a Run call cut it, Insn is 0 and the last retire fell
+// through too.
 type Rec struct {
 	Time uint64 // instruction index (Instret) at capture
 	PC   uint32
@@ -64,7 +80,7 @@ type Rec struct {
 	// any other retire, the bus address of a bus mark, tval for traps and
 	// the faulting address for faults.
 	Addr  uint32
-	Aux   uint16 // IRQ line mask; interned name id for bus/kernel marks
+	Aux   uint16 // IRQ line mask; interned name id for bus/kernel marks; a block's length
 	Kind  uint8
 	Flags uint8
 }
@@ -78,6 +94,35 @@ func (r *Rec) Next() uint32 {
 	return r.Addr
 }
 
+// records returns how many records an entry of the ring stands for.
+func (r *Rec) records() uint64 {
+	if r.Kind == KindBlock {
+		return uint64(r.Aux)
+	}
+	return 1
+}
+
+// maxBlock is the longest block a record holds (Aux is 16 bits); Room keeps
+// every Run chunk, and so every block, within it.
+const maxBlock = math.MaxUint16
+
+// Code is the program a core executes, as the recorder reads it to expand
+// block records: Word returns the instruction word now at pc, and Flags
+// the static FlagBranch, FlagLoad and FlagStore bits of a retired word.
+// The core that captures into the recorder supplies it (Resume).
+type Code interface {
+	Word(pc uint32) uint32
+	Flags(w uint32) uint8
+}
+
+// kept is a word that a write replaced after retires may have executed it:
+// the retires at pc before instret until executed w (unless an earlier
+// kept entry for pc covers them).
+type kept struct {
+	until uint64
+	pc, w uint32
+}
+
 // Recorder is the overwrite-oldest flight ring. It is owned by the
 // simulation thread: every producer (core retire path, platform mark sites)
 // and every reader (Window, Bundle, the metrics snapshot, subscribers) runs
@@ -85,15 +130,45 @@ func (r *Rec) Next() uint32 {
 type Recorder struct {
 	recs []Rec
 	mask uint64
-	n    uint64 // monotonic count of records ever captured
+	n    uint64 // ring entries ever written
 
-	// Subscribers have seen every record before seen. limit is the capture
-	// count at which the next record would overwrite one they have not
-	// seen: seen plus the ring size, or never without a subscriber. It sits
-	// next to n because every capture compares the two.
+	// Subscribers have seen every entry before seen. limit is the entry
+	// count at which the next entry would overwrite one they have not seen:
+	// seen plus the ring size, or never without a subscriber. It sits next
+	// to n because every entry written compares the two.
 	limit uint64
 	seen  uint64
+
+	// count is the number of records ever captured: a block's retires plus
+	// one per mark.
+	count uint64
+
+	// The open block: the retires since the last entry, from pc at instret
+	// t, each falling through to the next. running is set between Resume
+	// and Pause, while a core executes.
+	pc      uint32
+	t       uint64
+	running bool
+	code    Code
+
+	// The side rings, sized like recs. addrs holds the effective address of
+	// the load or store retiring at instret i at i&mask; trd the instrets of
+	// the VP+ retires that left rd tagged, oldest first, ntrd ever pushed.
+	addrs []uint32
+	trd   []uint64
+	ntrd  uint64
+
+	// kept holds the words writes replaced after retires may have executed
+	// them, in until order; see Keep.
+	kept []kept
+
+	// subs receive the expanded stream (one record per retire), bsubs the
+	// entries themselves. seenT is the instret of the first retire subs
+	// have not seen; buf is their expansion buffer.
 	subs  []func([]Rec)
+	bsubs []func([]Rec)
+	seenT uint64
+	buf   []Rec
 
 	bundles uint64
 
@@ -118,66 +193,190 @@ func New(size int) *Recorder {
 		recs:   make([]Rec, n),
 		mask:   uint64(n - 1),
 		limit:  math.MaxUint64,
+		addrs:  make([]uint32, n),
+		trd:    make([]uint64, n),
 		nameID: make(map[string]uint16),
 	}
 }
 
-// Subscribe adds a consumer of the record stream. It receives every record
-// captured from now on exactly once, in capture order, as one or more
-// batches per Flush. A batch aliases the ring: the consumer must not keep
-// it past the call.
+// Subscribe adds a consumer of the per-retire stream. It receives every
+// record captured from now on exactly once, in capture order — a block
+// expanded into one record per retire — as one or more batches per Flush.
+// A batch is reused: the consumer must not keep it past the call.
 func (r *Recorder) Subscribe(f func([]Rec)) {
-	r.Flush()
+	r.subscribe()
 	r.subs = append(r.subs, f)
-	r.seen = r.n
+	if r.buf == nil {
+		r.buf = make([]Rec, 0, 256)
+	}
+}
+
+// SubscribeBlocks adds a consumer of the ring's own entries: block records
+// and marks, each exactly once, in capture order, as one or more batches
+// per Flush. A batch aliases the ring: the consumer must not keep it past
+// the call.
+func (r *Recorder) SubscribeBlocks(f func([]Rec)) {
+	r.subscribe()
+	r.bsubs = append(r.bsubs, f)
+}
+
+func (r *Recorder) subscribe() {
+	r.Flush()
+	r.seen, r.seenT = r.n, r.t
 	r.limit = r.n + uint64(len(r.recs))
 }
 
 // Subscribed reports whether any consumer reads the stream.
-func (r *Recorder) Subscribed() bool { return len(r.subs) != 0 }
+func (r *Recorder) Subscribed() bool { return len(r.subs)+len(r.bsubs) != 0 }
 
-// Full reports whether every slot holds a record the subscribers have not
-// seen, so the next capture would overwrite one; every capture site checks
-// it right after capturing and flushes. Never true without a subscriber.
-// Like Slot it must stay inlinable (CI checks both with -gcflags=-m).
-func (r *Recorder) Full() bool { return r.n >= r.limit }
+// full reports whether every slot holds an entry the subscribers have not
+// seen, so the next entry would overwrite one; every site that writes an
+// entry checks it right after and flushes. Never true without a subscriber.
+func (r *Recorder) full() bool { return r.n >= r.limit }
 
-// Flush hands every record captured since the last flush to each
-// subscriber, oldest first, in at most two batches (the ring may wrap).
+// Flush hands everything captured since the last flush to each subscriber,
+// oldest first: block subscribers the entries, in at most two batches (the
+// ring may wrap), per-retire subscribers the expanded records.
 // Allocation-free; a no-op without subscribers or pending records.
 func (r *Recorder) Flush() {
-	if len(r.subs) == 0 || r.seen == r.n {
+	if !r.Subscribed() {
 		return
 	}
-	size := uint64(len(r.recs))
-	from := r.seen & r.mask
-	head := r.recs[from:min(from+r.n-r.seen, size)]
-	tail := r.recs[:r.n-r.seen-uint64(len(head))]
-	for _, f := range r.subs {
-		f(head)
-		if len(tail) > 0 {
-			f(tail)
+	if r.seen != r.n {
+		size := uint64(len(r.recs))
+		from := r.seen & r.mask
+		head := r.recs[from:min(from+r.n-r.seen, size)]
+		tail := r.recs[:r.n-r.seen-uint64(len(head))]
+		for _, f := range r.bsubs {
+			f(head)
+			if len(tail) > 0 {
+				f(tail)
+			}
+		}
+		if len(r.subs) > 0 {
+			r.expand(r.seen, r.n, 0, r.buf, r.emit)
 		}
 	}
-	r.seen = r.n
-	r.limit = r.n + size
+	r.seen, r.seenT = r.n, r.t
+	r.limit = r.n + uint64(len(r.recs))
 }
 
-// Slot claims the next overwrite-oldest slot and advances the ring. It is
-// deliberately tiny so it inlines into the interpreter hot loops (the alloc
-// guard and the benchmark's flight.ns_per_insn row both depend on the
-// capture staying a handful of instructions); a flush call would push it
-// over the inlining budget, so callers check Full and Flush after filling
-// the slot. Slots are recycled: the caller must overwrite every field.
-func (r *Recorder) Slot() *Rec {
+// emit hands one expanded batch to every per-retire subscriber.
+func (r *Recorder) emit(batch []Rec) {
+	for _, f := range r.subs {
+		f(batch)
+	}
+}
+
+// Resume opens a block: the core, whose program code is, will retire from
+// pc at instret t. The cores call it at the start of every Run call and
+// after entering a trap handler.
+func (r *Recorder) Resume(code Code, pc uint32, t uint64) {
+	r.code, r.pc, r.t, r.running = code, pc, t, true
+}
+
+// Room returns how many instructions, at most rem, a core that resumed at
+// instret t may run before it pauses: a block holds at most maxBlock
+// retires, and a per-retire subscriber must see a retire before the side
+// rings reuse its slots, one ring size of instructions later.
+func (r *Recorder) Room(t, rem uint64) uint64 {
+	room := uint64(maxBlock)
+	if len(r.subs) != 0 {
+		size := uint64(len(r.recs))
+		if t-r.seenT >= size {
+			r.Flush()
+		}
+		room = min(room, r.seenT+size-t)
+	}
+	return min(rem, room)
+}
+
+// Pause closes the open block before instret t: the core stopped there at
+// the end of a Run call (or of a Room chunk).
+func (r *Recorder) Pause(t uint64) {
+	if r.running && t > r.t {
+		r.cut(t)
+	}
+	r.running = false
+	if r.full() {
+		r.Flush()
+	}
+}
+
+// Branch closes the open block at the control transfer retiring at instret
+// t: its word is w and it continued at next, where the next block opens.
+func (r *Recorder) Branch(t uint64, w, next uint32) {
+	l := t + 1 - r.t
+	r.put(r.t, r.pc, w, next, uint16(l), KindBlock, FlagBranch)
+	r.count += l
+	r.pc, r.t = next, t+1
+	if r.full() {
+		r.Flush()
+	}
+}
+
+// Addr records the effective address of the load or store retiring at
+// instret t. Like TaintRd it runs per access and must stay inlinable (CI
+// checks both with -gcflags=-m).
+func (r *Recorder) Addr(t uint64, a uint32) { r.addrs[t&r.mask] = a }
+
+// TaintRd records that the retire at instret t left a non-default tag in
+// its destination register.
+func (r *Recorder) TaintRd(t uint64) {
+	r.trd[r.ntrd&r.mask] = t
+	r.ntrd++
+}
+
+// Keep records the word w at pc before a write replaces it: a write that
+// lands while a core runs (a store, or a device write it started) happens
+// during the instruction at instret t, later writes before it. The cores
+// keep every word their decode cache fetched since its last write, and the
+// word of every fetch that bypassed the cache, so an expanded retire shows
+// the word it executed. Both are rare, so Keep stays out of line and the
+// interpreter loops stay compact.
+//
+//go:noinline
+func (r *Recorder) Keep(pc, w uint32, t uint64) {
+	until := t
+	if r.running {
+		until++
+	}
+	if len(r.kept) == cap(r.kept) {
+		r.compact(t)
+	}
+	r.kept = append(r.kept, kept{until: until, pc: pc, w: w})
+}
+
+// compact drops the kept words no reader can need at instret t: the window
+// and the unseen records hold no retire older than one ring size of
+// instructions.
+func (r *Recorder) compact(t uint64) {
+	size := uint64(len(r.recs))
+	k := 0
+	for _, e := range r.kept {
+		if e.until+size > t {
+			r.kept[k] = e
+			k++
+		}
+	}
+	r.kept = r.kept[:k]
+}
+
+// cut closes the open block, which holds the retires before instret t > r.t.
+func (r *Recorder) cut(t uint64) {
+	l := t - r.t
+	next := r.pc + 4*uint32(l)
+	r.put(r.t, r.pc, 0, next, uint16(l), KindBlock, 0)
+	r.count += l
+	r.pc, r.t = next, t
+}
+
+// put writes the next overwrite-oldest entry; the caller then checks full.
+// It stores field by field: a composite literal would be assembled on the
+// stack and copied in wider moves that stall on the narrow stores, which
+// measured three times slower per mark (2-vCPU Xeon VM).
+func (r *Recorder) put(time uint64, pc, insn, addr uint32, aux uint16, kind, flags uint8) {
 	rec := &r.recs[r.n&r.mask]
-	r.n++
-	return rec
-}
-
-// mark appends a non-retire record.
-func (r *Recorder) mark(kind uint8, time uint64, pc, insn, addr uint32, aux uint16, flags uint8) {
-	rec := r.Slot()
 	rec.Time = time
 	rec.PC = pc
 	rec.Insn = insn
@@ -185,7 +384,21 @@ func (r *Recorder) mark(kind uint8, time uint64, pc, insn, addr uint32, aux uint
 	rec.Aux = aux
 	rec.Kind = kind
 	rec.Flags = flags
-	if r.Full() {
+	r.n++
+}
+
+// mark appends a non-retire record at instret time, closing the open
+// block first so the mark keeps its place among the retires.
+func (r *Recorder) mark(kind uint8, time uint64, pc, insn, addr uint32, aux uint16, flags uint8) {
+	if r.running && time > r.t {
+		r.cut(time)
+		if r.full() {
+			r.Flush()
+		}
+	}
+	r.put(time, pc, insn, addr, aux, kind, flags)
+	r.count++
+	if r.full() {
 		r.Flush()
 	}
 }
@@ -257,39 +470,39 @@ func (r *Recorder) NameOf(id uint16) string {
 	return r.names[id-1]
 }
 
-// Window returns the captured records in chronological order (oldest
-// first). The returned slice is a copy; the ring keeps recording.
+// Window returns the last Size() captured records in chronological order
+// (oldest first), one per retire. The returned slice is a copy; the ring
+// keeps recording. Records of a block still open in a running core are not
+// in it.
 func (r *Recorder) Window() []Rec {
-	count := r.n
-	if size := uint64(len(r.recs)); count > size {
-		count = size
+	want := uint64(r.Len())
+	out := make([]Rec, 0, want)
+	from, have := r.n, uint64(0)
+	for have < want {
+		from--
+		have += r.recs[from&r.mask].records()
 	}
-	out := make([]Rec, count)
-	start := r.n - count
-	for k := uint64(0); k < count; k++ {
-		out[k] = r.recs[(start+k)&r.mask]
-	}
-	return out
+	return r.expand(from, r.n, have-want, out, nil)
 }
 
 // Len reports the current ring occupancy in records.
 func (r *Recorder) Len() int {
-	if r.n > uint64(len(r.recs)) {
+	if r.count > uint64(len(r.recs)) {
 		return len(r.recs)
 	}
-	return int(r.n)
+	return int(r.count)
 }
 
 // Size reports the ring capacity in records.
 func (r *Recorder) Size() int { return len(r.recs) }
 
 // Captured reports how many records were ever captured.
-func (r *Recorder) Captured() uint64 { return r.n }
+func (r *Recorder) Captured() uint64 { return r.count }
 
 // Dropped reports how many captured records the ring has overwritten.
 func (r *Recorder) Dropped() uint64 {
-	if r.n > uint64(len(r.recs)) {
-		return r.n - uint64(len(r.recs))
+	if r.count > uint64(len(r.recs)) {
+		return r.count - uint64(len(r.recs))
 	}
 	return 0
 }
@@ -302,27 +515,25 @@ var (
 	captureCostNs   uint64
 )
 
-// CaptureCostNs reports the measured cost of one retire capture in
-// nanoseconds, calibrated once per process against a throwaway ring (so the
-// exporter can publish a real number instead of a guess). Typically 1-5 ns;
-// the value is volatile across hosts and excluded from golden reports.
+// captureBlock is the block length CaptureCostNs amortizes a close over.
+const captureBlock = 5
+
+// CaptureCostNs reports the measured capture cost per retire in
+// nanoseconds, calibrated once per process against a throwaway ring (so
+// the exporter can publish a real number instead of a guess): the address
+// push a load or store makes, plus one block close per captureBlock
+// retires. The value is volatile across hosts and excluded from golden
+// reports.
 func CaptureCostNs() uint64 {
 	captureCostOnce.Do(func() {
 		r := New(DefaultSize)
 		const reps = 1 << 16
+		r.Resume(nil, 0x80000000, 0)
 		start := time.Now()
-		for i := 0; i < reps; i++ {
-			// The cores' hand-inlined capture (see rv32/flightcap.go).
-			rec := r.Slot()
-			rec.Time = uint64(i)
-			rec.PC = 0x80000000
-			rec.Insn = 0x00000013
-			rec.Addr = 0x80000004
-			rec.Aux = 0
-			rec.Kind = KindRetire
-			rec.Flags = 0
-			if r.Full() {
-				r.Flush()
+		for i := uint64(0); i < reps; i++ {
+			r.Addr(i, 0x80001000)
+			if i%captureBlock == captureBlock-1 {
+				r.Branch(i, 0x00000063, 0x80000000)
 			}
 		}
 		captureCostNs = uint64(time.Since(start).Nanoseconds() / reps)

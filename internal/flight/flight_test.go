@@ -9,15 +9,52 @@ import (
 	"testing"
 )
 
-// retire captures one retired instruction the way the cores' hand-inlined
-// capture does (see rv32/flightcap.go): addr holds the effective address
-// when flags carries FlagLoad or FlagStore and the successor PC otherwise.
-func retire(r *Recorder, pc, insn, addr uint32, time uint64, flags uint8) {
-	*r.Slot() = Rec{Time: time, PC: pc, Insn: insn, Addr: addr, Kind: KindRetire, Flags: flags}
-	if r.Full() {
-		r.Flush()
+// testCode is a program for expanding blocks: the words at pcs it maps,
+// nop elsewhere, classified by their RV32 opcode the way the cores'
+// opcode table does.
+type testCode map[uint32]uint32
+
+func (m testCode) Word(pc uint32) uint32 {
+	if w, ok := m[pc]; ok {
+		return w
 	}
+	return 0x13
 }
+
+func (testCode) Flags(w uint32) uint8 {
+	switch w & 0x7f {
+	case 0x03:
+		return FlagLoad
+	case 0x23:
+		return FlagStore
+	case 0x63, 0x67, 0x6f:
+		return FlagBranch
+	}
+	return 0
+}
+
+// retire captures one retired instruction the way a core runs one: a Run
+// call of one instruction whose block ends at it. insn's opcode decides
+// its flags; addr is the effective address of a load or store and the
+// successor PC otherwise; flags adds FlagTaintRd.
+func retire(r *Recorder, pc, insn, addr uint32, time uint64, flags uint8) {
+	r.Resume(testCode(nil), pc, time)
+	next := addr
+	if (testCode(nil)).Flags(insn)&(FlagLoad|FlagStore) != 0 {
+		r.Addr(time, addr)
+		next = pc + 4
+	}
+	if flags&FlagTaintRd != 0 {
+		r.TaintRd(time)
+	}
+	r.Branch(time, insn, next)
+	r.Pause(time + 1)
+}
+
+const (
+	lw = 0x0005a583 // lw a1, 0(a1)
+	sw = 0x00b52023 // sw a1, 0(a0)
+)
 
 func TestRingRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
@@ -209,10 +246,10 @@ func TestBundleMergesMemWindows(t *testing.T) {
 	r := New(16)
 	// Two accesses 16 bytes apart merge into one ±64 window; one far away
 	// stays separate.
-	retire(r, 0x80000100, 0x13, 0x80001000, 1, FlagLoad)
-	retire(r, 0x80000104, 0x13, 0x80001010, 2, FlagStore)
-	retire(r, 0x80000108, 0x13, 0x80010000, 3, FlagLoad)
-	retire(r, 0x8000010c, 0x13, 0x10000000, 4, FlagStore) // MMIO: no window
+	retire(r, 0x80000100, lw, 0x80001000, 1, 0)
+	retire(r, 0x80000104, sw, 0x80001010, 2, 0)
+	retire(r, 0x80000108, lw, 0x80010000, 3, 0)
+	retire(r, 0x8000010c, sw, 0x10000000, 4, 0) // MMIO: no window
 	b := r.Bundle(testSnapshot())
 	if len(b.Mem) != 2 {
 		t.Fatalf("got %d memory windows, want 2 (merged + separate): %+v", len(b.Mem), b.Mem)
@@ -301,10 +338,10 @@ func TestReportIsDeterministicAndComplete(t *testing.T) {
 // including one that subscribes while the other still has records pending.
 func TestSubscribersSeeEveryRecordOnce(t *testing.T) {
 	r := New(8)
-	// Without a subscriber the ring only overwrites: Full never fires.
+	// Without a subscriber the ring only overwrites: full never fires.
 	for k := uint64(0); k < 100; k++ {
-		if r.Full() {
-			t.Fatalf("Full() true at capture %d without a subscriber", k)
+		if r.full() {
+			t.Fatalf("full() true at capture %d without a subscriber", k)
 		}
 		retire(r, 0x80000000, 0x13, 0x80000004, k, 0)
 	}

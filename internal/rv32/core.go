@@ -39,14 +39,11 @@ type Core struct {
 	// and the MMIO transaction.
 	mmode
 
-	// FR, when non-nil, is the flight recorder: one compressed record per
-	// retire, captured post-switch (see flightcap.go). It is the core's only
-	// per-retire tap; the profiler, guest coverage and -trace subscribe to
-	// its stream. frAddr is the last load/store effective address, stashed
-	// by load/store because the post-switch capture cannot recompute it once
-	// rd aliased rs1.
-	FR     *flight.Recorder
-	frAddr uint32
+	// FR, when non-nil, is the flight recorder: one block record per basic
+	// block, captured by Run and the control-transfer arms of step (see
+	// flightcap.go). It is the core's only per-retire tap; the profiler,
+	// guest coverage and -trace subscribe to its stream.
+	FR *flight.Recorder
 
 	// uncachedFetch counts fetches that bypassed the decode cache (misaligned
 	// PC or cache disabled) — the non-fill half of the miss count. New
@@ -76,7 +73,18 @@ func (c *Core) AttachRAM(ram *mem.PlainMemory, base uint32) {
 // word in byte offsets [0, end), dropping any entries it held; fetches past
 // end decode uncached, so end 0 turns the cache off. soc.Load sizes it to
 // the loaded image. Call it after AttachRAM, before Run.
-func (c *Core) SizeDecodeCache(end uint32) { c.ic = newICache(min(end, c.ramSize)) }
+func (c *Core) SizeDecodeCache(end uint32) {
+	c.ic = newICache(min(end, c.ramSize))
+	c.ic.kept = c.keepWord
+}
+
+// keepWord hands the flight recorder the word at RAM offset off before a
+// write or fence.i drops its decode-cache entry.
+func (c *Core) keepWord(off, w uint32) {
+	if c.FR != nil {
+		c.FR.Keep(c.ramBase+off, w, c.Instret)
+	}
+}
 
 // Halt stops the core before its next instruction.
 func (c *Core) Halt() { c.Halted = true }
@@ -94,6 +102,24 @@ func (c *Core) invalidateDecodeCache(start, end uint32) { c.ic.invalidate(start,
 // accumulate into delay. Records captured into FR reach its subscribers
 // when the caller flushes it.
 func (c *Core) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
+	fr := c.FR
+	if fr == nil {
+		return c.run(max, delay)
+	}
+	for {
+		fr.Resume((*plainCode)(c), c.PC, c.Instret)
+		var k uint64
+		k, st, err = c.run(fr.Room(c.Instret, max-n), delay)
+		n += k
+		fr.Pause(c.Instret)
+		if err != nil || st != RunOK || n >= max {
+			return n, st, err
+		}
+	}
+}
+
+// run is the interpreter loop of Run.
+func (c *Core) run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
 	for n < max {
 		if c.Halted {
 			return n, RunHalt, nil
@@ -111,13 +137,27 @@ func (c *Core) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err 
 	return n, RunOK, nil
 }
 
-// trap enters the machine trap handler.
+// trap enters the machine trap handler; the flight recorder marks the trap
+// and opens the next block at the handler.
 func (c *Core) trap(cause, tval, epc uint32) error {
-	pc, err := c.enterTrap(c.FR, c.Instret, cause, tval, epc)
-	if err == nil {
-		c.PC = pc
+	pc, err := c.enterTrap(cause, tval, epc)
+	if err != nil {
+		return err
 	}
-	return err
+	if c.FR != nil {
+		c.FR.MarkTrap(c.Instret, epc, tval, cause)
+		c.FR.Resume((*plainCode)(c), pc, c.Instret+1)
+	}
+	c.PC = pc
+	return nil
+}
+
+// branch closes the flight recorder's open block at the control transfer
+// retiring now, word w continuing at next.
+func (c *Core) branch(w, next uint32) {
+	if c.FR != nil {
+		c.FR.Branch(c.Instret, w, next)
+	}
 }
 
 // fetchWord assembles the little-endian instruction word at RAM offset off;
@@ -158,6 +198,9 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 		c.uncachedFetch++
 		w = c.fetchWord(off)
 		i = Decode(w)
+		if c.FR != nil {
+			c.FR.Keep(pc, w, c.Instret)
+		}
 	}
 
 	next := pc + 4
@@ -169,34 +212,42 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 	case OpJAL:
 		c.set(i.Rd, next)
 		next = pc + uint32(i.Imm)
+		c.branch(w, next)
 	case OpJALR:
 		t := (c.Regs[i.Rs1] + uint32(i.Imm)) &^ 1
 		c.set(i.Rd, next)
 		next = t
+		c.branch(w, next)
 	case OpBEQ:
 		if c.Regs[i.Rs1] == c.Regs[i.Rs2] {
 			next = pc + uint32(i.Imm)
 		}
+		c.branch(w, next)
 	case OpBNE:
 		if c.Regs[i.Rs1] != c.Regs[i.Rs2] {
 			next = pc + uint32(i.Imm)
 		}
+		c.branch(w, next)
 	case OpBLT:
 		if int32(c.Regs[i.Rs1]) < int32(c.Regs[i.Rs2]) {
 			next = pc + uint32(i.Imm)
 		}
+		c.branch(w, next)
 	case OpBGE:
 		if int32(c.Regs[i.Rs1]) >= int32(c.Regs[i.Rs2]) {
 			next = pc + uint32(i.Imm)
 		}
+		c.branch(w, next)
 	case OpBLTU:
 		if c.Regs[i.Rs1] < c.Regs[i.Rs2] {
 			next = pc + uint32(i.Imm)
 		}
+		c.branch(w, next)
 	case OpBGEU:
 		if c.Regs[i.Rs1] >= c.Regs[i.Rs2] {
 			next = pc + uint32(i.Imm)
 		}
+		c.branch(w, next)
 	case OpLB:
 		v, err := c.load(c.Regs[i.Rs1]+uint32(i.Imm), 1, delay, pc)
 		if err != nil {
@@ -298,7 +349,8 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 	case OpFENCEI:
 		// Explicit fetch/store synchronization point: drop every predecoded
 		// entry. (Stores already invalidate eagerly; FENCE.I additionally
-		// pins the architectural contract for self-modifying code.)
+		// pins the architectural contract for self-modifying code.) The
+		// dropped words go to the flight recorder, which keeps them.
 		c.ic.invalidateAll()
 	case OpECALL:
 		return RunOK, c.trap(CauseECallM, 0, pc)
@@ -306,9 +358,10 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 		return RunOK, c.trap(CauseBreakpoint, 0, pc)
 	case OpMRET:
 		next = c.mret()
+		c.branch(w, next)
 	case OpWFI:
-		// A sleeping wfi retires like any other instruction: the capture
-		// below runs before step reports RunWFI.
+		// A sleeping wfi retires like any other instruction before step
+		// reports RunWFI.
 	case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
 		if err := c.csrOp(i, pc); err != nil {
 			return RunOK, err
@@ -319,28 +372,6 @@ func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
 		}
 	default:
 		return RunOK, c.trap(CauseIllegalInstr, c.fetchWord(off), pc)
-	}
-	if c.FR != nil {
-		// Flight capture, hand-inlined (see flightcap.go).
-		fl := flightFlags[i.Op]
-		if next != pc+4 {
-			fl |= flight.FlagTaken
-		}
-		faddr := next
-		if fl&(flight.FlagLoad|flight.FlagStore) != 0 {
-			faddr = c.frAddr
-		}
-		rec := c.FR.Slot()
-		rec.Time = c.Instret
-		rec.PC = pc
-		rec.Insn = w
-		rec.Addr = faddr
-		rec.Aux = 0
-		rec.Kind = flight.KindRetire
-		rec.Flags = fl
-		if c.FR.Full() {
-			c.FR.Flush()
-		}
 	}
 	if c.PC == pc { // not redirected by a trap inside the switch
 		c.PC = next
@@ -403,7 +434,9 @@ func remU(a, b uint32) uint32 {
 
 // load reads size bytes (1, 2 or 4) little-endian, zero-extended.
 func (c *Core) load(addr uint32, size uint32, delay *kernel.Time, pc uint32) (uint32, error) {
-	c.frAddr = addr
+	if c.FR != nil {
+		c.FR.Addr(c.Instret, addr)
+	}
 	off := addr - c.ramBase
 	if off < c.ramSize && off+size <= c.ramSize {
 		switch size {
@@ -428,7 +461,9 @@ func (c *Core) load(addr uint32, size uint32, delay *kernel.Time, pc uint32) (ui
 
 // store writes size bytes (1, 2 or 4) little-endian.
 func (c *Core) store(addr, val uint32, size uint32, delay *kernel.Time, pc uint32) error {
-	c.frAddr = addr
+	if c.FR != nil {
+		c.FR.Addr(c.Instret, addr)
+	}
 	off := addr - c.ramBase
 	if off < c.ramSize && off+size <= c.ramSize {
 		for j := uint32(0); j < size; j++ {

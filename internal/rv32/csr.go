@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vpdift/internal/core"
-	"vpdift/internal/flight"
 	"vpdift/internal/kernel"
 	"vpdift/internal/tlm"
 )
@@ -187,15 +186,11 @@ func (m *mmode) irqCause() (uint32, bool) {
 	}
 }
 
-// enterTrap takes a trap raised at epc, marks it on fr (when non-nil) at
-// instruction instret and returns the handler address for the PC. A trap
-// while mtvec is unset is a *TrapError instead.
-func (m *mmode) enterTrap(fr *flight.Recorder, instret uint64, cause, tval, epc uint32) (uint32, error) {
+// enterTrap takes a trap raised at epc and returns the handler address for
+// the PC. A trap while mtvec is unset is a *TrapError instead.
+func (m *mmode) enterTrap(cause, tval, epc uint32) (uint32, error) {
 	if m.mtvec == 0 {
 		return 0, &TrapError{Cause: cause, Tval: tval, PC: epc}
-	}
-	if fr != nil {
-		fr.MarkTrap(instret, epc, tval, cause)
 	}
 	m.mepc, m.mcause, m.mtval = epc, cause, tval
 	// MPIE <- MIE; MIE <- 0; MPP <- M.

@@ -2,18 +2,38 @@ package rv32
 
 import "vpdift/internal/flight"
 
-// Flight-recorder capture for both cores: the one per-retire tap. The
-// capture site is the very end of the interpreter step, after the switch
-// and every clearance check, so a record exists exactly when the
-// instruction retired — a sleeping wfi included, while violating, faulting
-// or trapping instructions never reach it; the platform appends terminal
-// violations and faults as marks instead, which is what lets the bundle's
-// trace window end at the violating instruction. The records double as the
-// stream the guest profiler, guest coverage and vp-run -trace subscribe to
-// (flight.Recorder.Subscribe), so those analyses need no hook here.
+// Flight-recorder capture for both cores: one block record per basic block
+// (see internal/flight). Run opens a block where the core resumes
+// (Recorder.Resume) and closes it when the call ends (Recorder.Pause), in
+// chunks of at most Recorder.Room instructions. In between, every retire
+// joins the open block and costs no record:
+//
+//   - a control transfer (jal, jalr, a branch taken or not, mret) closes
+//     the block at itself in its switch arm (branch), with its word and
+//     successor, and the next block opens at the successor;
+//   - a trap marks itself and opens the next block at the handler (trap);
+//   - the platform's marks close the open block at their instret;
+//   - per retire, a load or store pushes its effective address
+//     (Recorder.Addr) from the memory helper, which alone can compute it
+//     before rd overwrites rs1, and the VP+ pushes the instret of a retire
+//     that leaves rd tagged (Recorder.TaintRd).
+//
+// A violating, faulting or trapping instruction never retires, so it joins
+// no block; the platform appends terminal violations and faults as marks,
+// which is what lets the bundle's trace window end at the violating
+// instruction. A sleeping wfi retires like any other instruction.
+//
+// The recorder rebuilds every other retired word from memory when it
+// expands a block, so the words a retire may have executed are kept before
+// anything replaces them: the decode cache hands over each valid entry a
+// store, a RAM write hook or fence.i drops (icache.kept), and a fetch that
+// bypasses the cache (past the image, misaligned, or the cache off) keeps
+// its word at once. Register tags are exact at every instruction boundary
+// whether or not the flag caches are pinned (see flagcache.go), so the
+// captured window does not depend on them.
 
 // flightFlags gives each opcode its static flight-record flag bits; the
-// dynamic bits (FlagTaken, FlagTaintRd) are added at capture time.
+// recorder adds FlagTaken and FlagTaintRd when it expands a block.
 var flightFlags = func() [numOps]uint8 {
 	var t [numOps]uint8
 	for _, op := range []Op{OpJAL, OpJALR, OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU, OpMRET} {
@@ -28,30 +48,34 @@ var flightFlags = func() [numOps]uint8 {
 	return t
 }()
 
-// The capture itself is hand-inlined at the end of Core.step and
-// TaintCore.step behind a nil check on FR: it must cost a handful of
-// instructions per retire, not a function call, and as a helper it exceeds
-// the compiler's inlining budget. Both copies follow the same shape —
-//
-//	fl := flightFlags[i.Op]
-//	if next != pc+4 { fl |= flight.FlagTaken }
-//	(VP+ only) if i.Rd != 0 && c.Regs[i.Rd].T != c.def { fl |= flight.FlagTaintRd }
-//	addr := c.frAddr for loads/stores, next (the successor PC) otherwise
-//	fill c.FR.Slot() with {Instret, pc, w, addr, 0, KindRetire, fl}
-//	if c.FR.Full() { c.FR.Flush() }
-//
-// where c.frAddr was stashed by the load/store helpers (recomputing the
-// effective address post-switch would be wrong when rd aliases rs1). Full
-// is true only when every slot holds a record a subscriber has yet to see,
-// so the flush runs before the next capture could overwrite one, and
-// without subscribers the branch is never taken; Full and Slot both inline,
-// while Slot with the flush folded in would not. The check sits after the
-// stores, and step returns constants rather than a status variable: that
-// shape measured about 1.5 ns per retire cheaper on qsort (2-vCPU Xeon VM)
-// than checking before the claim.
-// Register tags are exact at every instruction boundary whether or not the
-// flag caches are pinned (see flagcache.go), so the captured window does
-// not depend on them.
+// plainCode and taintCode are the cores' programs as the flight recorder
+// reads them (flight.Code).
+type (
+	plainCode Core
+	taintCode TaintCore
+)
+
+// Word returns the word now at pc, 0 outside RAM.
+func (c *plainCode) Word(pc uint32) uint32 {
+	if off := pc - c.ramBase; off < c.ramSize && off+4 <= c.ramSize {
+		return (*Core)(c).fetchWord(off)
+	}
+	return 0
+}
+
+// Flags returns the static flight flags of word w.
+func (*plainCode) Flags(w uint32) uint8 { return flightFlags[Decode(w).Op] }
+
+// Word returns the word now at pc, 0 outside RAM.
+func (c *taintCode) Word(pc uint32) uint32 {
+	if off := pc - c.ramBase; off < c.ramSize && off+4 <= c.ramSize {
+		return (*TaintCore)(c).fetchWord(off)
+	}
+	return 0
+}
+
+// Flags returns the static flight flags of word w.
+func (*taintCode) Flags(w uint32) uint8 { return flightFlags[Decode(w).Op] }
 
 // RegName returns the ABI name of architectural register r (0..31).
 func RegName(r int) string {

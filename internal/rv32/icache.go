@@ -23,6 +23,10 @@ import "vpdift/internal/core"
 //   - FENCE.I is an explicit full-invalidate point, the architectural
 //     "make stores visible to fetch" instruction.
 //
+// Each entry dropped while valid hands its word to the flight recorder
+// first (icache.kept): a retire may have executed it, and the recorder
+// rebuilds retired words from memory when it expands a block.
+//
 // Both cores get the cache: if only the VP+ were accelerated, the Table II
 // VP+/VP overhead factor would be flattered by a slow baseline.
 //
@@ -64,6 +68,11 @@ type icache struct {
 	lo    uint32 // lowest filled byte offset (inclusive)
 	hi    uint32 // highest filled byte offset (exclusive); 0 when empty
 	fills uint64 // decode-cache miss count (each fill is one slow decode)
+
+	// kept, when set, takes the byte offset and word of every valid entry a
+	// write or FENCE.I drops: the word a retire may have executed, which
+	// the flight recorder keeps (see flightcap.go).
+	kept func(off, w uint32)
 }
 
 // newICache sizes the cache to cover the whole words in the first size
@@ -100,6 +109,9 @@ func (ic *icache) invalidate(start, end uint32) {
 		last = uint32(len(ic.ents)) - 1
 	}
 	for i := first; i <= last; i++ {
+		if ic.kept != nil && ic.ents[i].state != 0 {
+			ic.kept(i<<2, ic.ents[i].word)
+		}
 		ic.ents[i].state = 0
 	}
 }
@@ -114,6 +126,13 @@ func (ic *icache) invalidateAll() {
 	last := (ic.hi - 1) >> 2
 	if last >= uint32(len(ic.ents)) {
 		last = uint32(len(ic.ents)) - 1
+	}
+	if ic.kept != nil {
+		for i := first; i <= last; i++ {
+			if ic.ents[i].state != 0 {
+				ic.kept(i<<2, ic.ents[i].word)
+			}
+		}
 	}
 	clear(ic.ents[first : last+1])
 	ic.lo = ^uint32(0)

@@ -97,12 +97,10 @@ type TaintCore struct {
 	// interpreter loop was measured at.
 	_ [24]byte
 
-	// FR, when non-nil, is the flight recorder: one compressed record per
-	// retire, captured post-switch (see flightcap.go), and the stream the
-	// profiler, guest coverage and -trace subscribe to. frAddr is the last
-	// load/store effective address, stashed by the memory helpers.
-	FR     *flight.Recorder
-	frAddr uint32
+	// FR, when non-nil, is the flight recorder: one block record per basic
+	// block (see flightcap.go), and the stream the profiler, guest coverage
+	// and -trace subscribe to.
+	FR *flight.Recorder
 
 	// Flag caches (see flagcache.go), armed at the first Run. mask bit r
 	// set means register r may carry a non-default tag; bstate, btag and
@@ -167,7 +165,18 @@ func (c *TaintCore) AttachRAM(ram *mem.Memory, base uint32) {
 
 // SizeDecodeCache sizes the predecoded-instruction cache to the RAM words
 // in byte offsets [0, end); see Core.SizeDecodeCache.
-func (c *TaintCore) SizeDecodeCache(end uint32) { c.ic = newICache(min(end, c.ramSize)) }
+func (c *TaintCore) SizeDecodeCache(end uint32) {
+	c.ic = newICache(min(end, c.ramSize))
+	c.ic.kept = c.keepWord
+}
+
+// keepWord hands the flight recorder the word at RAM offset off before a
+// write or fence.i drops its decode-cache entry.
+func (c *TaintCore) keepWord(off, w uint32) {
+	if c.FR != nil {
+		c.FR.Keep(c.ramBase+off, w, c.Instret)
+	}
+}
 
 // DecodeCacheStats reports the decode-cache miss breakdown; see
 // Core.DecodeCacheStats.
@@ -200,6 +209,24 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 		// register written since the last Run.
 		c.Cov.SyncRegs(&c.Regs)
 	}
+	fr := c.FR
+	if fr == nil {
+		return c.run(max, delay)
+	}
+	for {
+		fr.Resume((*taintCode)(c), c.PC, c.Instret)
+		var k uint64
+		k, st, err = c.run(fr.Room(c.Instret, max-n), delay)
+		n += k
+		fr.Pause(c.Instret)
+		if err != nil || st != RunOK || n >= max {
+			return n, st, err
+		}
+	}
+}
+
+// run is the interpreter loop of Run.
+func (c *TaintCore) run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
 	for n < max {
 		if c.Halted {
 			return n, RunHalt, nil
@@ -220,18 +247,31 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 // trap enters the machine trap handler. Per the paper, the trap-vector
 // target is subject to the branch execution clearance ("the same clearance
 // is used to check the interrupt/trap handler address"); the trap CSRs
-// take the default tag.
+// take the default tag. The flight recorder marks the trap and opens the
+// next block at the handler.
 func (c *TaintCore) trap(cause, tval, epc uint32) error {
 	if c.mtvec != 0 && !c.branchTagOK(c.mtvecT) {
 		return c.branchViolation(c.mtvecT, epc, c.mtvec, obs.RegNone, obs.RegNone)
 	}
-	pc, err := c.enterTrap(c.FR, c.Instret, cause, tval, epc)
+	pc, err := c.enterTrap(cause, tval, epc)
 	if err != nil {
 		return err
+	}
+	if c.FR != nil {
+		c.FR.MarkTrap(c.Instret, epc, tval, cause)
+		c.FR.Resume((*taintCode)(c), pc, c.Instret+1)
 	}
 	c.mepcT, c.mcauseT, c.mtvalT = c.def, c.def, c.def
 	c.PC = pc
 	return nil
+}
+
+// branch closes the flight recorder's open block at the control transfer
+// retiring now, word w continuing at next.
+func (c *TaintCore) branch(w, next uint32) {
+	if c.FR != nil {
+		c.FR.Branch(c.Instret, w, next)
+	}
 }
 
 // branchTagOK performs (and counts) the branch-condition / indirect-target
@@ -364,6 +404,9 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		c.uncachedFetch++
 		b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
 		w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
+		if c.FR != nil {
+			c.FR.Keep(pc, w, c.Instret)
+		}
 		if c.checkFetch {
 			t := c.foldFetchTag(b0, b1, b2, b3)
 			ok := c.lat.AllowedFlow(t, c.fetchClear)
@@ -393,6 +436,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 	case OpJAL:
 		c.set(i.Rd, core.W(next, c.def))
 		next = pc + uint32(i.Imm)
+		c.branch(w, next)
 	case OpJALR:
 		// Indirect jump: the target register steers control flow, so it is
 		// subject to the branch clearance.
@@ -404,6 +448,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		t := (r[i.Rs1].V + uint32(i.Imm)) &^ 1
 		c.set(i.Rd, core.W(next, c.def))
 		next = t
+		c.branch(w, next)
 	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
 		if !c.defBranchOK || (c.mask>>i.Rs1|c.mask>>i.Rs2)&1 != 0 {
 			condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
@@ -430,6 +475,7 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 		if taken {
 			next = pc + uint32(i.Imm)
 		}
+		c.branch(w, next)
 	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
 		if err := c.load(i, delay, pc); err != nil {
 			return RunOK, err
@@ -541,9 +587,10 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 			return RunOK, c.branchViolation(c.mepcT, pc, 0, obs.RegNone, obs.RegNone)
 		}
 		next = c.mret()
+		c.branch(w, next)
 	case OpWFI:
 		// A sleeping wfi retires like any other instruction (observer,
-		// cover, capture) before step reports RunWFI.
+		// cover, flight recorder) before step reports RunWFI.
 	case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
 		if err := c.csrOp(i, pc); err != nil {
 			return RunOK, err
@@ -560,30 +607,8 @@ func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
 	if c.Cov != nil {
 		c.coverStep(i)
 	}
-	if c.FR != nil {
-		// Flight capture, hand-inlined (see flightcap.go).
-		fl := flightFlags[i.Op]
-		if next != pc+4 {
-			fl |= flight.FlagTaken
-		}
-		if i.Rd != 0 && c.Regs[i.Rd].T != c.def {
-			fl |= flight.FlagTaintRd
-		}
-		faddr := next
-		if fl&(flight.FlagLoad|flight.FlagStore) != 0 {
-			faddr = c.frAddr
-		}
-		rec := c.FR.Slot()
-		rec.Time = c.Instret
-		rec.PC = pc
-		rec.Insn = w
-		rec.Addr = faddr
-		rec.Aux = 0
-		rec.Kind = flight.KindRetire
-		rec.Flags = fl
-		if c.FR.Full() {
-			c.FR.Flush()
-		}
+	if c.FR != nil && c.Regs[i.Rd].T != c.def {
+		c.FR.TaintRd(c.Instret)
 	}
 	if c.PC == pc {
 		c.PC = next
@@ -725,7 +750,9 @@ func (c *TaintCore) load(i Inst, delay *kernel.Time, pc uint32) error {
 	}
 	base := c.Regs[i.Rs1]
 	addr := base.V + uint32(i.Imm)
-	c.frAddr = addr
+	if c.FR != nil {
+		c.FR.Addr(c.Instret, addr)
+	}
 	if c.checkMemAddr && (!c.defMemOK || c.mask>>i.Rs1&1 != 0) {
 		if !c.addrTagOK(base.T) {
 			return c.addrViolation(base.T, addr, pc, i.Rs1)
@@ -796,7 +823,9 @@ func (c *TaintCore) load(i Inst, delay *kernel.Time, pc uint32) error {
 func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) error {
 	base, val := c.Regs[i.Rs1], c.Regs[i.Rs2]
 	addr := base.V + uint32(i.Imm)
-	c.frAddr = addr
+	if c.FR != nil {
+		c.FR.Addr(c.Instret, addr)
+	}
 	if c.checkMemAddr && (!c.defMemOK || c.mask>>i.Rs1&1 != 0) {
 		if !c.addrTagOK(base.T) {
 			return c.addrViolation(base.T, addr, pc, i.Rs1)

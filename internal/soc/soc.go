@@ -138,7 +138,7 @@ type Config struct {
 	// change when a simulation ends. Nil (the default) spawns nothing.
 	Telemetry *telemetry.Sampler
 	// Flight is the always-on flight recorder (internal/flight): a small
-	// overwrite-oldest ring of per-retire records plus IRQ/trap/bus marks,
+	// overwrite-oldest ring of block records plus IRQ/trap/bus marks,
 	// frozen into a forensic bundle when the run stops on a violation or
 	// guest fault (see forensics.go). Its record stream is also the only
 	// per-retire tap: the profiler and guest coverage subscribe to it, as
@@ -228,7 +228,8 @@ func New(cfg Config) (*Platform, error) {
 	// The flight recorder is on by default: a fixed ~96 KiB ring is the
 	// price of having forensics for every verdict anywhere in a fleet. Its
 	// record stream feeds every per-instruction consumer, wired here as one
-	// subscriber list.
+	// subscriber list. The profiler and guest coverage read the block
+	// records without expanding them.
 	var subs []func([]flight.Rec)
 	if cfg.Trace != nil && cfg.Trace.Prof != nil {
 		subs = append(subs, cfg.Trace.Prof.OnRecords)
@@ -241,7 +242,7 @@ func New(cfg Config) (*Platform, error) {
 		fr = flight.New(0)
 	}
 	for _, f := range subs {
-		fr.Subscribe(f)
+		fr.SubscribeBlocks(f)
 	}
 	if cfg.FlightOff {
 		cfg.Flight = nil

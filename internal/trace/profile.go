@@ -17,10 +17,17 @@ type profFrame struct {
 	recursive bool   // entry already appears lower on the stack
 }
 
+// profNode is a node of the call tree: the stack of its parent node plus
+// one frame entered at entry. Node 0 is the root, the empty stack.
+type profNode struct {
+	parent uint32
+	entry  uint32
+}
+
 // Profiler is the guest hot-path profiler: it subscribes to the flight
-// recorder's retire stream (OnRecords) and buckets retired instructions
+// recorder's block records (OnRecords) and buckets retired instructions
 // ("cycles" at the paper's one instruction per 10 ns clock) by pc. Every
-// retire yields one record, so the flat histogram is an exact cycle
+// retire is in a block, so the flat histogram is an exact cycle
 // attribution, not a statistical sample. Instructions that never retire —
 // a violating, faulting or trapping one — are not counted.
 //
@@ -47,13 +54,18 @@ type Profiler struct {
 	far        map[uint32]uint64
 	total      uint64
 
-	// Call tracking state.
+	// Call tracking state. Every stack the run reached is a node of the
+	// call tree, interned by (parent node, entry); folded counts the
+	// retires at each node's stack, and the folded-stack lines are built
+	// from the tree when the report is written.
 	pendingCall bool
 	pendingRet  bool
 	stack       []profFrame
 	cum         map[uint32]uint64 // callee entry -> cumulative retires
-	folded      map[string]uint64 // stack signature -> retires
-	curKey      string
+	nodes       []profNode        // by node id
+	nodeID      map[uint64]uint32 // parent<<32|entry -> node id
+	folded      []uint64          // node id -> retires
+	cur         uint32            // node of the current stack
 	lastFlush   uint64
 }
 
@@ -67,7 +79,9 @@ func NewProfiler(base, size uint32) *Profiler {
 		size:   size,
 		far:    make(map[uint32]uint64),
 		cum:    make(map[uint32]uint64),
-		folded: make(map[string]uint64),
+		nodes:  []profNode{{}},
+		nodeID: make(map[uint64]uint32),
+		folded: []uint64{0},
 	}
 }
 
@@ -83,19 +97,25 @@ func (p *Profiler) SetImage(img *asm.Image) {
 	}
 }
 
-// OnRecords is the flight-stream subscriber: it profiles the batch's retire
-// records and skips the platform marks.
+// OnRecords is the flight recorder's block subscriber
+// (flight.Recorder.SubscribeBlocks): it profiles the batch's block records
+// and skips the platform marks.
 func (p *Profiler) OnRecords(recs []flight.Rec) {
 	for i := range recs {
-		if r := &recs[i]; r.Kind == flight.KindRetire {
-			p.OnRetire(r.PC, r.Insn)
+		if r := &recs[i]; r.Kind == flight.KindBlock {
+			p.onBlock(r.PC, uint32(r.Aux), r.Insn)
 		}
 	}
 }
 
 // OnRetire profiles one retired instruction. pc is its address, insn its
 // encoding.
-func (p *Profiler) OnRetire(pc, insn uint32) {
+func (p *Profiler) OnRetire(pc, insn uint32) { p.onBlock(pc, 1, insn) }
+
+// onBlock profiles a block of n retires from pc, the last one's encoding
+// insn (see flight.Rec). Only the last can be a call or a return: a jal or
+// jalr ends its block.
+func (p *Profiler) onBlock(pc, n, insn uint32) {
 	// Resolve the edge opened by the previous instruction: the current pc is
 	// the callee entry (call) or the caller resume point (return).
 	if p.pendingCall {
@@ -109,7 +129,7 @@ func (p *Profiler) OnRetire(pc, insn uint32) {
 			}
 		}
 		p.stack = append(p.stack, profFrame{entry: pc, startTot: p.total, recursive: rec})
-		p.rebuildKey()
+		p.cur = p.child(p.cur, pc)
 	} else if p.pendingRet {
 		p.pendingRet = false
 		if n := len(p.stack); n > 0 {
@@ -119,15 +139,23 @@ func (p *Profiler) OnRetire(pc, insn uint32) {
 			if !f.recursive {
 				p.cum[f.entry] += p.total - f.startTot
 			}
-			p.rebuildKey()
+			p.cur = p.nodes[p.cur].parent
 		}
 	}
 
-	p.total++
-	if i := (pc - p.lo) >> 2; uint64(i) < uint64(len(p.counts)) && pc >= p.lo {
-		p.counts[i]++
+	p.total += uint64(n)
+	if i := (pc - p.lo) >> 2; pc >= p.lo && uint64(i)+uint64(n) <= uint64(len(p.counts)) {
+		for k := i; k < i+n; k++ {
+			p.counts[k]++
+		}
 	} else {
-		p.far[pc]++
+		for k := uint32(0); k < n; k++ {
+			if i := (pc + 4*k - p.lo) >> 2; uint64(i) < uint64(len(p.counts)) && pc+4*k >= p.lo {
+				p.counts[i]++
+			} else {
+				p.far[pc+4*k]++
+			}
+		}
 	}
 
 	// Classify this instruction for the next retire. RISC-V convention:
@@ -148,25 +176,26 @@ func (p *Profiler) OnRetire(pc, insn uint32) {
 }
 
 // flushFolded charges the retires since the last stack change to the
-// current stack signature.
+// current stack's node.
 func (p *Profiler) flushFolded() {
 	if p.total > p.lastFlush {
-		p.folded[p.curKey] += p.total - p.lastFlush
+		p.folded[p.cur] += p.total - p.lastFlush
 		p.lastFlush = p.total
 	}
 }
 
-// rebuildKey recomputes the folded-stack signature (semicolon-joined entry
-// addresses, root first).
-func (p *Profiler) rebuildKey() {
-	var b strings.Builder
-	for i := range p.stack {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%x", p.stack[i].entry)
+// child returns the node for the stack of node parent plus a frame
+// entered at entry, interning it on first use.
+func (p *Profiler) child(parent, entry uint32) uint32 {
+	key := uint64(parent)<<32 | uint64(entry)
+	id, ok := p.nodeID[key]
+	if !ok {
+		id = uint32(len(p.nodes))
+		p.nodes = append(p.nodes, profNode{parent: parent, entry: entry})
+		p.folded = append(p.folded, 0)
+		p.nodeID[key] = id
 	}
-	p.curKey = b.String()
+	return id
 }
 
 // Total returns the number of retired instructions observed.
@@ -320,11 +349,13 @@ func (p *Profiler) WriteTop(w io.Writer, n int) error {
 // determinism. The implicit root frame covers retires before the first call
 // (crt0 and top-level code).
 func (p *Profiler) WriteFolded(w io.Writer) error {
-	p.flushFolded()
 	// Also charge the open tail of the run to the current stack.
-	lines := make(map[string]uint64, len(p.folded))
-	for k, v := range p.folded {
-		lines[p.symbolizeKey(k)] += v
+	p.flushFolded()
+	lines := make(map[string]uint64)
+	for id, v := range p.folded {
+		if v != 0 {
+			lines[p.stackLine(uint32(id))] += v
+		}
 	}
 	keys := make([]string, 0, len(lines))
 	for k := range lines {
@@ -339,19 +370,18 @@ func (p *Profiler) WriteFolded(w io.Writer) error {
 	return nil
 }
 
-// symbolizeKey converts a hex-address stack signature into a
-// semicolon-joined symbol path rooted at "(root)".
-func (p *Profiler) symbolizeKey(key string) string {
+// stackLine renders node id's stack as a semicolon-joined symbol path
+// rooted at "(root)".
+func (p *Profiler) stackLine(id uint32) string {
+	var entries []uint32
+	for ; id != 0; id = p.nodes[id].parent {
+		entries = append(entries, p.nodes[id].entry)
+	}
 	var b strings.Builder
 	b.WriteString("(root)")
-	if key == "" {
-		return b.String()
-	}
-	for _, part := range strings.Split(key, ";") {
-		var addr uint32
-		fmt.Sscanf(part, "%x", &addr)
+	for i := len(entries) - 1; i >= 0; i-- {
 		b.WriteByte(';')
-		b.WriteString(p.symbolize(addr))
+		b.WriteString(p.symbolize(entries[i]))
 	}
 	return b.String()
 }
