@@ -247,13 +247,14 @@ type (
 func NewCoverage() *Cover { return cover.New() }
 
 // Flight-recorder types (package internal/flight). The recorder is the
-// always-on black box: a fixed-size overwrite-oldest ring of compressed
-// per-retire records that costs the same whether or not anything ever goes
-// wrong. When something does — a policy violation, a guest fault, or an
-// explicit Snapshot — the window freezes into a ForensicBundle: one
-// self-contained JSON document with the disassembled last-N trace, the full
-// register and tag file, the violation's provenance chain, and memory/taint
-// hexdumps around every address the window touched.
+// always-on black box: a fixed-size overwrite-oldest ring of basic-block
+// records, read back as one record per retired instruction, that costs the
+// same whether or not anything ever goes wrong. When something does — a
+// policy violation, a guest fault, or an explicit Snapshot — the window
+// freezes into a ForensicBundle: one self-contained JSON document with the
+// disassembled last-N trace, the full register and tag file, the
+// violation's provenance chain, and memory/taint hexdumps around every
+// address the window touched.
 type (
 	// FlightRecorder is the always-on last-N capture ring.
 	FlightRecorder = flight.Recorder
