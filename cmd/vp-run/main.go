@@ -138,11 +138,13 @@ func main() {
 	}
 	// -trace subscribes to the flight recorder's stream: it disassembles the
 	// first N retired instructions, plus the instruction that stopped the
-	// run (a terminal violation or fault record naming one).
+	// run (a terminal violation or fault record naming one). It cancels
+	// after N, so the recorder stops expanding blocks for it.
 	if *disasN > 0 {
 		cfg.Flight = flight.New(0)
 		remaining := *disasN
-		cfg.Flight.Subscribe(func(recs []flight.Rec) {
+		var cancel func()
+		cancel = cfg.Flight.Subscribe(func(recs []flight.Rec) {
 			for i := range recs {
 				r := &recs[i]
 				switch {
@@ -159,6 +161,9 @@ func main() {
 					loc = fmt.Sprintf(" <%s+0x%x>", name, off)
 				}
 				fmt.Fprintf(os.Stderr, "%08x:  %08x  %-32s%s\n", r.PC, r.Insn, rv32.Disassemble(r.Insn, r.PC), loc)
+				if remaining == 0 {
+					cancel()
+				}
 			}
 		})
 	}

@@ -32,6 +32,7 @@ package flight
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -165,7 +166,7 @@ type Recorder struct {
 	// subs receive the expanded stream (one record per retire), bsubs the
 	// entries themselves. seenT is the instret of the first retire subs
 	// have not seen; buf is their expansion buffer.
-	subs  []func([]Rec)
+	subs  []*subscriber
 	bsubs []func([]Rec)
 	seenT uint64
 	buf   []Rec
@@ -199,16 +200,25 @@ func New(size int) *Recorder {
 	}
 }
 
+// subscriber is a per-retire consumer; f is nil once it has cancelled.
+type subscriber struct{ f func([]Rec) }
+
 // Subscribe adds a consumer of the per-retire stream. It receives every
 // record captured from now on exactly once, in capture order — a block
 // expanded into one record per retire — as one or more batches per Flush.
 // A batch is reused: the consumer must not keep it past the call.
-func (r *Recorder) Subscribe(f func([]Rec)) {
+//
+// Expanding costs every retire, so a consumer that has read all it needs
+// calls cancel, also from inside its own call: it receives nothing more,
+// and once no per-retire consumer is left the recorder stops expanding.
+func (r *Recorder) Subscribe(f func([]Rec)) (cancel func()) {
 	r.subscribe()
-	r.subs = append(r.subs, f)
+	s := &subscriber{f}
+	r.subs = append(r.subs, s)
 	if r.buf == nil {
 		r.buf = make([]Rec, 0, 256)
 	}
+	return func() { s.f = nil }
 }
 
 // SubscribeBlocks adds a consumer of the ring's own entries: block records
@@ -239,7 +249,9 @@ func (r *Recorder) full() bool { return r.n >= r.limit }
 // ring may wrap), per-retire subscribers the expanded records.
 // Allocation-free; a no-op without subscribers or pending records.
 func (r *Recorder) Flush() {
+	r.subs = slices.DeleteFunc(r.subs, func(s *subscriber) bool { return s.f == nil })
 	if !r.Subscribed() {
+		r.limit = math.MaxUint64
 		return
 	}
 	if r.seen != r.n {
@@ -261,14 +273,17 @@ func (r *Recorder) Flush() {
 	r.limit = r.n + uint64(len(r.recs))
 }
 
-// emit hands one expanded batch to every per-retire subscriber.
+// emit hands one expanded batch to every per-retire subscriber that has
+// not cancelled.
 func (r *Recorder) emit(batch []Rec) {
-	for _, f := range r.subs {
-		f(batch)
+	for _, s := range r.subs {
+		if s.f != nil {
+			s.f(batch)
+		}
 	}
 }
 
-// Resume opens a block: the core, whose program code is, will retire from
+// Resume opens a block: the core, whose program is code, will retire from
 // pc at instret t. The cores call it at the start of every Run call and
 // after entering a trap handler.
 func (r *Recorder) Resume(code Code, pc uint32, t uint64) {

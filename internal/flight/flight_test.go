@@ -386,6 +386,59 @@ func TestSubscribersSeeEveryRecordOnce(t *testing.T) {
 	}
 }
 
+// TestSubscriberCancels: a per-retire consumer that cancels from inside
+// its own call receives no later batch while another keeps receiving every
+// record; once neither is left the recorder stops delivering, and its ring
+// no longer fills.
+func TestSubscriberCancels(t *testing.T) {
+	r := New(8)
+	var all, some []uint64
+	stopAll := r.Subscribe(func(recs []Rec) {
+		for _, rec := range recs {
+			all = append(all, rec.Time)
+		}
+	})
+	var stopSome func()
+	stopSome = r.Subscribe(func(recs []Rec) {
+		for _, rec := range recs {
+			some = append(some, rec.Time)
+		}
+		if len(some) >= 5 {
+			stopSome()
+		}
+	})
+	for k := uint64(0); k < 40; k++ {
+		retire(r, 0x80000000, 0x13, 0x80000004, k, 0)
+		if k%3 == 0 {
+			r.Flush()
+		}
+	}
+	r.Flush()
+	if len(all) != 40 || all[39] != 39 {
+		t.Fatalf("remaining subscriber saw %d records (last %v), want 40", len(all), all[len(all)-1:])
+	}
+	// Flushes after records 0, 3 and 6 hand it 1, 3 and 3 records; it
+	// cancels in the third call.
+	if len(some) != 7 || some[6] != 6 {
+		t.Fatalf("cancelled subscriber saw %v, want records 0 to 6", some)
+	}
+	stopAll()
+	r.Flush()
+	if r.Subscribed() {
+		t.Fatal("Subscribed() true after every subscriber cancelled")
+	}
+	for k := uint64(40); k < 100; k++ {
+		retire(r, 0x80000000, 0x13, 0x80000004, k, 0)
+		if r.full() {
+			t.Fatalf("full() true at record %d after every subscriber cancelled", k)
+		}
+	}
+	r.Flush()
+	if len(all) != 40 || len(some) != 7 {
+		t.Fatalf("cancelled subscribers saw %d and %d records, want 40 and 7", len(all), len(some))
+	}
+}
+
 // TestFlushZeroAlloc extends the always-on contract to the stream: a
 // subscribed ring that flushes on every wrap must not allocate either.
 func TestFlushZeroAlloc(t *testing.T) {
