@@ -347,8 +347,8 @@ func (r *Recorder) TaintRd(t uint64) {
 // during the instruction at instret t, later writes before it. The cores
 // keep every word their decode cache fetched since its last write, and the
 // word of every fetch that bypassed the cache, so an expanded retire shows
-// the word it executed. Both are rare, so Keep stays out of line and the
-// interpreter loops stay compact.
+// the word it executed. Both are rare while the decode cache covers the
+// code, so Keep stays out of line and the interpreter loops stay compact.
 //
 //go:noinline
 func (r *Recorder) Keep(pc, w uint32, t uint64) {
