@@ -132,15 +132,17 @@ func (m *mapGuest) stats() GuestStats {
 	return s
 }
 
-// blocks groups a retire stream into the flight recorder's block records:
-// a retire that falls through (next == pc+4, not a branch) to the next
-// one's pc continues its block; any other ends it, its word and successor
-// in the record.
-func blocks(retires [][3]uint32) []flight.Rec {
+// blocks groups a retire stream into the flight recorder's block records
+// of at most limit retires: a retire that falls through (next == pc+4, not a
+// branch) to the next one's pc continues its block; any other ends it. A
+// block that ends at a control transfer holds its word and successor under
+// FlagBranch; one that ends at a fall-through is cut, the way a mark or
+// the end of a Run call cuts one, with Insn 0 and no flags.
+func blocks(retires [][3]uint32, limit int) []flight.Rec {
 	var out []flight.Rec
 	for k := 0; k < len(retires); {
 		first := k
-		for k+1 < len(retires) && k+1-first < 0xffff {
+		for k+1 < len(retires) && k+1-first < limit {
 			pc, insn, next := retires[k][0], retires[k][1], retires[k][2]
 			if next != pc+4 || insn&0x7f == opBranch || retires[k+1][0] != next {
 				break
@@ -148,19 +150,24 @@ func blocks(retires [][3]uint32) []flight.Rec {
 			k++
 		}
 		last := retires[k]
-		out = append(out, flight.Rec{
+		r := flight.Rec{
 			Time: uint64(first), PC: retires[first][0], Insn: last[1], Addr: last[2],
 			Aux: uint16(k + 1 - first), Kind: flight.KindBlock, Flags: flight.FlagBranch,
-		})
+		}
+		if last[2] == last[0]+4 && last[1]&0x7f != opBranch {
+			r.Insn, r.Flags = 0, 0
+		}
+		out = append(out, r)
 		k++
 	}
 	return out
 }
 
 // FuzzGuestCovEdges feeds generated retire streams to GuestCov, one retire
-// at a time and as block records, and to the map-only reference recorder:
-// the per-word edge slots and the block path must change nothing a reader
-// sees, in the snapshot JSON, in Stats or in EdgeCount.
+// at a time, as block records and as blocks of at most two retires, and to
+// the map-only reference recorder: the per-word edge slots and the block
+// path must change nothing a reader sees, in the snapshot JSON, in Stats or
+// in EdgeCount.
 func FuzzGuestCovEdges(f *testing.F) {
 	for _, seed := range [][]byte{
 		// The image's own path: beq taken, beq +4, jalr back, jal.
@@ -185,8 +192,8 @@ func FuzzGuestCovEdges(f *testing.F) {
 	run := RunID{Workload: "fuzz", Policy: "none"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img := fuzzImage()
-		g, gb := NewGuest(), NewGuest()
-		for _, g := range []*GuestCov{g, gb} {
+		g, gb, gc := NewGuest(), NewGuest(), NewGuest()
+		for _, g := range []*GuestCov{g, gb, gc} {
 			g.Configure(base, ramLen)
 			g.SetImage(img)
 		}
@@ -201,8 +208,9 @@ func FuzzGuestCovEdges(f *testing.F) {
 			retires = append(retires, [3]uint32{pc, insn, next})
 			seen = append(seen, edge{pc, next}, edge{pc, pc + 4})
 		}
-		gb.OnRecords(blocks(retires))
-		for path, g := range map[string]*GuestCov{"per retire": g, "blocks": gb} {
+		gb.OnRecords(blocks(retires, 0xffff))
+		gc.OnRecords(blocks(retires, 2))
+		for path, g := range map[string]*GuestCov{"per retire": g, "blocks": gb, "short blocks": gc} {
 			if got, want := Capture(&Cover{Guest: g}, run, nil).JSON(), ref.snapshot(run); !bytes.Equal(got, want) {
 				t.Fatalf("%s: snapshot differs from the reference:\n%s\nwant\n%s", path, got, want)
 			}
